@@ -14,7 +14,6 @@ from .generate import (
     count_spaces,
     enumerate_spaces,
     labeled_rows,
-    open_family_rows,
     random_space,
     space_from_rows,
 )
@@ -54,6 +53,7 @@ from .regularity import (
     is_regular,
     is_regular_at,
     is_scattered,
+    is_t1,
     is_theta_weakly_regular,
     is_w_theta_regular,
     is_weakly_regular,
@@ -69,7 +69,6 @@ from .space import (
     is_closed,
     is_open,
     is_theta_open,
-    is_t1,
     space_from_json,
     space_to_json,
     subspace,

@@ -19,13 +19,7 @@ from .decomposition import (
     theta_decomposition,
     weak_homeo_witness,
 )
-from .generate import (
-    HOMEO_CAP,
-    LABELED_CAP,
-    homeo_rows,
-    sharded_labeled_rows,
-    space_from_rows,
-)
+from .generate import space_from_rows, space_rows
 from .hedgehog import (
     ROOT,
     NotHausdorffWitnessed,
@@ -50,12 +44,10 @@ from .maps import (
 )
 from .regularity import PROPERTY_CAP, classify_report
 from .space import (
-    POINT_CAP,
-    CapExceeded,
-    FinSpace,
     TopologyError,
     build_space,
     format_space,
+    read_json,
     space_from_obj,
     space_to_obj,
 )
@@ -66,21 +58,24 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, ensure_ascii=False))
 
 
-def _read_space(arg: str, max_points: int = POINT_CAP) -> FinSpace:
-    if arg == "-":
-        return space_from_obj(json.load(sys.stdin), max_points)
-    return space_from_obj(
-        json.loads(Path(arg).read_text(encoding="utf-8")), max_points
-    )
-
-
 def _read_map(arg: str) -> FinMap:
-    if arg == "-":
-        return map_from_obj(json.load(sys.stdin), base_dir=Path.cwd())
-    path = Path(arg)
-    return map_from_obj(
-        json.loads(path.read_text(encoding="utf-8")), base_dir=path.parent
-    )
+    base_dir = Path.cwd() if arg == "-" else Path(arg).parent
+    return map_from_obj(read_json(arg), base_dir=base_dir)
+
+
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _sizes(text: str) -> tuple[int, int, int]:
@@ -105,7 +100,7 @@ def _oracle_from_spec(spec: str) -> OracleSpace:
             k = int(rest[len("discrete") :])
             names = [str(i) for i in range(k)]
             return SumOracle(build_space(names, {nm: [nm] for nm in names}))
-        return SumOracle(_read_space(rest))
+        return SumOracle(space_from_obj(read_json(rest)))
     if spec.startswith("permuted:"):
         rest = spec[len("permuted:") :]
         try:
@@ -125,7 +120,7 @@ def _oracle_from_spec(spec: str) -> OracleSpace:
 
 
 def cmd_classify(args) -> int:
-    space = _read_space(args.space, args.max_points)
+    space = space_from_obj(read_json(args.space), args.max_points)
     report = classify_report(space, sw_bound=args.sw_bound, max_points=args.max_points)
     if args.json:
         _print_json(report.to_obj())
@@ -165,7 +160,7 @@ def cmd_fn_compositions(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    space = _read_space(args.space, args.max_points)
+    space = space_from_obj(read_json(args.space), args.max_points)
     if args.mode == "theta":
         dec = theta_decomposition(space, max_points=args.max_points)
     else:
@@ -195,14 +190,7 @@ def cmd_decompose(args) -> int:
 def cmd_enumerate(args) -> int:
     n = args.n
     mode = "homeo" if args.homeo else "labeled"
-    if mode == "labeled":
-        if n > LABELED_CAP:
-            raise CapExceeded(f"labeled enumeration capped at {LABELED_CAP} points")
-        stream = sharded_labeled_rows(n, args.workers)
-    else:
-        if n > HOMEO_CAP:
-            raise CapExceeded(f"homeomorphism enumeration capped at {HOMEO_CAP} points")
-        stream = homeo_rows(n)
+    stream = space_rows(n, mode, args.workers)
     if args.count:
         count = sum(1 for _ in stream)
         if args.json:
@@ -292,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("classify", help="full property report for a space")
     c.add_argument("space", help="space JSON file, or - for stdin")
-    c.add_argument("--sw-bound", type=int, default=3, help="sw witness search bound")
-    c.add_argument("--max-points", type=int, default=PROPERTY_CAP)
+    c.add_argument("--sw-bound", type=_int_at_least(1), default=3, help="sw witness search bound")
+    c.add_argument("--max-points", type=_int_at_least(1), default=PROPERTY_CAP)
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_classify)
 
@@ -310,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     fw.set_defaults(func=cmd_fn_weak_homeo)
     fx = fsub.add_parser("compositions", help="exercise the composition law table")
     fx.add_argument("--sizes", type=_sizes, default=(2, 2, 2), help="e.g. 2,2,2")
-    fx.add_argument("--samples", type=int, default=10000)
+    fx.add_argument("--samples", type=_int_at_least(1), default=10000)
     fx.add_argument("--seed", type=int, default=0)
     fx.add_argument("--json", action="store_true")
     fx.set_defaults(func=cmd_fn_compositions)
@@ -319,48 +307,48 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("space")
     d.add_argument("--mode", choices=("theta", "open"), default="theta")
     d.add_argument("--witness", action="store_true", help="emit the weak-homeomorphism map")
-    d.add_argument("--max-points", type=int, default=PROPERTY_CAP)
+    d.add_argument("--max-points", type=_int_at_least(1), default=PROPERTY_CAP)
     d.add_argument("--json", action="store_true")
     d.set_defaults(func=cmd_decompose)
 
     e = sub.add_parser("enumerate", help="stream spaces on n points")
-    e.add_argument("-n", type=int, required=True)
+    e.add_argument("-n", type=_int_at_least(0), required=True)
     g = e.add_mutually_exclusive_group()
     g.add_argument("--labeled", action="store_true", default=True)
     g.add_argument("--homeo", action="store_true", default=False)
     e.add_argument("--count", action="store_true")
-    e.add_argument("--workers", type=int, default=1)
+    e.add_argument("--workers", type=_int_at_least(1), default=1)
     e.add_argument("--json", action="store_true")
     e.set_defaults(func=cmd_enumerate)
 
     s = sub.add_parser("search", help="least space satisfying a property predicate")
     s.add_argument("--where", required=True, help="predicate over property names: ! && || ()")
-    s.add_argument("--max-n", type=int, default=5)
+    s.add_argument("--max-n", type=_int_at_least(1), default=5)
     s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_search)
 
     v = sub.add_parser("verify-diagram", help="check all implications on small spaces")
-    v.add_argument("--max-n", type=int, default=4)
-    v.add_argument("--sw-bound", type=int, default=3)
-    v.add_argument("--transfer-max", type=int, default=3)
-    v.add_argument("--workers", type=int, default=1)
+    v.add_argument("--max-n", type=_int_at_least(1), default=4)
+    v.add_argument("--sw-bound", type=_int_at_least(1), default=3)
+    v.add_argument("--transfer-max", type=_int_at_least(1), default=3)
+    v.add_argument("--workers", type=_int_at_least(1), default=1)
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify_diagram)
 
     h = sub.add_parser("hedgehog", help="profile certification and embedding")
     hsub = h.add_subparsers(dest="hh_command", required=True)
     hp = hsub.add_parser("profile")
-    hp.add_argument("--depth", type=int, default=50)
+    hp.add_argument("--depth", type=_int_at_least(1), default=50)
     hp.add_argument("--json", action="store_true")
     hp.set_defaults(func=cmd_hh_profile)
     he = hsub.add_parser("embed")
-    he.add_argument("--depth", type=int, default=20)
+    he.add_argument("--depth", type=_int_at_least(1), default=20)
     he.add_argument(
         "--space",
         default="hedgehog",
         help="hedgehog | sum:discreteK | sum:<space.json> | permuted:<images>",
     )
-    he.add_argument("--u0-index", type=int, default=0)
+    he.add_argument("--u0-index", type=_int_at_least(0), default=0)
     he.add_argument("--json", action="store_true")
     he.set_defaults(func=cmd_hh_embed)
 
@@ -382,9 +370,6 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}")
         return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
     except TopologyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .maps import FinMap, classify_map
+from .maps import CLASSIFY_CAP, FinMap, classify_map
 from .regularity import PROPERTY_CAP, open_kernel_mask, theta_kernel_mask
 from .space import (
     CapExceeded,
@@ -119,7 +119,7 @@ def weak_homeo_witness(
     back = FinMap(space, y, img)
 
     tier = "theta_weakly_discontinuous" if theta else "weakly_discontinuous"
-    if len(space) <= 16:
+    if len(space) <= CLASSIFY_CAP:
         if not classify_map(back.inverse()).reaches("continuous"):
             raise TopologyError("internal: sum-to-space identity is not continuous")
         if not classify_map(back).reaches(tier):

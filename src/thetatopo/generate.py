@@ -1,11 +1,10 @@
 """Enumeration of finite topologies and random space generation.
 
 Spaces on n points are streamed as minimal-neighborhood row tuples in
-ascending lexicographic order (rows compared as integers, first row first).
-Two independent enumerators exist: a direct backtracking generator over
-coherent rows, and a brute-force walk over open-set families closed under
-union and intersection. Their agreement is a regression gate before any
-count is trusted.
+ascending lexicographic order (rows compared as integers, first row first),
+by a backtracking generator over coherent rows. Homeomorphism classes are
+streamed as the least labeling of each class. The tests cross-check the
+labeled stream against an independent walk over open-set families.
 """
 
 from __future__ import annotations
@@ -119,19 +118,19 @@ def permute_rows(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...
     return tuple(out)
 
 
-def canonical_rows(rows: tuple[int, ...], max_points: int = HOMEO_CAP) -> tuple[int, ...]:
+def canonical_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
     """The least row tuple over all relabelings; factorial in n."""
     n = len(rows)
-    if n > max_points:
-        raise CapExceeded(f"canonical form over {n}! relabelings; cap is {max_points} points")
+    if n > HOMEO_CAP:
+        raise CapExceeded(f"canonical form over {n}! relabelings; cap is {HOMEO_CAP} points")
     if n <= 1:
         return rows
     return min(permute_rows(rows, p) for p in permutations(range(n)))
 
 
-def canonicalize(space: FinSpace, max_points: int = HOMEO_CAP) -> FinSpace:
+def canonicalize(space: FinSpace) -> FinSpace:
     """Canonical representative of the homeomorphism class, on points 0..n-1."""
-    return space_from_rows(canonical_rows(space.nbhd, max_points))
+    return space_from_rows(canonical_rows(space.nbhd))
 
 
 def homeo_rows(n: int) -> Iterator[tuple[int, ...]]:
@@ -154,72 +153,24 @@ def homeo_rows(n: int) -> Iterator[tuple[int, ...]]:
             seen.add(permute_rows(rows, p))
 
 
-def enumerate_spaces(
-    n: int,
-    mode: str = "labeled",
-    labeled_cap: int = LABELED_CAP,
-    homeo_cap: int = HOMEO_CAP,
-) -> Iterator[FinSpace]:
+def space_rows(n: int, mode: str = "labeled", workers: int = 1) -> Iterator[tuple[int, ...]]:
+    """The row stream behind enumerate_spaces, capped per mode; labeled rows
+    are sharded across `workers` processes. Caps are checked on the call,
+    before any row is produced."""
     if mode == "labeled":
-        if n > labeled_cap:
-            raise CapExceeded(f"labeled enumeration capped at {labeled_cap} points")
-        stream = labeled_rows(n)
-    elif mode == "homeo":
-        if n > homeo_cap:
-            raise CapExceeded(f"homeomorphism enumeration capped at {homeo_cap} points")
-        stream = homeo_rows(n)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    for rows in stream:
+        if n > LABELED_CAP:
+            raise CapExceeded(f"labeled enumeration capped at {LABELED_CAP} points")
+        return sharded_labeled_rows(n, workers)
+    if mode == "homeo":
+        if n > HOMEO_CAP:
+            raise CapExceeded(f"homeomorphism enumeration capped at {HOMEO_CAP} points")
+        return homeo_rows(n)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def enumerate_spaces(n: int, mode: str = "labeled") -> Iterator[FinSpace]:
+    for rows in space_rows(n, mode):
         yield space_from_rows(rows)
-
-
-# ---------------------------------------------------------------------------
-# Second enumerator: open-set families.
-# ---------------------------------------------------------------------------
-
-OPEN_FAMILY_CAP = 4
-
-
-def open_family_rows(n: int) -> Iterator[tuple[int, ...]]:
-    """Topologies on n points found by scanning all families of subsets that
-    contain ∅ and the whole set and are closed under union and intersection.
-    Doubly exponential; exists purely to cross-check labeled_rows."""
-    if n > OPEN_FAMILY_CAP:
-        raise CapExceeded(f"open-family enumeration capped at {OPEN_FAMILY_CAP} points")
-    if n == 0:
-        yield ()
-        return
-    full = (1 << n) - 1
-    middle = [m for m in range(1, full)]
-    for pick in range(1 << len(middle)):
-        family = [0, full]
-        rest = pick
-        i = 0
-        while rest:
-            if rest & 1:
-                family.append(middle[i])
-            rest >>= 1
-            i += 1
-        fam = set(family)
-        closed = True
-        for a in family:
-            for b in family:
-                if a | b not in fam or a & b not in fam:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if not closed:
-            continue
-        rows = []
-        for x in range(n):
-            m = full
-            for u in family:
-                if u >> x & 1:
-                    m &= u
-            rows.append(m)
-        yield tuple(rows)
 
 
 def count_spaces(n: int, mode: str = "labeled") -> int:

@@ -170,10 +170,6 @@ class MappedSet:
         return f"mapped:{self.base}"
 
 
-def basic_str(b) -> str:
-    return str(b)
-
-
 # ---------------------------------------------------------------------------
 # Oracle spaces.
 # ---------------------------------------------------------------------------
@@ -428,19 +424,24 @@ class SumOracle(OracleSpace):
         return self.hh.approach_within(x, constraints, count)
 
 
+# Fewest stalk and tip indices PermutedOracle.pick_in_closure_minus scans;
+# it scans at least twice past the largest relabeled stalk.
+SCAN_LIMIT = 128
+
+
 class PermutedOracle(OracleSpace):
     """The hedgehog with stalk indices relabeled by a finite-support
     permutation; pick_in_closure_minus scans tokens in the relabeled
     coordinates so ties break by the visible names, not the hidden ones."""
 
-    def __init__(self, images: dict[int, int], scan_limit: int = 128):
+    def __init__(self, images: dict[int, int]):
         fwd = {int(k): int(v) for k, v in images.items()}
         if sorted(fwd) != sorted(fwd.values()) or min(fwd, default=1) < 1:
             raise OracleError("stalk relabeling must permute a finite set of indices >= 1")
         self.fwd = {k: v for k, v in fwd.items() if k != v}
         self.inv = {v: k for k, v in self.fwd.items()}
         self.hh = HedgehogOracle()
-        self.scan_limit = max(scan_limit, 2 * (max(self.fwd, default=1) + 1))
+        self.scan_limit = max(SCAN_LIMIT, 2 * (max(self.fwd, default=1) + 1))
 
     def _fwd_token(self, t: Token) -> Token:
         if is_stalk(t):
@@ -697,7 +698,7 @@ class Embedding:
         lines = [f"embedding, depth {self.depth}, u0_index {self.u0_index}"]
         lines.append(f"h(()) = {token_str(self.root_image)}")
         for n in range(1, self.depth + 1):
-            v = basic_str(self.space.nbhd_base(self.stalk_images[n - 1], self.v_indices[n - 1]))
+            v = str(self.space.nbhd_base(self.stalk_images[n - 1], self.v_indices[n - 1]))
             lines.append(
                 f"h(({n})) = {token_str(self.stalk_images[n - 1])}"
                 f"  [k={self.ks[n - 1]}, V={v}]"

@@ -26,6 +26,7 @@ from .space import (
     UnknownPoint,
     format_names,
     interior_mask,
+    read_json,
     space_from_obj,
     space_to_obj,
     theta_open_part_mask,
@@ -48,6 +49,8 @@ TIERS = (
     "none",
 )
 TIER_RANK = {name: i for i, name in enumerate(TIERS)}
+# Largest domain classify_map sweeps; it scans all 2^n restrictions.
+CLASSIFY_CAP = 16
 TIER_LABELS = {
     "continuous": "continuous",
     "theta_weakly_discontinuous": "θ-weakly discontinuous",
@@ -211,18 +214,18 @@ class MapClass:
         return f"{self.tier} (not {TIER_LABELS[missed]}; witness A = {witness})"
 
 
-def classify_map(f: FinMap, max_points: int = 16) -> MapClass:
+def classify_map(f: FinMap) -> MapClass:
     """Sweep all non-empty restrictions of the domain once.
 
     Subsets run in Gray-code order so the per-point discontinuity counters
     update by one flip per step; witnesses are still selected globally as the
     least failing restriction, independent of sweep order. Exponential in the
-    domain size, hence the cap.
+    domain size, hence CLASSIFY_CAP.
     """
     n = len(f.domain)
-    if n > max_points:
+    if n > CLASSIFY_CAP:
         raise CapExceeded(
-            f"classification sweeps 2^{n} restrictions; cap is {max_points} points"
+            f"classification sweeps 2^{n} restrictions; cap is {CLASSIFY_CAP} points"
         )
     names = f.domain.names_of
     if n == 0:
@@ -295,14 +298,14 @@ def classify_map(f: FinMap, max_points: int = 16) -> MapClass:
     return MapClass(tier, witnesses)
 
 
-def is_weak_homeomorphism(f: FinMap, theta: bool = False, max_points: int = 16) -> bool:
+def is_weak_homeomorphism(f: FinMap, theta: bool = False) -> bool:
     """True iff f is a bijection and f, f⁻¹ both reach the requested tier."""
     if not f.is_bijective():
         raise BijectivityError("weak homeomorphisms are bijections")
     tier = "theta_weakly_discontinuous" if theta else "weakly_discontinuous"
     return (
-        classify_map(f, max_points).reaches(tier)
-        and classify_map(f.inverse(), max_points).reaches(tier)
+        classify_map(f).reaches(tier)
+        and classify_map(f.inverse()).reaches(tier)
     )
 
 
@@ -330,25 +333,6 @@ def map_to_obj(f: FinMap) -> dict:
     }
 
 
-def _space_operand(value, base_dir: Path | None, max_points: int) -> FinSpace:
-    if isinstance(value, str):
-        path = Path(value)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as e:
-            raise SpaceFormatError(f"cannot read space file {str(path)!r}: {e}") from None
-        import json
-
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise SpaceFormatError(f"{str(path)!r} is not valid JSON: {e}") from None
-        return space_from_obj(obj, max_points=max_points)
-    return space_from_obj(value, max_points=max_points)
-
-
 def map_from_obj(obj, base_dir: Path | None = None, max_points: int = POINT_CAP) -> FinMap:
     """Parse {"domain": <space or path>, "codomain": <space or path>,
     "map": {point: point}}. Relative paths resolve against base_dir."""
@@ -357,8 +341,13 @@ def map_from_obj(obj, base_dir: Path | None = None, max_points: int = POINT_CAP)
     for key in ("domain", "codomain", "map"):
         if key not in obj:
             raise SpaceFormatError(f'map description is missing "{key}"')
-    dom = _space_operand(obj["domain"], base_dir, max_points)
-    cod = _space_operand(obj["codomain"], base_dir, max_points)
+    dom, cod = (
+        space_from_obj(
+            read_json(Path(base_dir or "", v)) if isinstance(v, str) else v,
+            max_points=max_points,
+        )
+        for v in (obj["domain"], obj["codomain"])
+    )
     if not isinstance(obj["map"], dict):
         raise SpaceFormatError('"map" must be an object mapping points to points')
     return build_map(dom, cod, obj["map"])

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable, NamedTuple
 
-from .bitset import bits, index_tuple, submasks, subsets_lex
+from .bitset import bits, submasks, subsets_lex
 from .generate import labeled_rows, space_from_rows
 from .maps import FinMap, classify_map, map_to_obj
 from .space import (
@@ -68,7 +69,8 @@ def arrow_name(premises: tuple[str, ...], conclusion: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Point-local deciders.
+# Least-witness deciders. Each returns None when the property holds, else its
+# least witness: a point index, a mask, or (for w_theta_regular) a mask pair.
 # ---------------------------------------------------------------------------
 
 def regular_at_mask(space: FinSpace, x: int, within: int | None = None) -> bool:
@@ -88,39 +90,39 @@ def is_regular_at(space: FinSpace, x: str) -> bool:
     return regular_at_mask(space, space.index(x))
 
 
-def is_regular(space: FinSpace) -> bool:
-    return is_regular_mask(space, space.full_mask)
+def regular_witness(space: FinSpace) -> int | None:
+    """Least point at which the space is not regular."""
+    return next((x for x in range(len(space)) if not regular_at_mask(space, x)), None)
 
 
-def is_nowhere_regular(space: FinSpace) -> bool:
-    return not any(regular_at_mask(space, x) for x in range(len(space)))
+def nowhere_regular_witness(space: FinSpace) -> int | None:
+    """Least point at which the space is regular."""
+    return next((x for x in range(len(space)) if regular_at_mask(space, x)), None)
 
 
-def is_locally_regular(space: FinSpace) -> bool:
-    """Regularity is hereditary, so an open regular neighborhood of x exists
-    iff the minimal one is regular."""
-    return all(is_regular_mask(space, space.nbhd[x]) for x in range(len(space)))
+def locally_regular_witness(space: FinSpace) -> int | None:
+    """Least point without an open regular neighborhood. Regularity is
+    hereditary, so one exists iff the minimal neighborhood is regular."""
+    return next(
+        (x for x in range(len(space)) if not is_regular_mask(space, space.nbhd[x])),
+        None,
+    )
 
 
-def quasi_regular_mask(space: FinSpace, a: int) -> bool:
-    """Every non-empty relatively open set contains the relative closure of a
-    non-empty relatively open set; minimal neighborhoods suffice on both
-    sides (shrinking the inner set and the outer set only helps)."""
-    for x in bits(a):
+def quasi_regular_witness(space: FinSpace, within: int | None = None) -> int | None:
+    """Least relatively open set (in the subspace on `within`) that contains
+    the relative closure of no non-empty relatively open set. Minimal
+    neighborhoods suffice on both sides (shrinking the inner set and the
+    outer set only helps), so the witness is a minimal piece."""
+    a = space.full_mask if within is None else within
+    points = list(bits(a))
+    for x in points:
         target = space.nbhd[x] & a
         if not any(
-            closure_mask(space, space.nbhd[y] & a, a) & ~target == 0 for y in bits(a)
+            closure_mask(space, space.nbhd[y] & a, a) & ~target == 0 for y in points
         ):
-            return False
-    return True
-
-
-def is_quasi_regular(space: FinSpace) -> bool:
-    return quasi_regular_mask(space, space.full_mask)
-
-
-def is_scattered(space: FinSpace) -> bool:
-    return scattered_residue_mask(space) == 0
+            return target
+    return None
 
 
 def scattered_residue_mask(space: FinSpace) -> int:
@@ -138,7 +140,13 @@ def scattered_residue_mask(space: FinSpace) -> int:
     return 0
 
 
-def t1_violation(space: FinSpace) -> int | None:
+def scattered_witness(space: FinSpace) -> int | None:
+    return scattered_residue_mask(space) or None
+
+
+def t1_witness(space: FinSpace) -> int | None:
+    """Least point whose minimal neighborhood is not a singleton: T1 for
+    finite spaces means discrete."""
     for x in range(len(space)):
         if space.nbhd[x] != 1 << x:
             return x
@@ -148,20 +156,6 @@ def t1_violation(space: FinSpace) -> int | None:
 # ---------------------------------------------------------------------------
 # Theta machinery and kernels.
 # ---------------------------------------------------------------------------
-
-def minimal_theta_nbhd_mask(space: FinSpace, x: int, within: int | None = None) -> int:
-    """The smallest theta-open (relative to `within`) set containing x: close
-    {x} under taking relative closures of minimal neighborhoods."""
-    w = space.full_mask if within is None else within
-    m = 1 << x
-    while True:
-        nxt = m
-        for y in bits(m):
-            nxt |= closure_mask(space, space.nbhd[y] & w, w)
-        if nxt == m:
-            return m
-        m = nxt
-
 
 def theta_kernel_mask(space: FinSpace, a: int) -> int:
     """Union of all subsets of a that are theta-open in the subspace on a and
@@ -202,10 +196,6 @@ def _closed_nonempty_lex(space: FinSpace):
             yield a
 
 
-def is_weakly_regular(space: FinSpace) -> bool:
-    return weakly_regular_witness(space) is None
-
-
 def weakly_regular_witness(space: FinSpace) -> int | None:
     """Least non-empty closed subset with no non-empty relatively open
     regular subspace, or None."""
@@ -215,19 +205,11 @@ def weakly_regular_witness(space: FinSpace) -> int | None:
     return None
 
 
-def is_theta_weakly_regular(space: FinSpace) -> bool:
-    return theta_weakly_regular_witness(space) is None
-
-
 def theta_weakly_regular_witness(space: FinSpace) -> int | None:
     for a in _closed_nonempty_lex(space):
         if theta_kernel_mask(space, a) == 0:
             return a
     return None
-
-
-def is_w_theta_regular(space: FinSpace) -> bool:
-    return w_theta_regular_witness(space) is None
 
 
 def w_theta_regular_witness(space: FinSpace) -> tuple[int, int] | None:
@@ -244,13 +226,82 @@ def w_theta_regular_witness(space: FinSpace) -> tuple[int, int] | None:
 
 def hereditarily_quasi_regular_witness(space: FinSpace) -> int | None:
     for a in subsets_lex(space.full_mask):
-        if not quasi_regular_mask(space, a):
+        if quasi_regular_witness(space, a) is not None:
             return a
     return None
 
 
+# ---------------------------------------------------------------------------
+# The one decider per property. Every verdict, predicate and report reads it.
+# ---------------------------------------------------------------------------
+
+class Decider(NamedTuple):
+    """find returns the least witness or None; fields name the report keys
+    of the witness parts in order. A "point" part is a point index, any
+    other part a mask reported as its point list."""
+
+    find: Callable[[FinSpace], object]
+    fields: tuple[str, ...]
+
+
+# In REPORT_PROPERTIES order, which is the report order.
+DECIDERS: dict[str, Decider] = {
+    "regular": Decider(regular_witness, ("point",)),
+    "locally_regular": Decider(locally_regular_witness, ("point",)),
+    "quasi_regular": Decider(quasi_regular_witness, ("open",)),
+    "hereditarily_quasi_regular": Decider(hereditarily_quasi_regular_witness, ("subspace",)),
+    "weakly_regular": Decider(weakly_regular_witness, ("closed_subspace",)),
+    "theta_weakly_regular": Decider(theta_weakly_regular_witness, ("closed_subspace",)),
+    "w_theta_regular": Decider(w_theta_regular_witness, ("subspace", "open")),
+    "scattered": Decider(scattered_witness, ("subspace",)),
+    "t1": Decider(t1_witness, ("point",)),
+    "nowhere_regular": Decider(nowhere_regular_witness, ("point",)),
+}
+
+
+def has_property(space: FinSpace, prop: str) -> bool:
+    """Whether the space has prop, one of REPORT_PROPERTIES."""
+    return DECIDERS[prop].find(space) is None
+
+
+def is_regular(space: FinSpace) -> bool:
+    return has_property(space, "regular")
+
+
+def is_locally_regular(space: FinSpace) -> bool:
+    return has_property(space, "locally_regular")
+
+
+def is_quasi_regular(space: FinSpace) -> bool:
+    return has_property(space, "quasi_regular")
+
+
 def is_hereditarily_quasi_regular(space: FinSpace) -> bool:
-    return hereditarily_quasi_regular_witness(space) is None
+    return has_property(space, "hereditarily_quasi_regular")
+
+
+def is_weakly_regular(space: FinSpace) -> bool:
+    return has_property(space, "weakly_regular")
+
+
+def is_theta_weakly_regular(space: FinSpace) -> bool:
+    return has_property(space, "theta_weakly_regular")
+
+
+def is_w_theta_regular(space: FinSpace) -> bool:
+    return has_property(space, "w_theta_regular")
+
+
+def is_scattered(space: FinSpace) -> bool:
+    return has_property(space, "scattered")
+
+
+def is_t1(space: FinSpace) -> bool:
+    return has_property(space, "t1")
+
+
+def is_nowhere_regular(space: FinSpace) -> bool:
+    return has_property(space, "nowhere_regular")
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +348,14 @@ class PropertyReport:
         return {
             "points": list(self.space.names),
             "verdicts": dict(self.verdicts),
-            "witnesses": {k: v for k, v in self.witnesses.items()},
+            "witnesses": dict(self.witnesses),
             "sw_regular": dict(self.sw),
         }
 
     def to_text(self) -> str:
         lines = [f"points: {format_names(self.space.names)}"]
-        for prop in REPORT_PROPERTIES:
-            v = self.verdicts[prop]
-            if v:
+        for prop in DECIDERS:
+            if self.verdicts[prop]:
                 lines.append(f"{prop}: true")
             else:
                 lines.append(f"{prop}: false [witness: {_witness_text(self.witnesses[prop])}]")
@@ -346,77 +396,21 @@ def property_verdicts(
     space: FinSpace, max_points: int = PROPERTY_CAP
 ) -> tuple[dict[str, bool], dict[str, dict]]:
     """All decidable verdicts plus witnesses for the false ones."""
-    n = len(space)
-    if n > max_points:
+    if len(space) > max_points:
         raise CapExceeded(
-            f"property sweeps scan 2^{n} subsets; cap is {max_points} points"
+            f"property sweeps scan 2^{len(space)} subsets; cap is {max_points} points"
         )
-    names = space.names_of
     verdicts: dict[str, bool] = {}
     witnesses: dict[str, dict] = {}
-
-    bad_reg = next((x for x in range(n) if not regular_at_mask(space, x)), None)
-    verdicts["regular"] = bad_reg is None
-    if bad_reg is not None:
-        witnesses["regular"] = {"point": space.names[bad_reg]}
-
-    bad_loc = next(
-        (x for x in range(n) if not is_regular_mask(space, space.nbhd[x])), None
-    )
-    verdicts["locally_regular"] = bad_loc is None
-    if bad_loc is not None:
-        witnesses["locally_regular"] = {"point": space.names[bad_loc]}
-
-    bad_quasi = None
-    for x in range(n):
-        target = space.nbhd[x]
-        if not any(
-            closure_mask(space, space.nbhd[y]) & ~target == 0 for y in range(n)
-        ):
-            bad_quasi = x
-            break
-    verdicts["quasi_regular"] = bad_quasi is None
-    if bad_quasi is not None:
-        witnesses["quasi_regular"] = {"open": list(names(space.nbhd[bad_quasi]))}
-
-    w_hqr = hereditarily_quasi_regular_witness(space)
-    verdicts["hereditarily_quasi_regular"] = w_hqr is None
-    if w_hqr is not None:
-        witnesses["hereditarily_quasi_regular"] = {"subspace": list(names(w_hqr))}
-
-    w_wr = weakly_regular_witness(space)
-    verdicts["weakly_regular"] = w_wr is None
-    if w_wr is not None:
-        witnesses["weakly_regular"] = {"closed_subspace": list(names(w_wr))}
-
-    w_twr = theta_weakly_regular_witness(space)
-    verdicts["theta_weakly_regular"] = w_twr is None
-    if w_twr is not None:
-        witnesses["theta_weakly_regular"] = {"closed_subspace": list(names(w_twr))}
-
-    w_wt = w_theta_regular_witness(space)
-    verdicts["w_theta_regular"] = w_wt is None
-    if w_wt is not None:
-        witnesses["w_theta_regular"] = {
-            "subspace": list(names(w_wt[0])),
-            "open": list(names(w_wt[1])),
-        }
-
-    residue = scattered_residue_mask(space)
-    verdicts["scattered"] = residue == 0
-    if residue:
-        witnesses["scattered"] = {"subspace": list(names(residue))}
-
-    bad_t1 = t1_violation(space)
-    verdicts["t1"] = bad_t1 is None
-    if bad_t1 is not None:
-        witnesses["t1"] = {"point": space.names[bad_t1]}
-
-    reg_at = next((x for x in range(n) if regular_at_mask(space, x)), None)
-    verdicts["nowhere_regular"] = reg_at is None
-    if reg_at is not None:
-        witnesses["nowhere_regular"] = {"point": space.names[reg_at]}
-
+    for prop, (find, fields) in DECIDERS.items():
+        w = find(space)
+        verdicts[prop] = w is None
+        if w is not None:
+            parts = w if isinstance(w, tuple) else (w,)
+            witnesses[prop] = {
+                field: space.names[part] if field == "point" else list(space.names_of(part))
+                for field, part in zip(fields, parts)
+            }
     return verdicts, witnesses
 
 

@@ -10,9 +10,11 @@ share between worker processes; every operation here is pure.
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .bitset import bits, index_tuple
+from .bitset import bits
 
 POINT_CAP = 24
 
@@ -321,26 +323,6 @@ def is_theta_open_mask(space: FinSpace, s: int, within: int | None = None) -> bo
     return theta_interior_mask(space, s, within) == (s if within is None else s & within)
 
 
-def open_masks(space: FinSpace, within: int | None = None) -> list[int]:
-    """All relatively open masks, ascending numerically. Exponential in the
-    subspace size; meant for small spaces and oracle checks."""
-    w = space.full_mask if within is None else within
-    positions = list(bits(w))
-    out = []
-    for k in range(1 << len(positions)):
-        m = 0
-        rest = k
-        i = 0
-        while rest:
-            if rest & 1:
-                m |= 1 << positions[i]
-            rest >>= 1
-            i += 1
-        if is_open_mask(space, m, w):
-            out.append(m)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # PointSet-level operations (the public face of the mask functions).
 # ---------------------------------------------------------------------------
@@ -409,12 +391,12 @@ def subspace_on_mask(space: FinSpace, a: int) -> FinSpace:
     return FinSpace(tuple(space.names[i] for i in positions), rows)
 
 
-def topological_sum(spaces: Sequence[FinSpace], max_points: int = POINT_CAP) -> FinSpace:
+def topological_sum(spaces: Sequence[FinSpace]) -> FinSpace:
     """Disjoint union; summands are clopen. Point names are namespaced by
     summand index ("0.a", "1.a", ...) so clashes cannot occur."""
     total = sum(len(sp) for sp in spaces)
-    if total > max_points:
-        raise CapExceeded(f"{total} points exceeds the cap of {max_points}")
+    if total > POINT_CAP:
+        raise CapExceeded(f"{total} points exceeds the cap of {POINT_CAP}")
     names: list[str] = []
     rows: list[int] = []
     offset = 0
@@ -423,12 +405,6 @@ def topological_sum(spaces: Sequence[FinSpace], max_points: int = POINT_CAP) -> 
         rows.extend(m << offset for m in sp.nbhd)
         offset += len(sp)
     return FinSpace(names, rows)
-
-
-def is_t1(space: FinSpace) -> bool:
-    """T1 for finite spaces means discrete: every minimal neighborhood is a
-    singleton."""
-    return all(m == 1 << i for i, m in enumerate(space.nbhd))
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +494,19 @@ def space_from_json(text: str, max_points: int = POINT_CAP) -> FinSpace:
     return space_from_obj(obj, max_points=max_points)
 
 
+def read_json(source: str | Path):
+    """The JSON document in a file, or on stdin for "-"."""
+    where = "stdin" if source == "-" else repr(str(source))
+    try:
+        text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
+    except OSError as e:
+        raise SpaceFormatError(f"cannot read {where}: {e}") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SpaceFormatError(f"invalid JSON in {where}: {e}") from None
+
+
 def format_names(names: Iterable[str]) -> str:
     return "{" + ",".join(names) + "}"
 
@@ -531,8 +520,3 @@ def format_space(space: FinSpace) -> str:
 
 def format_mask(space: FinSpace, mask: int) -> str:
     return format_names(space.names_of(mask))
-
-
-def least_key(mask: int) -> tuple[int, ...]:
-    """Comparison key under which witness subsets are 'least'."""
-    return index_tuple(mask)

@@ -138,17 +138,15 @@ def eval_predicate(node: tuple, verdicts: dict[str, bool]) -> bool:
     return eval_predicate(node[1], verdicts) or eval_predicate(node[2], verdicts)
 
 
-def find_space(
-    predicate: str | tuple, n_max: int = 5, homeo_cap: int = HOMEO_CAP
-) -> FinSpace | None:
+def find_space(predicate: str | tuple, n_max: int = 5) -> FinSpace | None:
     """Least space satisfying the predicate, or None.
 
     Scans one representative per homeomorphism class, smallest point count
     first, canonical order within a count, so the answer is deterministic.
     """
     node = parse_predicate(predicate) if isinstance(predicate, str) else predicate
-    if n_max > homeo_cap:
-        raise CapExceeded(f"search capped at {homeo_cap} points")
+    if n_max > HOMEO_CAP:
+        raise CapExceeded(f"search capped at {HOMEO_CAP} points")
     for n in range(1, n_max + 1):
         for rows in homeo_rows(n):
             space = space_from_rows(rows)

@@ -10,8 +10,9 @@ below calls the package's own closure/interior/classification code.
 from __future__ import annotations
 
 from itertools import product
+from typing import Iterator
 
-from thetatopo.space import FinSpace
+from thetatopo.space import CapExceeded, FinSpace
 
 
 def bits(mask: int):
@@ -337,6 +338,54 @@ def brute_spaces(n: int):
                 break
         if ok:
             yield FinSpace(names, rows)
+
+
+# ---------------------------------------------------------------------------
+# Second enumerator: open-set families.
+# ---------------------------------------------------------------------------
+
+OPEN_FAMILY_CAP = 4
+
+
+def open_family_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """Topologies on n points found by scanning all families of subsets that
+    contain ∅ and the whole set and are closed under union and intersection.
+    Doubly exponential; exists purely to cross-check labeled_rows."""
+    if n > OPEN_FAMILY_CAP:
+        raise CapExceeded(f"open-family enumeration capped at {OPEN_FAMILY_CAP} points")
+    if n == 0:
+        yield ()
+        return
+    full = (1 << n) - 1
+    middle = [m for m in range(1, full)]
+    for pick in range(1 << len(middle)):
+        family = [0, full]
+        rest = pick
+        i = 0
+        while rest:
+            if rest & 1:
+                family.append(middle[i])
+            rest >>= 1
+            i += 1
+        fam = set(family)
+        closed = True
+        for a in family:
+            for b in family:
+                if a | b not in fam or a & b not in fam:
+                    closed = False
+                    break
+            if not closed:
+                break
+        if not closed:
+            continue
+        rows = []
+        for x in range(n):
+            m = full
+            for u in family:
+                if u >> x & 1:
+                    m &= u
+            rows.append(m)
+        yield tuple(rows)
 
 
 def sw_witness_exists_oracle(space: FinSpace, bound: int) -> bool:

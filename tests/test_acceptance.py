@@ -11,6 +11,7 @@ import time
 from itertools import product
 
 from oracles import (
+    open_family_rows,
     regular_oracle,
     submasks,
     theta_open_oracle,
@@ -24,7 +25,6 @@ from thetatopo.generate import (
     canonical_rows,
     homeo_rows,
     labeled_rows,
-    open_family_rows,
     sharded_labeled_rows,
     space_from_rows,
 )

@@ -300,6 +300,8 @@ def test_exit_two_paths(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     code, out, err = run_cli("classify", str(bad))
     assert code == 2 and "invalid JSON" in err
+    code, out, err = run_cli("fn", "classify", str(bad))
+    assert code == 2 and "invalid JSON" in err
 
     axiom = tmp_path / "axiom.json"
     axiom.write_text(
@@ -333,6 +335,28 @@ def test_exit_two_on_caps(tmp_path):
         encoding="utf-8",
     )
     assert run_cli("classify", str(big))[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "-n", "-1", "--count"),
+        ("enumerate", "-n", "2", "--workers", "0"),
+        ("hedgehog", "profile", "--depth", "0"),
+        ("verify-diagram", "--max-n", "0"),
+        ("verify-diagram", "--max-n", "2", "--sw-bound", "0"),
+        ("verify-diagram", "--max-n", "2", "--transfer-max", "0"),
+        ("verify-diagram", "--max-n", "2", "--workers", "0"),
+        ("search", "--where", "regular", "--max-n", "0"),
+        ("fn", "compositions", "--samples", "-5", "--sizes", "3,3,3"),
+        ("classify", "--sw-bound", "-1", "fixtures/sierpinski.json"),
+    ],
+)
+def test_numeric_flags_below_bound_exit_two(argv):
+    # Each would otherwise crash (exit 1) or print a vacuous result.
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert "error: argument" in err and "must be at least" in err
 
 
 def test_usage_errors_exit_two():

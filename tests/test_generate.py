@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_spaces
+from oracles import brute_spaces, open_family_rows
 from thetatopo.generate import (
     canonical_rows,
     canonicalize,
@@ -13,7 +13,6 @@ from thetatopo.generate import (
     enumerate_spaces,
     homeo_rows,
     labeled_rows,
-    open_family_rows,
     permute_rows,
     point_names,
     random_rows,
@@ -21,6 +20,7 @@ from thetatopo.generate import (
     sharded_labeled_rows,
     space_from_rows,
 )
+from thetatopo.parallel import pool_size
 from thetatopo.space import CapExceeded, FinSpace
 
 LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
@@ -140,6 +140,15 @@ def test_sharded_enumeration_matches_plain():
     plain = list(labeled_rows(4))
     for workers in (1, 2, 3, 5):
         assert list(sharded_labeled_rows(4, workers)) == plain
+
+
+def test_pool_size_clamped_to_cpus(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert pool_size(209527, 209527) == 2
+    assert pool_size(5, 1) == 1
+    assert pool_size(1, 100) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert pool_size(4, 100) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from thetatopo.hedgehog import (
     StalkBase,
     SumOracle,
     VerificationFailure,
-    basic_str,
     certify_hedgehog_profile,
     embed_hedgehog,
     hedgehog,
@@ -77,11 +76,11 @@ def test_token_order_and_rendering():
 
 
 def test_basic_set_rendering():
-    assert basic_str(Singleton(1, 2)) == "{(1,2)}"
-    assert basic_str(StalkBase(1, 2)) == "U(1,2)"
-    assert basic_str(RootBase(3)) == "U(3)"
-    assert basic_str(FinBase("a")) == "N(a)"
-    assert basic_str(MappedSet(StalkBase(2, 1))) == "mapped:U(2,1)"
+    assert str(Singleton(1, 2)) == "{(1,2)}"
+    assert str(StalkBase(1, 2)) == "U(1,2)"
+    assert str(RootBase(3)) == "U(3)"
+    assert str(FinBase("a")) == "N(a)"
+    assert str(MappedSet(StalkBase(2, 1))) == "mapped:U(2,1)"
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +552,7 @@ def test_permuted_embed_frozen_swap():
     assert e.tips[0] == tuple((1, m) for m in range(1, 6))
     assert e.tips[1] == tuple((3, m) for m in range(1, 6))
     assert [
-        basic_str(o.nbhd_base(x, v))
+        str(o.nbhd_base(x, v))
         for x, v in zip(e.stalk_images, e.v_indices)
     ] == [
         "mapped:U(2,1)",

@@ -12,15 +12,18 @@ from oracles import (
     regular_oracle,
     submasks,
     sw_witness_exists_oracle,
+    t1_oracle,
     theta_open_oracle,
     theta_part_oracle,
     tier_oracle,
 )
+import thetatopo
 from thetatopo.generate import homeo_rows, labeled_rows, space_from_rows
 from thetatopo.maps import classify_map
 from thetatopo.regularity import (
     ARROWS,
     DECIDABLE_PROPERTIES,
+    DECIDERS,
     REPORT_PROPERTIES,
     SW_SAFE_PREMISES,
     arrow_name,
@@ -36,7 +39,7 @@ from thetatopo.regularity import (
     property_verdicts,
     scattered_residue_mask,
     sw_witness_search,
-    t1_violation,
+    t1_witness,
     theta_kernel_mask,
     theta_weakly_regular_witness,
     w_theta_regular_witness,
@@ -69,6 +72,24 @@ def test_verdicts_match_oracles_random(sp):
     verdicts, _ = property_verdicts(sp)
     for prop, fn in PROPERTY_ORACLES.items():
         assert verdicts[prop] == fn(sp), prop
+
+
+def test_one_decider_per_property():
+    # The table has one entry per reported property, in report order, and
+    # every public predicate is_<property> of the package agrees with the
+    # verdict it drives.
+    assert tuple(DECIDERS) == REPORT_PROPERTIES
+    for sp in all_labeled(4):
+        verdicts, witnesses = property_verdicts(sp)
+        for prop in REPORT_PROPERTIES:
+            assert getattr(thetatopo, f"is_{prop}")(sp) == verdicts[prop], (sp.nbhd, prop)
+        # T1 has one implementation: checked against the oracle, and its
+        # witness is the least point with a non-singleton neighborhood.
+        assert thetatopo.is_t1(sp) == t1_oracle(sp)
+        bad = [x for x in range(len(sp)) if sp.nbhd[x] != 1 << x]
+        assert t1_witness(sp) == (bad[0] if bad else None)
+        if bad:
+            assert witnesses["t1"] == {"point": sp.names[bad[0]]}
 
 
 def test_regular_at_matches_oracle():
@@ -120,7 +141,7 @@ def test_scattered_residue():
 
 def test_t1_violation_is_real():
     for sp in all_labeled(4):
-        x = t1_violation(sp)
+        x = t1_witness(sp)
         if x is None:
             assert all(m == 1 << i for i, m in enumerate(sp.nbhd))
         else:
