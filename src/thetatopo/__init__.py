@@ -30,7 +30,6 @@ from .hedgehog import (
     VerificationFailure,
     certify_hedgehog_profile,
     embed_hedgehog,
-    hedgehog,
     verify_embedding,
 )
 from .maps import (

@@ -22,6 +22,7 @@ from .decomposition import (
 from .generate import space_from_rows, space_rows
 from .hedgehog import (
     ROOT,
+    HedgehogOracle,
     NotHausdorffWitnessed,
     OracleRefusal,
     OracleSpace,
@@ -31,7 +32,6 @@ from .hedgehog import (
     VerificationFailure,
     certify_hedgehog_profile,
     embed_hedgehog,
-    hedgehog,
     verify_embedding,
 )
 from .maps import (
@@ -93,7 +93,7 @@ def _sizes(text: str) -> tuple[int, int, int]:
 
 def _oracle_from_spec(spec: str) -> OracleSpace:
     if spec == "hedgehog":
-        return hedgehog()
+        return HedgehogOracle()
     if spec.startswith("sum:"):
         rest = spec[len("sum:") :]
         if rest.startswith("discrete") and rest[len("discrete") :].isdigit():

@@ -15,6 +15,7 @@ re-checks the result from scratch.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -170,6 +171,26 @@ class MappedSet:
         return f"mapped:{self.base}"
 
 
+def _member(b, t: Token) -> bool:
+    """t in b, for a well-formed token t and a basic set b of the hedgehog."""
+    if isinstance(b, Singleton):
+        return t == (b.n, b.m)
+    if isinstance(b, StalkBase):
+        return t == (b.n,) or (is_tip(t) and t[0] == b.n and t[1] >= b.m)
+    if isinstance(b, RootBase):
+        return is_root(t) or (is_tip(t) and t[0] >= b.n)
+    raise OracleError(f"foreign basic set {b!r}")
+
+
+def _adheres(b, t: Token) -> bool:
+    """t in cl(b): tips are closed and stalk bases clopen, so closure adds
+    only the stalks (k), k >= n, to a root base U(n); U(k,m) always meets
+    the tips of U(n) on stalk k in a tail."""
+    if isinstance(b, RootBase) and is_stalk(t):
+        return t[0] >= b.n
+    return _member(b, t)
+
+
 # ---------------------------------------------------------------------------
 # Oracle spaces.
 # ---------------------------------------------------------------------------
@@ -219,35 +240,10 @@ class HedgehogOracle(OracleSpace):
         return Singleton(x[0], x[1])
 
     def contains(self, b, t: Token) -> bool:
-        t = self.validate(t)
-        if isinstance(b, Singleton):
-            return t == (b.n, b.m)
-        if isinstance(b, StalkBase):
-            if t == (b.n,):
-                return True
-            return is_tip(t) and t[0] == b.n and t[1] >= b.m
-        if isinstance(b, RootBase):
-            if is_root(t):
-                return True
-            return is_tip(t) and t[0] >= b.n
-        raise OracleError(f"foreign basic set {b!r}")
+        return _member(b, self.validate(t))
 
     def closure_contains(self, b, t: Token) -> bool:
-        t = self.validate(t)
-        if isinstance(b, Singleton):
-            # Tips are isolated and closed.
-            return t == (b.n, b.m)
-        if isinstance(b, StalkBase):
-            # U(n,m) is clopen: no root base U(k) with k > n meets it, and
-            # no other stalk base meets it at all.
-            return self.contains(b, t)
-        if isinstance(b, RootBase):
-            # Stalk (k) adheres iff k >= n: U(k,m) always meets the tips of
-            # U(n) on stalk k in a tail.
-            if is_stalk(t):
-                return t[0] >= b.n
-            return self.contains(b, t)
-        raise OracleError(f"foreign basic set {b!r}")
+        return _adheres(b, self.validate(t))
 
     def separate(self, a: Token, b: Token) -> tuple[int, int]:
         """Base indices (ia, ib) with nbhd_base(a, ia) and nbhd_base(b, ib)
@@ -273,44 +269,21 @@ class HedgehogOracle(OracleSpace):
         return 0, 0
 
     def pick_in_closure_minus(self, a, b=None) -> Token | None:
-        """Least token of cl(a) \\ b, or None when the difference is empty."""
+        """Least token of cl(a) \\ b, or None when the difference is empty.
 
-        def blocked(t: Token) -> bool:
-            return b is not None and self.contains(b, t)
-
+        A basic set holds at most one stalk, and one that holds two
+        consecutive tips of a stalk holds the rest of that tail; so if the
+        least few tokens of cl(a) listed below all lie in b, all of cl(a)
+        does."""
         if isinstance(a, Singleton):
-            t = (a.n, a.m)
-            return None if blocked(t) else t
-        if isinstance(a, StalkBase):
-            if not blocked((a.n,)):
-                return (a.n,)
-            return self._least_tip_tail(a.n, a.m, b)
-        if isinstance(a, RootBase):
-            if not blocked(ROOT):
-                return ROOT
-            # Stalks (k), k >= n, ascending; only a StalkBase can block one,
-            # and it blocks exactly one index.
-            k = a.n
-            if isinstance(b, StalkBase) and b.n == k:
-                k += 1
-            return (k,)
-        raise OracleError(f"foreign basic set {a!r}")
-
-    def _least_tip_tail(self, n: int, m: int, b) -> Token | None:
-        # Least (n, j), j >= m, outside b.
-        if b is None:
-            return (n, m)
-        if isinstance(b, Singleton):
-            if b.n == n and b.m == m:
-                return (n, m + 1)
-            return (n, m)
-        if isinstance(b, StalkBase):
-            if b.n != n:
-                return (n, m)
-            return (n, m) if m < b.m else None
-        if isinstance(b, RootBase):
-            return None if n >= b.n else (n, m)
-        return (n, m)
+            candidates = ((a.n, a.m),)
+        elif isinstance(a, StalkBase):
+            candidates = ((a.n,), (a.n, a.m), (a.n, a.m + 1))
+        elif isinstance(a, RootBase):
+            candidates = (ROOT, (a.n,), (a.n + 1,))
+        else:
+            raise OracleError(f"foreign basic set {a!r}")
+        return next((t for t in candidates if b is None or not _member(b, t)), None)
 
     def approach_within(
         self, x: Token, constraints: Sequence, count: int
@@ -375,7 +348,7 @@ class SumOracle(OracleSpace):
         t = self.validate(t)
         if isinstance(b, FinBase):
             return is_fin(t) and bool(self._fin_mask(b) >> self.summand.index(t[1]) & 1)
-        return not is_fin(t) and self.hh.contains(b, t)
+        return not is_fin(t) and _member(b, t)
 
     def closure_contains(self, b, t: Token) -> bool:
         t = self.validate(t)
@@ -384,7 +357,7 @@ class SumOracle(OracleSpace):
                 return False
             cl = closure_mask(self.summand, self._fin_mask(b))
             return bool(cl >> self.summand.index(t[1]) & 1)
-        return not is_fin(t) and self.hh.closure_contains(b, t)
+        return not is_fin(t) and _adheres(b, t)
 
     def separate(self, a: Token, b: Token) -> tuple[int, int]:
         a = self.validate(a)
@@ -405,14 +378,11 @@ class SumOracle(OracleSpace):
 
     def pick_in_closure_minus(self, a, b=None) -> Token | None:
         if isinstance(a, FinBase):
-            cl = closure_mask(self.summand, self._fin_mask(a))
-            for i, name in enumerate(self.summand.names):
-                if not cl >> i & 1:
-                    continue
-                t = ("fin", name)
-                if b is None or not self.contains(b, t):
-                    return t
-            return None
+            # Only a finite basic set holds finite points.
+            free = closure_mask(self.summand, self._fin_mask(a))
+            if isinstance(b, FinBase):
+                free &= ~self._fin_mask(b)
+            return ("fin", self.summand.names[(free & -free).bit_length() - 1]) if free else None
         return self.hh.pick_in_closure_minus(a, None if isinstance(b, FinBase) else b)
 
     def approach_within(
@@ -424,15 +394,10 @@ class SumOracle(OracleSpace):
         return self.hh.approach_within(x, constraints, count)
 
 
-# Fewest stalk and tip indices PermutedOracle.pick_in_closure_minus scans;
-# it scans at least twice past the largest relabeled stalk.
-SCAN_LIMIT = 128
-
-
 class PermutedOracle(OracleSpace):
     """The hedgehog with stalk indices relabeled by a finite-support
-    permutation; pick_in_closure_minus scans tokens in the relabeled
-    coordinates so ties break by the visible names, not the hidden ones."""
+    permutation; pick_in_closure_minus breaks ties by the visible names,
+    not the hidden ones."""
 
     def __init__(self, images: dict[int, int]):
         fwd = {int(k): int(v) for k, v in images.items()}
@@ -441,7 +406,6 @@ class PermutedOracle(OracleSpace):
         self.fwd = {k: v for k, v in fwd.items() if k != v}
         self.inv = {v: k for k, v in self.fwd.items()}
         self.hh = HedgehogOracle()
-        self.scan_limit = max(SCAN_LIMIT, 2 * (max(self.fwd, default=1) + 1))
 
     def _fwd_token(self, t: Token) -> Token:
         if is_stalk(t):
@@ -469,33 +433,29 @@ class PermutedOracle(OracleSpace):
         return MappedSet(self.hh.nbhd_base(self._inv_token(self.validate(x)), k))
 
     def contains(self, b, t: Token) -> bool:
-        return self.hh.contains(self._unwrap(b), self._inv_token(self.validate(t)))
+        return _member(self._unwrap(b), self._inv_token(self.validate(t)))
 
     def closure_contains(self, b, t: Token) -> bool:
-        return self.hh.closure_contains(self._unwrap(b), self._inv_token(self.validate(t)))
+        return _adheres(self._unwrap(b), self._inv_token(self.validate(t)))
 
     def separate(self, a: Token, b: Token) -> tuple[int, int]:
         return self.hh.separate(
             self._inv_token(self.validate(a)), self._inv_token(self.validate(b))
         )
 
-    def _tokens_ascending(self):
-        yield ROOT
-        for n in range(1, self.scan_limit + 1):
-            yield (n,)
-        for n in range(1, self.scan_limit + 1):
-            for m in range(1, self.scan_limit + 1):
-                yield (n, m)
-
     def pick_in_closure_minus(self, a, b=None) -> Token | None:
         inner_a = self._unwrap(a)
         inner_b = None if b is None else self._unwrap(b)
-        for t in self._tokens_ascending():
-            s = self._inv_token(t)
-            if self.hh.closure_contains(inner_a, s):
-                if inner_b is None or not self.hh.contains(inner_b, s):
-                    return t
-        return None
+        t = self.hh.pick_in_closure_minus(inner_a, inner_b)
+        if t is None or not (is_stalk(t) and isinstance(inner_a, RootBase)):
+            # Relabeling keeps kinds apart and tips of one stalk in order.
+            return None if t is None else self._fwd_token(t)
+        # The stalks of cl(U(n)) are all (k), k >= n, and b blocks one at
+        # most, so the least visible name is at most max(support, n) + 2.
+        for v in itertools.count(1):
+            s = (self.inv.get(v, v),)
+            if _adheres(inner_a, s) and (inner_b is None or not _member(inner_b, s)):
+                return (v,)
 
     def approach_within(
         self, x: Token, constraints: Sequence, count: int
@@ -508,10 +468,6 @@ class PermutedOracle(OracleSpace):
         if inner is None:
             return None
         return tuple(self._fwd_token(t) for t in inner)
-
-
-def hedgehog() -> HedgehogOracle:
-    return HedgehogOracle()
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +533,7 @@ def certify_hedgehog_profile(depth: int) -> ProfileReport:
     """Check, to the given depth, the profile: first-countable via decreasing
     bases, scattered in three layers, locally regular via clopen basic sets,
     and not regular at the root with explicit witnesses."""
-    o = hedgehog()
+    o = HedgehogOracle()
     failures: list[str] = []
     if depth <= 0:
         return ProfileReport(depth, 0, (), 0, (), ())

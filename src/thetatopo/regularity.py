@@ -426,6 +426,9 @@ def check_arrows(verdicts: dict[str, bool]) -> list[str]:
 def classify_report(
     space: FinSpace, sw_bound: int = 3, max_points: int = PROPERTY_CAP
 ) -> PropertyReport:
+    # Checked up front: the report of a regular space never runs the search.
+    if sw_bound > SW_BOUND_CAP:
+        raise CapExceeded(f"witness search capped at domain size {SW_BOUND_CAP}")
     verdicts, witnesses = property_verdicts(space, max_points)
     if verdicts["regular"]:
         sw = {"verdict": "implied_true", "bound": sw_bound, "witness": None}

@@ -464,3 +464,22 @@ def hh_brute_closure_contains(b, t, depth: int) -> bool:
     limit = depth + 1
     target = hh_members(b, limit)
     return all(hh_base_members(t, k, limit) & target for k in range(depth + 1))
+
+
+def hh_least_pick(a, b, limit: int, fwd: dict | None = None):
+    """Least visible token of cl(a) minus b, or None, where hidden stalk n
+    shows as fwd.get(n, n); a and b are hidden basic sets.
+
+    Relabels the truncated universe and orders the visible tokens root,
+    stalks, tips, in index order within a kind. Exact when fwd moves only
+    indices up to the limit and the least answer has indices at most the
+    limit, as for parameters at most limit - 2.
+    """
+    fwd = fwd or {}
+    blocked = frozenset() if b is None else hh_members(b, limit)
+    found = [
+        (fwd.get(t[0], t[0]),) + t[1:] if t else t
+        for t in hh_universe(limit)
+        if hh_brute_closure_contains(a, t, limit) and t not in blocked
+    ]
+    return min(found, key=lambda t: (len(t), t), default=None)

@@ -29,11 +29,11 @@ from thetatopo.generate import (
     space_from_rows,
 )
 from thetatopo.hedgehog import (
+    HedgehogOracle,
     SumOracle,
     PermutedOracle,
     certify_hedgehog_profile,
     embed_hedgehog,
-    hedgehog,
     verify_embedding,
 )
 from thetatopo.maps import FinMap, classify_map, is_weak_homeomorphism
@@ -176,7 +176,7 @@ def test_09_hedgehog_profile_and_embeddings():
     assert profile.witnesses == tuple(f"({k})" for k in range(1, 51))
 
     targets = [
-        hedgehog(),
+        HedgehogOracle(),
         SumOracle(build_space(["0", "1", "2"], {n: [n] for n in "012"})),
         PermutedOracle({1: 2, 2: 1}),
     ]

@@ -6,7 +6,12 @@ import pytest
 
 from thetatopo.cli import main
 from thetatopo.generate import enumerate_spaces
-from thetatopo.hedgehog import certify_hedgehog_profile, embed_hedgehog, hedgehog, verify_embedding
+from thetatopo.hedgehog import (
+    HedgehogOracle,
+    certify_hedgehog_profile,
+    embed_hedgehog,
+    verify_embedding,
+)
 from thetatopo.regularity import classify_report
 from thetatopo.space import space_from_obj
 from thetatopo.survey import check_composition_laws, verify_diagram
@@ -158,6 +163,25 @@ def test_hedgehog_embed_golden():
     ) + "\n"
 
 
+def test_hedgehog_embed_permuted_deep_u0():
+    code, out, err = run_cli(
+        "hedgehog", "embed", "--space", "permuted:2,1", "--u0-index", "127", "--depth", "2"
+    )
+    assert (code, err) == (0, "")
+    assert out == "\n".join(
+        [
+            "embedding, depth 2, u0_index 127",
+            "h(()) = ()",
+            "h((1)) = (128)  [k=127, V=mapped:U(128,1)]",
+            "  tips: (128,1) (128,2)",
+            "h((2)) = (129)  [k=128, V=mapped:U(129,1)]",
+            "  tips: (129,1) (129,2)",
+            "verification: pass (depth 2; distinctness 21, stalk convergence 8, "
+            "root pattern 8, separation 16)",
+        ]
+    ) + "\n"
+
+
 def test_fn_compositions_golden():
     code, out, _ = run_cli("fn", "compositions", "--sizes", "2,2,2")
     assert code == 0
@@ -193,7 +217,7 @@ def test_json_outputs_match_library():
     assert code == 0 and json.loads(out) == certify_hedgehog_profile(4).to_obj()
 
     code, out, _ = run_cli("hedgehog", "embed", "--depth", "3", "--json")
-    o = hedgehog()
+    o = HedgehogOracle()
     e = embed_hedgehog(o, depth=3)
     assert code == 0 and json.loads(out) == {
         "space": "hedgehog",
@@ -337,6 +361,12 @@ def test_exit_two_on_caps(tmp_path):
     assert run_cli("classify", str(big))[0] == 2
 
 
+SW_BOUND_OVER_CAP = [
+    ("classify", "--sw-bound", "5", f"fixtures/{name}.json")
+    for name in ("discrete2", "sierpinski")
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -350,13 +380,18 @@ def test_exit_two_on_caps(tmp_path):
         ("search", "--where", "regular", "--max-n", "0"),
         ("fn", "compositions", "--samples", "-5", "--sizes", "3,3,3"),
         ("classify", "--sw-bound", "-1", "fixtures/sierpinski.json"),
+        *SW_BOUND_OVER_CAP,
     ],
 )
 def test_numeric_flags_below_bound_exit_two(argv):
-    # Each would otherwise crash (exit 1) or print a vacuous result.
+    # Each would otherwise crash (exit 1) or print a vacuous result; a
+    # --sw-bound over the cap is refused for regular spaces too.
     code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
-    assert "error: argument" in err and "must be at least" in err
+    if argv in SW_BOUND_OVER_CAP:
+        assert err.startswith("error: witness search capped at domain size 4")
+    else:
+        assert "error: argument" in err and "must be at least" in err
 
 
 def test_usage_errors_exit_two():

@@ -7,6 +7,7 @@ from oracles import (
     cl_oracle,
     hh_base_members,
     hh_brute_closure_contains,
+    hh_least_pick,
     hh_members,
     hh_universe,
 )
@@ -28,7 +29,6 @@ from thetatopo.hedgehog import (
     VerificationFailure,
     certify_hedgehog_profile,
     embed_hedgehog,
-    hedgehog,
     token_key,
     token_str,
     verify_embedding,
@@ -51,8 +51,15 @@ def catalog(limit):
 # Tokens.
 # ---------------------------------------------------------------------------
 
+def test_module_import_binds_the_module():
+    import thetatopo.hedgehog as m
+
+    assert m.__name__ == "thetatopo.hedgehog"
+    assert m.HedgehogOracle is HedgehogOracle
+
+
 def test_token_validation():
-    o = hedgehog()
+    o = HedgehogOracle()
     assert o.validate(()) == ()
     assert o.validate([3]) == (3,)
     assert o.validate((2, 7)) == (2, 7)
@@ -88,7 +95,7 @@ def test_basic_set_rendering():
 # ---------------------------------------------------------------------------
 
 def test_bases_by_kind():
-    o = hedgehog()
+    o = HedgehogOracle()
     assert o.nbhd_base(ROOT, 0) == RootBase(1)
     assert o.nbhd_base(ROOT, 4) == RootBase(5)
     assert o.nbhd_base((3,), 0) == StalkBase(3, 1)
@@ -102,7 +109,7 @@ def test_bases_by_kind():
 
 
 def test_contains_and_closure_exhaustive():
-    o = hedgehog()
+    o = HedgehogOracle()
     depth = 8
     tokens = hh_universe(depth)
     for b in catalog(depth):
@@ -113,7 +120,7 @@ def test_contains_and_closure_exhaustive():
 
 
 def test_contains_and_closure_deep_spots():
-    o = hedgehog()
+    o = HedgehogOracle()
     pairs = [
         (RootBase(50), (49,)),
         (RootBase(50), (50,)),
@@ -130,7 +137,7 @@ def test_contains_and_closure_deep_spots():
 
 
 def test_pinned_membership_facts():
-    o = hedgehog()
+    o = HedgehogOracle()
     # Stalk bases are clopen; in particular the root does not adhere.
     assert not o.closure_contains(StalkBase(1, 1), ())
     assert o.closure_contains(StalkBase(1, 1), (1,))
@@ -149,9 +156,27 @@ def test_pinned_membership_facts():
     )
 
 
+def test_one_token_check_per_query(monkeypatch):
+    import thetatopo.hedgehog as m
+
+    calls = []
+    check = m._check_token
+    monkeypatch.setattr(m, "_check_token", lambda *a, **k: calls.append(a) or check(*a, **k))
+    for o, b in [
+        (HedgehogOracle(), RootBase(2)),
+        (SumOracle(SIERPINSKI), RootBase(2)),
+        (PermutedOracle({1: 2, 2: 1}), MappedSet(RootBase(2))),
+    ]:
+        for query in (o.contains, o.closure_contains):
+            for t in [ROOT, (1,), (3,), (2, 4)]:
+                calls.clear()
+                query(b, t)
+                assert len(calls) == 1
+
+
 def test_decreasing_bases():
     limit = 9
-    o = hedgehog()
+    o = HedgehogOracle()
     for x in [ROOT, (1,), (3,), (2, 2), (7, 7)]:
         for k in range(6):
             smaller = hh_members(o.nbhd_base(x, k + 1), limit)
@@ -165,7 +190,7 @@ def test_decreasing_bases():
 # ---------------------------------------------------------------------------
 
 def test_separate_exhaustive():
-    o = hedgehog()
+    o = HedgehogOracle()
     depth = 6
     tokens = hh_universe(depth)
     limit = depth + 3
@@ -182,7 +207,7 @@ def test_separate_exhaustive():
 
 
 def test_separate_self():
-    o = hedgehog()
+    o = HedgehogOracle()
     for t in [ROOT, (2,), (3, 4)]:
         with pytest.raises(NotHausdorffWitnessed):
             o.separate(t, t)
@@ -193,29 +218,20 @@ def test_separate_self():
 # ---------------------------------------------------------------------------
 
 def test_pick_in_closure_minus_is_least():
-    o = hedgehog()
-    limit = 5
-    universe = hh_universe(limit)
+    o = HedgehogOracle()
     sets = list(catalog(3))
     for a in sets:
         for b in [None] + sets:
-            expect = [
-                t
-                for t in universe
-                if hh_brute_closure_contains(a, t, limit)
-                and (b is None or t not in hh_members(b, limit))
-            ]
-            expect = min(expect, key=token_key) if expect else None
-            assert o.pick_in_closure_minus(a, b) == expect
+            assert o.pick_in_closure_minus(a, b) == hh_least_pick(a, b, 5)
 
 
 def test_pick_foreign_set():
     with pytest.raises(OracleError):
-        hedgehog().pick_in_closure_minus(object())
+        HedgehogOracle().pick_in_closure_minus(object())
 
 
 def test_approach_within():
-    o = hedgehog()
+    o = HedgehogOracle()
     row = o.approach_within((2,), [StalkBase(2, 3), StalkBase(2, 5), RootBase(1)], 4)
     assert row == ((2, 5), (2, 6), (2, 7), (2, 8))
     root_row = o.approach_within(ROOT, [RootBase(3), RootBase(5)], 3)
@@ -281,7 +297,7 @@ def test_profile_text_golden():
 # ---------------------------------------------------------------------------
 
 def test_embed_pure_frozen():
-    e = embed_hedgehog(hedgehog(), depth=8)
+    e = embed_hedgehog(HedgehogOracle(), depth=8)
     assert e.root_image == ROOT and e.u0_index == 0 and e.depth == 8
     assert e.stalk_images == tuple((n,) for n in range(1, 9))
     assert e.ks == tuple(range(9))
@@ -292,7 +308,7 @@ def test_embed_pure_frozen():
 
 
 def test_embed_images_are_distinct_tokens_of_the_target():
-    o = hedgehog()
+    o = HedgehogOracle()
     e = embed_hedgehog(o, depth=6)
     seen = set()
     for t in [e.root_image, *e.stalk_images, *(t for row in e.tips for t in row)]:
@@ -302,7 +318,7 @@ def test_embed_images_are_distinct_tokens_of_the_target():
 
 
 def test_embedding_h_and_truncation():
-    e = embed_hedgehog(hedgehog(), depth=4)
+    e = embed_hedgehog(HedgehogOracle(), depth=4)
     assert e.h(()) == ()
     assert e.h((3,)) == (3,)
     assert e.h((2, 4)) == (2, 4)
@@ -316,11 +332,11 @@ def test_embedding_h_and_truncation():
 
 def test_embed_depth_validation():
     with pytest.raises(OracleError):
-        embed_hedgehog(hedgehog(), depth=0)
+        embed_hedgehog(HedgehogOracle(), depth=0)
 
 
 def test_embed_text_golden():
-    assert embed_hedgehog(hedgehog(), depth=3).to_text() == "\n".join(
+    assert embed_hedgehog(HedgehogOracle(), depth=3).to_text() == "\n".join(
         [
             "embedding, depth 3, u0_index 0",
             "h(()) = ()",
@@ -338,13 +354,13 @@ def test_embed_rooted_at_stalk_is_refused():
     # Away from the root the space is locally regular, so the precondition
     # trips immediately.
     with pytest.raises(RegularAtPoint):
-        embed_hedgehog(hedgehog(), x=(1,), depth=3)
+        embed_hedgehog(HedgehogOracle(), x=(1,), depth=3)
     with pytest.raises(RegularAtPoint):
-        embed_hedgehog(hedgehog(), x=(2, 2), depth=3)
+        embed_hedgehog(HedgehogOracle(), x=(2, 2), depth=3)
 
 
 def test_embed_deeper_u0():
-    o = hedgehog()
+    o = HedgehogOracle()
     e = embed_hedgehog(o, u0_index=2, depth=4)
     assert e.u0_index == 2 and e.ks[0] == 2
     assert verify_embedding(o, e, 4)["verdict"] == "pass"
@@ -358,7 +374,7 @@ def test_embed_deeper_u0():
 # ---------------------------------------------------------------------------
 
 def test_verify_all_depths():
-    o = hedgehog()
+    o = HedgehogOracle()
     e = embed_hedgehog(o, depth=8)
     for d in range(1, 9):
         out = verify_embedding(o, e, d)
@@ -370,7 +386,7 @@ def test_verify_all_depths():
 
 
 def test_verify_depth_range():
-    o = hedgehog()
+    o = HedgehogOracle()
     e = embed_hedgehog(o, depth=3)
     for bad in (0, -1, 4):
         with pytest.raises(OracleError):
@@ -382,7 +398,7 @@ def tamper(e, **kw):
 
 
 def test_verify_detects_duplicate_image():
-    o = hedgehog()
+    o = HedgehogOracle()
     e = embed_hedgehog(o, depth=3)
     row = (e.tips[0][1], e.tips[0][1], e.tips[0][2])
     bad = tamper(e, tips=(row,) + e.tips[1:])
@@ -392,7 +408,7 @@ def test_verify_detects_duplicate_image():
 
 
 def test_verify_detects_diverging_tips():
-    o = hedgehog()
+    o = HedgehogOracle()
     e = embed_hedgehog(o, depth=3)
     bad = tamper(e, tips=(tuple(reversed(e.tips[0])),) + e.tips[1:])
     with pytest.raises(VerificationFailure) as ei:
@@ -401,7 +417,7 @@ def test_verify_detects_diverging_tips():
 
 
 def test_verify_detects_wrong_root():
-    o = hedgehog()
+    o = HedgehogOracle()
     e = embed_hedgehog(o, depth=3)
     bad = tamper(e, root_image=(9, 9))
     with pytest.raises(VerificationFailure) as ei:
@@ -410,7 +426,7 @@ def test_verify_detects_wrong_root():
 
 
 def test_verify_detects_adhering_tail():
-    o = hedgehog()
+    o = HedgehogOracle()
     e = embed_hedgehog(o, depth=3)
     bad = tamper(e, ks=(e.ks[0], 0) + e.ks[2:])
     with pytest.raises(VerificationFailure, match="still adheres") as ei:
@@ -419,7 +435,7 @@ def test_verify_detects_adhering_tail():
 
 
 def test_verify_detects_leaky_v():
-    o = hedgehog()
+    o = HedgehogOracle()
     e = embed_hedgehog(o, depth=3)
     bad = tamper(e, v_indices=(5,) + e.v_indices[1:])
     with pytest.raises(VerificationFailure, match="misses its own tip") as ei:
@@ -491,7 +507,7 @@ def test_sum_picks():
 def test_sum_embed_at_root_ignores_summand():
     o = SumOracle(DISCRETE2)
     e = embed_hedgehog(o, depth=5)
-    pure = embed_hedgehog(hedgehog(), depth=5)
+    pure = embed_hedgehog(HedgehogOracle(), depth=5)
     assert e.to_obj() == pure.to_obj()
     assert verify_embedding(o, e, 5)["verdict"] == "pass"
 
@@ -537,11 +553,30 @@ def test_permuted_membership():
 
 def test_permuted_pick_prefers_visible_names():
     o = PermutedOracle({1: 5, 5: 1})
-    # Hidden stalk 5 adheres to U(2) and is visible as stalk 1, which scans
+    # Hidden stalk 5 adheres to U(2) and is visible as stalk 1, which comes
     # before the identity-named stalk 2.
     t = o.pick_in_closure_minus(MappedSet(RootBase(2)), MappedSet(RootBase(1)))
     assert t == (1,)
-    assert hedgehog().pick_in_closure_minus(RootBase(2), RootBase(1)) == (2,)
+    assert HedgehogOracle().pick_in_closure_minus(RootBase(2), RootBase(1)) == (2,)
+
+
+@pytest.mark.parametrize("images", [{1: 2, 2: 1}, {1: 2, 2: 3, 3: 1}, {1: 5, 5: 1}])
+def test_permuted_pick_in_closure_minus_is_least(images):
+    o = PermutedOracle(images)
+    sets = list(catalog(3))
+    for a in sets:
+        for b in [None] + sets:
+            got = o.pick_in_closure_minus(MappedSet(a), None if b is None else MappedSet(b))
+            assert got == hh_least_pick(a, b, 5, images)
+
+
+def test_permuted_pick_past_any_window():
+    # Answered in closed form at any index, not from a finite scan.
+    o = PermutedOracle({1: 2, 2: 1})
+    assert o.pick_in_closure_minus(MappedSet(RootBase(200)), MappedSet(RootBase(1))) == (200,)
+    assert o.pick_in_closure_minus(
+        MappedSet(StalkBase(300, 500)), MappedSet(StalkBase(300, 502))
+    ) == (300, 500)
 
 
 def test_permuted_embed_frozen_swap():
@@ -569,8 +604,8 @@ def test_permuted_embed_three_cycle():
     o = PermutedOracle({1: 2, 2: 3, 3: 1})
     e = embed_hedgehog(o, depth=6)
     assert verify_embedding(o, e, 6)["verdict"] == "pass"
-    # Every hidden stalk adheres to cl(U(1)), so the visible scan takes the
-    # least visible name first.
+    # Every hidden stalk adheres to cl(U(1)), so the pick takes the least
+    # visible name first.
     assert e.stalk_images == ((1,), (4,), (5,), (6,), (7,), (8,))
     seen = {e.root_image, *e.stalk_images}
     assert len(seen) == 7
