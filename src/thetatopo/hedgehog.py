@@ -191,6 +191,64 @@ def _adheres(b, t: Token) -> bool:
     return _member(b, t)
 
 
+# The hedgehog's answers on tokens the caller has already validated: every
+# oracle validates a token once and then calls these.
+def _nbhd_base(x: Token, k: int):
+    if k < 0:
+        raise OracleError("base index must be non-negative")
+    if is_root(x):
+        return RootBase(k + 1)
+    if is_stalk(x):
+        return StalkBase(x[0], k + 1)
+    return Singleton(x[0], x[1])
+
+
+def _separate(a: Token, b: Token) -> tuple[int, int]:
+    if a == b:
+        raise NotHausdorffWitnessed(f"cannot separate {token_str(a)} from itself")
+    if token_key(a) > token_key(b):
+        ib, ia = _separate(b, a)
+        return ia, ib
+    # a is now the earlier kind.
+    if is_root(a):
+        # U(n+1) misses both (n) and every (n,m).
+        return b[0], 0
+    if is_stalk(a) and not is_stalk(b) and b[0] == a[0]:
+        # U(a, m+1) skips the tip (a, m).
+        return b[1], 0
+    return 0, 0
+
+
+def _approach_within(
+    x: Token, constraints: Sequence, count: int
+) -> tuple[Token, ...] | None:
+    if count <= 0:
+        return ()
+    if is_tip(x):
+        return None
+    if is_stalk(x):
+        n = x[0]
+        j = 1
+        for c in constraints:
+            if isinstance(c, StalkBase):
+                if c.n != n:
+                    return None
+                j = max(j, c.m)
+            elif isinstance(c, RootBase):
+                if n < c.n:
+                    return None
+            else:
+                return None
+        return tuple((n, j + i) for i in range(count))
+    lo = 1
+    for c in constraints:
+        if isinstance(c, RootBase):
+            lo = max(lo, c.n)
+        else:
+            return None
+    return tuple((lo + i, 1) for i in range(count))
+
+
 # ---------------------------------------------------------------------------
 # Oracle spaces.
 # ---------------------------------------------------------------------------
@@ -230,43 +288,18 @@ class HedgehogOracle(OracleSpace):
         return _check_token(t)
 
     def nbhd_base(self, x: Token, k: int):
-        x = self.validate(x)
-        if k < 0:
-            raise OracleError("base index must be non-negative")
-        if is_root(x):
-            return RootBase(k + 1)
-        if is_stalk(x):
-            return StalkBase(x[0], k + 1)
-        return Singleton(x[0], x[1])
+        return _nbhd_base(_check_token(x), k)
 
     def contains(self, b, t: Token) -> bool:
-        return _member(b, self.validate(t))
+        return _member(b, _check_token(t))
 
     def closure_contains(self, b, t: Token) -> bool:
-        return _adheres(b, self.validate(t))
+        return _adheres(b, _check_token(t))
 
     def separate(self, a: Token, b: Token) -> tuple[int, int]:
         """Base indices (ia, ib) with nbhd_base(a, ia) and nbhd_base(b, ib)
         disjoint."""
-        a = self.validate(a)
-        b = self.validate(b)
-        if a == b:
-            raise NotHausdorffWitnessed(f"cannot separate {token_str(a)} from itself")
-        if token_key(a) > token_key(b):
-            ib, ia = self.separate(b, a)
-            return ia, ib
-        # a is now the earlier kind.
-        if is_root(a):
-            # U(n+1) misses both (n) and every (n,m).
-            return b[0], 0
-        if is_stalk(a) and is_stalk(b):
-            return 0, 0
-        if is_stalk(a):
-            if b[0] == a[0]:
-                # U(a, m+1) skips the tip (a, m).
-                return b[1], 0
-            return 0, 0
-        return 0, 0
+        return _separate(_check_token(a), _check_token(b))
 
     def pick_in_closure_minus(self, a, b=None) -> Token | None:
         """Least token of cl(a) \\ b, or None when the difference is empty.
@@ -290,32 +323,7 @@ class HedgehogOracle(OracleSpace):
     ) -> tuple[Token, ...] | None:
         """count distinct points inside every constraint converging to x, or
         None. Tips admit no such sequence; singleton constraints are refused."""
-        x = self.validate(x)
-        if count <= 0:
-            return ()
-        if is_tip(x):
-            return None
-        if is_stalk(x):
-            n = x[0]
-            j = 1
-            for c in constraints:
-                if isinstance(c, StalkBase):
-                    if c.n != n:
-                        return None
-                    j = max(j, c.m)
-                elif isinstance(c, RootBase):
-                    if n < c.n:
-                        return None
-                else:
-                    return None
-            return tuple((n, j + i) for i in range(count))
-        lo = 1
-        for c in constraints:
-            if isinstance(c, RootBase):
-                lo = max(lo, c.n)
-            else:
-                return None
-        return tuple((lo + i, 1) for i in range(count))
+        return _approach_within(_check_token(x), constraints, count)
 
 
 class SumOracle(OracleSpace):
@@ -342,7 +350,7 @@ class SumOracle(OracleSpace):
         x = self.validate(x)
         if is_fin(x):
             return FinBase(x[1])
-        return self.hh.nbhd_base(x, k)
+        return _nbhd_base(x, k)
 
     def contains(self, b, t: Token) -> bool:
         t = self.validate(t)
@@ -374,7 +382,7 @@ class SumOracle(OracleSpace):
             return 0, 0
         if is_fin(a) or is_fin(b):
             return 0, 0
-        return self.hh.separate(a, b)
+        return _separate(a, b)
 
     def pick_in_closure_minus(self, a, b=None) -> Token | None:
         if isinstance(a, FinBase):
@@ -391,7 +399,7 @@ class SumOracle(OracleSpace):
         x = self.validate(x)
         if is_fin(x) or any(isinstance(c, FinBase) for c in constraints):
             return None
-        return self.hh.approach_within(x, constraints, count)
+        return _approach_within(x, constraints, count)
 
 
 class PermutedOracle(OracleSpace):
@@ -430,18 +438,16 @@ class PermutedOracle(OracleSpace):
         return _check_token(t)
 
     def nbhd_base(self, x: Token, k: int):
-        return MappedSet(self.hh.nbhd_base(self._inv_token(self.validate(x)), k))
+        return MappedSet(_nbhd_base(self._inv_token(_check_token(x)), k))
 
     def contains(self, b, t: Token) -> bool:
-        return _member(self._unwrap(b), self._inv_token(self.validate(t)))
+        return _member(self._unwrap(b), self._inv_token(_check_token(t)))
 
     def closure_contains(self, b, t: Token) -> bool:
-        return _adheres(self._unwrap(b), self._inv_token(self.validate(t)))
+        return _adheres(self._unwrap(b), self._inv_token(_check_token(t)))
 
     def separate(self, a: Token, b: Token) -> tuple[int, int]:
-        return self.hh.separate(
-            self._inv_token(self.validate(a)), self._inv_token(self.validate(b))
-        )
+        return _separate(self._inv_token(_check_token(a)), self._inv_token(_check_token(b)))
 
     def pick_in_closure_minus(self, a, b=None) -> Token | None:
         inner_a = self._unwrap(a)
@@ -460,8 +466,8 @@ class PermutedOracle(OracleSpace):
     def approach_within(
         self, x: Token, constraints: Sequence, count: int
     ) -> tuple[Token, ...] | None:
-        inner = self.hh.approach_within(
-            self._inv_token(self.validate(x)),
+        inner = _approach_within(
+            self._inv_token(_check_token(x)),
             [self._unwrap(c) for c in constraints],
             count,
         )

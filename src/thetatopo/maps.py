@@ -10,6 +10,7 @@ sorted-index-tuple order, so reports are reproducible.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -185,14 +186,22 @@ def continuity_points(f: FinMap, a: PointSet) -> PointSet:
 # Classification.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MapClass:
     """The strongest ladder tier a map reaches, plus least witnesses for the
     failed tiers. For the restriction tiers the witness is the least failing
-    restriction A; for continuity it is the set of discontinuity points."""
+    restriction A; for continuity it is the set of discontinuity points.
+
+    witness_masks holds (tier, mask) pairs over the domain's points, named
+    by `names`; `witnesses` builds the name tuples only when read."""
 
     tier: str
-    witnesses: dict[str, tuple[str, ...]]
+    witness_masks: tuple[tuple[str, int], ...]
+    names: tuple[str, ...]
+
+    @property
+    def witnesses(self) -> dict[str, tuple[str, ...]]:
+        return {t: tuple(self.names[i] for i in bits(m)) for t, m in self.witness_masks}
 
     def reaches(self, tier: str) -> bool:
         return TIER_RANK[self.tier] <= TIER_RANK[tier]
@@ -214,25 +223,47 @@ class MapClass:
         return f"{self.tier} (not {TIER_LABELS[missed]}; witness A = {witness})"
 
 
-def classify_map(f: FinMap) -> MapClass:
-    """Sweep all non-empty restrictions of the domain once.
+# Sweep results keyed by (domain rows, ok_masks): the tier and every least
+# witness mask depend on nothing else, so one entry serves every map with
+# that key whatever its point names or codomain. The oldest entry goes
+# first once the table holds MEMO_CAP entries, which keeps memory flat; an
+# OrderedDict evicts in O(1), where a plain dict would scan past the holes
+# that earlier evictions left at its front.
+MEMO_CAP = 1024
+_memo: OrderedDict[tuple, tuple[str, tuple[tuple[str, int], ...]]] = OrderedDict()
 
-    Subsets run in Gray-code order so the per-point discontinuity counters
-    update by one flip per step; witnesses are still selected globally as the
-    least failing restriction, independent of sweep order. Exponential in the
-    domain size, hence CLASSIFY_CAP.
-    """
+
+def classify_map(f: FinMap) -> MapClass:
+    """Classify f by sweeping all non-empty restrictions of its domain, or
+    by the memo entry of an earlier map with the same key. Exponential in
+    the domain size, hence CLASSIFY_CAP."""
     n = len(f.domain)
     if n > CLASSIFY_CAP:
         raise CapExceeded(
             f"classification sweeps 2^{n} restrictions; cap is {CLASSIFY_CAP} points"
         )
-    names = f.domain.names_of
+    key = (f.domain.nbhd, ok_masks(f))
+    found = _memo.get(key)
+    if found is None:
+        if len(_memo) >= MEMO_CAP:
+            _memo.popitem(last=False)
+        found = _memo[key] = _sweep(f.domain, key[1])
+    return MapClass(found[0], found[1], f.domain.names)
+
+
+def _sweep(domain: FinSpace, ok: tuple[int, ...]) -> tuple[str, tuple[tuple[str, int], ...]]:
+    """The tier and the (tier, least witness mask) pairs of any map out of
+    domain with these ok masks.
+
+    Subsets run in Gray-code order so the per-point discontinuity counters
+    update by one flip per step; witnesses are still selected globally as the
+    least failing restriction, independent of sweep order.
+    """
+    n = len(domain)
     if n == 0:
-        return MapClass("continuous", {})
-    nbhd = f.domain.nbhd
-    ok = ok_masks(f)
-    full = f.domain.full_mask
+        return "continuous", ()
+    nbhd = domain.nbhd
+    full = domain.full_mask
 
     # bad_src[p] = points x whose neighborhood gains a discontinuity witness
     # when p enters the restriction.
@@ -273,29 +304,27 @@ def classify_map(f: FinMap) -> MapClass:
             note("scatteredly_continuous", a)
             note("weakly_discontinuous", a)
             note("theta_weakly_discontinuous", a)
-        elif interior_mask(f.domain, c, a) == 0:
+        elif interior_mask(domain, c, a) == 0:
             note("weakly_discontinuous", a)
             note("theta_weakly_discontinuous", a)
-        elif theta_open_part_mask(f.domain, c, a) == 0:
+        elif theta_open_part_mask(domain, c, a) == 0:
             note("theta_weakly_discontinuous", a)
 
-    witnesses: dict[str, tuple[str, ...]] = {}
+    masks = {t: a for t, (_, a) in fails.items()}
     if c_full != full:
-        witnesses["continuous"] = names(full & ~c_full)
-    for t, (_, a) in fails.items():
-        witnesses[t] = names(a)
+        masks = {"continuous": full & ~c_full, **masks}
 
-    if "scatteredly_continuous" in witnesses:
+    if "scatteredly_continuous" in masks:
         tier = "none"
-    elif "weakly_discontinuous" in witnesses:
+    elif "weakly_discontinuous" in masks:
         tier = "scatteredly_continuous"
-    elif "theta_weakly_discontinuous" in witnesses:
+    elif "theta_weakly_discontinuous" in masks:
         tier = "weakly_discontinuous"
-    elif "continuous" in witnesses:
+    elif "continuous" in masks:
         tier = "theta_weakly_discontinuous"
     else:
         tier = "continuous"
-    return MapClass(tier, witnesses)
+    return tier, tuple(masks.items())
 
 
 def is_weak_homeomorphism(f: FinMap, theta: bool = False) -> bool:

@@ -547,7 +547,6 @@ def check_composition_laws(
         xs = [s for n in range(1, sx + 1) for s in map(space_from_rows, labeled_rows(n))]
         ys = [s for n in range(1, sy + 1) for s in map(space_from_rows, labeled_rows(n))]
         zs = [s for n in range(1, sz + 1) for s in map(space_from_rows, labeled_rows(n))]
-        comp_memo: dict[tuple, MapClass] = {}
         for y in ys:
             fs = [
                 (f, classify_map(f)) for x in xs for f in _all_maps(x, y)
@@ -557,11 +556,7 @@ def check_composition_laws(
                     mcg = classify_map(g)
                     for f, mcf in fs:
                         triples += 1
-                        c = compose(g, f)
-                        key = (c.domain.nbhd, c.codomain.nbhd, c.img)
-                        mcc = comp_memo.get(key)
-                        if mcc is None:
-                            mcc = comp_memo[key] = classify_map(c)
+                        mcc = classify_map(compose(g, f))
                         _apply_laws(f, g, mcf, mcg, mcc, results)
         return CompositionReport(
             mode="exhaustive",

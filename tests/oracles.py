@@ -191,6 +191,40 @@ def reaches_oracle(f, tier: str) -> bool:
     return order.index(tier_oracle(f)) <= order.index(tier)
 
 
+def map_witness_oracle(f) -> dict:
+    """The classification document of f from the definitions: for each
+    restriction tier the least failing restriction under the sorted
+    index-tuple order, for continuity the set of discontinuity points, and
+    a tier reached iff it has no witness."""
+    full = f.domain.full_mask
+    least: dict[str, int] = {}
+    for a in nonempty_subsets(full):
+        c = cont_points_oracle(f, a)
+        failed = {
+            "scatteredly_continuous": c == 0,
+            "weakly_discontinuous": int_oracle(f.domain, c, a) == 0,
+            "theta_weakly_discontinuous": theta_part_oracle(f.domain, c, a) == 0,
+        }
+        for t, fails in failed.items():
+            if fails and (t not in least or tuple(bits(a)) < tuple(bits(least[t]))):
+                least[t] = a
+    discontinuous = full & ~cont_points_oracle(f, full)
+    if discontinuous:
+        least["continuous"] = discontinuous
+    order = (
+        "continuous",
+        "theta_weakly_discontinuous",
+        "weakly_discontinuous",
+        "scatteredly_continuous",
+    )
+    reaches = {t: t not in least for t in order}
+    return {
+        "tier": next((t for t in order if reaches[t]), "none"),
+        "reaches": reaches,
+        "witnesses": {t: [f.domain.names[i] for i in bits(a)] for t, a in least.items()},
+    }
+
+
 # ---------------------------------------------------------------------------
 # Regularity variants, straight from their definitions.
 # ---------------------------------------------------------------------------

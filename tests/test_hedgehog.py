@@ -167,11 +167,22 @@ def test_one_token_check_per_query(monkeypatch):
         (SumOracle(SIERPINSKI), RootBase(2)),
         (PermutedOracle({1: 2, 2: 1}), MappedSet(RootBase(2))),
     ]:
-        for query in (o.contains, o.closure_contains):
-            for t in [ROOT, (1,), (3,), (2, 4)]:
+        tokens = [ROOT, (1,), (3,), (2, 4)]
+        for t in tokens:
+            for query in (
+                lambda: o.contains(b, t),
+                lambda: o.closure_contains(b, t),
+                lambda: o.nbhd_base(t, 1),
+                lambda: o.approach_within(t, [], 2),
+            ):
                 calls.clear()
-                query(b, t)
+                query()
                 assert len(calls) == 1
+            for u in tokens:
+                if u != t:
+                    calls.clear()
+                    o.separate(t, u)
+                    assert len(calls) == 2
 
 
 def test_decreasing_bases():

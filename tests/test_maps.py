@@ -10,10 +10,12 @@ from conftest import maps_between, spaces
 from oracles import (
     cont_points_oracle,
     int_oracle,
+    map_witness_oracle,
     nonempty_subsets,
     theta_part_oracle,
     tier_oracle,
 )
+from thetatopo import maps
 from thetatopo.generate import labeled_rows, space_from_rows
 from thetatopo.maps import (
     TIERS,
@@ -109,13 +111,19 @@ def test_continuity_set_random(f, data):
 # ---------------------------------------------------------------------------
 
 def test_classification_exhaustive_small():
-    doms = spaces_up_to(3)
-    cods = spaces_up_to(2)
-    for x in doms:
-        for y in cods:
-            for img in product(range(len(y)), repeat=len(x)):
-                f = FinMap(x, y, img)
-                assert classify_map(f).tier == tier_oracle(f)
+    cases = [
+        FinMap(x, y, img)
+        for x in spaces_up_to(3)
+        for y in spaces_up_to(2)
+        for img in product(range(len(y)), repeat=len(x))
+    ]
+    expected = [map_witness_oracle(f) for f in cases]
+    assert [e["tier"] for e in expected] == [tier_oracle(f) for f in cases]
+    maps._memo.clear()
+    assert [classify_map(f).to_obj() for f in cases] == expected
+    # Every key is now in the memo, so this pass only reads entries.
+    assert len(maps._memo) < maps.MEMO_CAP
+    assert [classify_map(f).to_obj() for f in cases] == expected
 
 
 def test_classification_exhaustive_wide_codomain():
@@ -131,6 +139,45 @@ def test_classification_exhaustive_wide_codomain():
 @given(maps_between(max_points=4))
 def test_classification_random(f):
     assert classify_map(f).tier == tier_oracle(f)
+
+
+def test_memo_entry_serves_each_domain_its_own_names():
+    maps._memo.clear()
+    xy = build_space(["x", "y"], {"x": ["x"], "y": ["x", "y"]})
+    g = build_map(xy, DISCRETE2, {"x": "0", "y": "1"})
+    mf = classify_map(D_TO_DISCRETE)
+    mg = classify_map(g)
+    assert len(maps._memo) == 1
+    rename = {"0": "x", "1": "y"}
+    assert mg.witnesses == {
+        t: tuple(rename[a] for a in w) for t, w in mf.witnesses.items()
+    }
+    assert mg.headline() == (
+        "weakly_discontinuous (not θ-weakly discontinuous; witness A = {x,y})"
+    )
+    assert mf.headline() == (
+        "weakly_discontinuous (not θ-weakly discontinuous; witness A = {0,1})"
+    )
+
+
+def test_memo_stays_within_cap():
+    maps._memo.clear()
+    first = None
+    keys = set()
+    for rows in labeled_rows(4):
+        x = space_from_rows(rows)
+        for img in product(range(2), repeat=4):
+            f = FinMap(x, DISCRETE2, img)
+            keys.add((x.nbhd, ok_masks(f)))
+            mc = classify_map(f)
+            if first is None:
+                first = (f, mc)
+            assert len(maps._memo) <= maps.MEMO_CAP
+    assert len(keys) > maps.MEMO_CAP
+    assert len(maps._memo) == maps.MEMO_CAP
+    # The first key was evicted; classifying it again sweeps afresh.
+    assert (first[0].domain.nbhd, ok_masks(first[0])) not in maps._memo
+    assert classify_map(first[0]) == first[1]
 
 
 @given(maps_between(max_points=4))

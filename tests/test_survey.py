@@ -1,3 +1,4 @@
+import json
 from itertools import permutations, product
 
 import pytest
@@ -9,6 +10,7 @@ from oracles import (
     tier_oracle,
     w_theta_regular_oracle,
 )
+from thetatopo import maps
 from thetatopo.generate import homeo_rows, labeled_rows, space_from_rows
 from thetatopo.maps import FinMap
 from thetatopo.regularity import DECIDABLE_PROPERTIES
@@ -266,6 +268,14 @@ def test_diagram_counts_rederived():
 
 def test_diagram_workers_invariant():
     assert verify_diagram(3, workers=3).to_obj() == verify_diagram(3).to_obj()
+
+
+def test_classification_memo_is_invisible_in_diagram():
+    maps._memo.clear()
+    cold = json.dumps(verify_diagram(4).to_obj())
+    assert maps._memo
+    assert json.dumps(verify_diagram(4).to_obj()) == cold
+    assert json.dumps(verify_diagram(4, workers=2).to_obj()) == cold
 
 
 def test_diagram_cap():
