@@ -10,6 +10,7 @@ labeled stream against an independent walk over open-set families.
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import permutations
 from typing import Iterator
 
@@ -39,50 +40,49 @@ def first_rows(n: int) -> Iterator[int]:
 def complete_rows(n: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Extend a valid row prefix to all full coherent row tuples, ascending.
 
-    A candidate row for point i is checked against every decided row j < i:
-    if j ∈ N(i) then N(j) ⊆ N(i), and if i ∈ N(j) then N(i) ⊆ N(j). Every
-    point pair is checked when its later member is placed, so leaves are
-    exactly the valid topologies.
+    Point i's row must lie inside N(j) for each decided j with i ∈ N(j), so
+    the candidates are the submasks of the AND of those rows, walked in
+    ascending order; a candidate is kept when it contains N(j) for each
+    decided j it holds (looked up in `unions`, the OR of the decided rows
+    over each set of decided points). Every point pair is checked when its
+    later member is placed, so leaves are exactly the valid topologies.
     """
     if len(prefix) == n:
         yield prefix
         return
     full = (1 << n) - 1
     rows = list(prefix)
+    unions = [0]
+    for r in rows:
+        unions += [u | r for u in unions]
 
-    def place(i: int) -> Iterator[tuple[int, ...]]:
+    def place(i: int, unions: list[int]) -> Iterator[tuple[int, ...]]:
         own = 1 << i
-        for m in range(own, full + 1):
-            if not m & own:
-                continue
-            ok = True
-            for j in range(i):
-                rj = rows[j]
-                if m >> j & 1 and rj & ~m:
-                    ok = False
-                    break
-                if rj >> i & 1 and m & ~rj:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            rows.append(m)
-            if i + 1 == n:
-                yield tuple(rows)
-            else:
-                yield from place(i + 1)
-            rows.pop()
+        upper = full
+        for r in rows:
+            if r & own:
+                upper &= r
+        free = upper & ~own
+        t = 0
+        while True:
+            m = t | own
+            if not unions[m & (own - 1)] & ~m:
+                rows.append(m)
+                if i + 1 == n:
+                    yield tuple(rows)
+                else:
+                    yield from place(i + 1, unions + [u | m for u in unions])
+                rows.pop()
+            if t == free:
+                return
+            t = ((t | ~free) + 1) & free
 
-    yield from place(len(prefix))
+    yield from place(len(prefix), unions)
 
 
 def labeled_rows(n: int) -> Iterator[tuple[int, ...]]:
     """All coherent minimal-neighborhood row tuples on n points, ascending."""
-    if n == 0:
-        yield ()
-        return
-    for r0 in first_rows(n):
-        yield from complete_rows(n, (r0,))
+    return complete_rows(n, ())
 
 
 def _completions_task(args: tuple[int, int]) -> list[tuple[int, ...]]:
@@ -118,14 +118,32 @@ def permute_rows(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...
     return tuple(out)
 
 
+@cache
+def _relabelings(n: int) -> list[tuple[list[int], list[int]]]:
+    """Per permutation p of n points, its image table over all 2^n masks and
+    the inverse order inv (p[inv[k]] == k). Built on first use per n and
+    kept: about 6 MiB at the 7-point cap."""
+    out = []
+    for p in permutations(range(n)):
+        table = [0]
+        for j in p:
+            bit = 1 << j
+            table += [m | bit for m in table]
+        out.append((table, sorted(range(n), key=p.__getitem__)))
+    return out
+
+
+def _orbit(rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """permute_rows(rows, p) for every permutation p, in the same order."""
+    return (tuple([t[rows[k]] for k in inv]) for t, inv in _relabelings(len(rows)))
+
+
 def canonical_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
     """The least row tuple over all relabelings; factorial in n."""
     n = len(rows)
     if n > HOMEO_CAP:
         raise CapExceeded(f"canonical form over {n}! relabelings; cap is {HOMEO_CAP} points")
-    if n <= 1:
-        return rows
-    return min(permute_rows(rows, p) for p in permutations(range(n)))
+    return min(_orbit(rows))
 
 
 def canonicalize(space: FinSpace) -> FinSpace:
@@ -140,17 +158,12 @@ def homeo_rows(n: int) -> Iterator[tuple[int, ...]]:
     least labeling, i.e. the canonical form; the rest of the orbit is marked
     seen. Memory is the orbit union, which is why the cap sits at 7.
     """
-    if n <= 1:
-        yield from labeled_rows(n)
-        return
     seen: set[tuple[int, ...]] = set()
-    perms = list(permutations(range(n)))
     for rows in labeled_rows(n):
         if rows in seen:
             continue
         yield rows
-        for p in perms:
-            seen.add(permute_rows(rows, p))
+        seen.update(_orbit(rows))
 
 
 def space_rows(n: int, mode: str = "labeled", workers: int = 1) -> Iterator[tuple[int, ...]]:

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from itertools import permutations
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import brute_spaces, open_family_rows
+from thetatopo import generate
 from thetatopo.generate import (
     canonical_rows,
     canonicalize,
@@ -47,11 +50,48 @@ def test_homeo_counts():
 
 def test_labeled_matches_brute_filter():
     # The backtracking enumerator agrees element-for-element with filtering
-    # all candidate row tuples against the two axioms.
-    for n in (1, 2, 3):
-        got = sorted(labeled_rows(n))
-        want = sorted(tuple(sp.nbhd) for sp in brute_spaces(n))
-        assert got == want
+    # all candidate row tuples against the two axioms; brute_spaces filters
+    # in lexicographic order, so the streams agree as lists, order included.
+    for n in (0, 1, 2, 3):
+        assert list(labeled_rows(n)) == [tuple(sp.nbhd) for sp in brute_spaces(n)]
+
+
+# ---------------------------------------------------------------------------
+# Stream order: every consumer relies on the streams ascending.
+# ---------------------------------------------------------------------------
+
+def test_labeled_rows_strictly_ascending():
+    for n in range(7):
+        stream = list(labeled_rows(n))
+        assert all(a < b for a, b in zip(stream, stream[1:])), n
+
+
+def test_homeo_stream_is_sorted_orbit_minima():
+    for n in range(6):
+        perms = list(permutations(range(n)))
+        minima = {min(permute_rows(rows, p) for p in perms) for rows in labeled_rows(n)}
+        assert list(homeo_rows(n)) == sorted(minima), n
+
+
+def test_orbit_tables_match_permute_rows():
+    for n in range(5):
+        perms = list(permutations(range(n)))
+        for rows in labeled_rows(n):
+            assert list(generate._orbit(rows)) == [permute_rows(rows, p) for p in perms]
+
+
+def test_no_relabeling_table_built_at_import():
+    probe = (
+        "import sys\n"
+        "calls = []\n"
+        "sys.setprofile(lambda f, e, a: e == 'call' and f.f_code.co_name == '_relabelings'"
+        " and calls.append(1))\n"
+        "import thetatopo.cli\n"
+        "sys.setprofile(None)\n"
+        "print(len(calls))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n"
 
 
 def test_zero_points():
@@ -59,13 +99,19 @@ def test_zero_points():
     assert list(homeo_rows(0)) == [()]
 
 
-def test_caps():
+def test_caps(monkeypatch):
     with pytest.raises(CapExceeded):
         next(enumerate_spaces(7, "labeled"))
     with pytest.raises(CapExceeded):
         next(enumerate_spaces(8, "homeo"))
     with pytest.raises(CapExceeded):
         next(open_family_rows(5))
+
+    # The canonical-form cap is checked before any relabeling table is built.
+    def no_tables(n):
+        raise AssertionError(f"relabeling tables built for {n} points")
+
+    monkeypatch.setattr(generate, "_relabelings", no_tables)
     with pytest.raises(CapExceeded):
         canonical_rows(tuple(1 << i for i in range(8)))
 
@@ -83,7 +129,7 @@ def test_enumerated_rows_are_valid_spaces():
 
 
 def test_canonical_is_least_permutation():
-    for n in (1, 2, 3):
+    for n in range(5):
         for rows in labeled_rows(n):
             variants = {
                 permute_rows(rows, perm) for perm in permutations(range(n))
@@ -140,6 +186,7 @@ def test_sharded_enumeration_matches_plain():
     plain = list(labeled_rows(4))
     for workers in (1, 2, 3, 5):
         assert list(sharded_labeled_rows(4, workers)) == plain
+    assert list(sharded_labeled_rows(5, 2)) == list(labeled_rows(5))
 
 
 def test_pool_size_clamped_to_cpus(monkeypatch):

@@ -14,6 +14,13 @@ CASES = {
     "classify_indiscrete2.txt": ["classify", "fixtures/indiscrete2.json"],
     "fn_classify_d_to_discrete.txt": ["fn", "classify", "fixtures/d_to_discrete.json"],
     "fn_classify_x3_chain_iso.txt": ["fn", "classify", "fixtures/x3_chain_iso.json"],
+    # Misses all four tiers; pins the key order of the witnesses object.
+    "fn_classify_json_fork_to_discrete.txt": [
+        "fn",
+        "classify",
+        "--json",
+        "fixtures/fork_to_discrete.json",
+    ],
     "decompose_sierpinski_theta.txt": ["decompose", "fixtures/sierpinski.json"],
     "decompose_sierpinski_open_witness.txt": [
         "decompose",
@@ -27,6 +34,8 @@ CASES = {
     "hedgehog_profile_d5.txt": ["hedgehog", "profile", "--depth", "5"],
     "hedgehog_embed_d3.txt": ["hedgehog", "embed", "--depth", "3"],
     "enumerate_n3_homeo.txt": ["enumerate", "-n", "3", "--homeo"],
+    # Pins the labeled stream's order at a size where the walk prunes.
+    "enumerate_n4.txt": ["enumerate", "-n", "4"],
     "search_scattered_not_regular.txt": ["search", "--where", "scattered && !regular"],
 }
 
