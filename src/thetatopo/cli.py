@@ -44,6 +44,8 @@ from .maps import (
 )
 from .regularity import PROPERTY_CAP, classify_report
 from .space import (
+    POINT_CAP,
+    CapExceeded,
     TopologyError,
     build_space,
     format_space,
@@ -78,6 +80,14 @@ def _int_at_least(low: int):
     return parse
 
 
+def _max_points(text: str) -> int:
+    """An argparse type for --max-points: 1 to POINT_CAP."""
+    value = _int_at_least(1)(text)
+    if value > POINT_CAP:
+        raise argparse.ArgumentTypeError(f"must be at most {POINT_CAP}, got {value}")
+    return value
+
+
 def _sizes(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -98,6 +108,8 @@ def _oracle_from_spec(spec: str) -> OracleSpace:
         rest = spec[len("sum:") :]
         if rest.startswith("discrete") and rest[len("discrete") :].isdigit():
             k = int(rest[len("discrete") :])
+            if k > POINT_CAP:
+                raise CapExceeded(f"{k} points exceeds the cap of {POINT_CAP}")
             names = [str(i) for i in range(k)]
             return SumOracle(build_space(names, {nm: [nm] for nm in names}))
         return SumOracle(space_from_obj(read_json(rest)))
@@ -190,7 +202,7 @@ def cmd_decompose(args) -> int:
 def cmd_enumerate(args) -> int:
     n = args.n
     mode = "homeo" if args.homeo else "labeled"
-    stream = space_rows(n, mode, args.workers)
+    stream = space_rows(n, mode)
     if args.count:
         count = sum(1 for _ in stream)
         if args.json:
@@ -281,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("classify", help="full property report for a space")
     c.add_argument("space", help="space JSON file, or - for stdin")
     c.add_argument("--sw-bound", type=_int_at_least(1), default=3, help="sw witness search bound")
-    c.add_argument("--max-points", type=_int_at_least(1), default=PROPERTY_CAP)
+    c.add_argument("--max-points", type=_max_points, default=PROPERTY_CAP)
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_classify)
 
@@ -307,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("space")
     d.add_argument("--mode", choices=("theta", "open"), default="theta")
     d.add_argument("--witness", action="store_true", help="emit the weak-homeomorphism map")
-    d.add_argument("--max-points", type=_int_at_least(1), default=PROPERTY_CAP)
+    d.add_argument("--max-points", type=_max_points, default=PROPERTY_CAP)
     d.add_argument("--json", action="store_true")
     d.set_defaults(func=cmd_decompose)
 
@@ -317,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--labeled", action="store_true", default=True)
     g.add_argument("--homeo", action="store_true", default=False)
     e.add_argument("--count", action="store_true")
-    e.add_argument("--workers", type=_int_at_least(1), default=1)
+    e.add_argument("--workers", type=_int_at_least(1), default=1, help="accepted, no effect")
     e.add_argument("--json", action="store_true")
     e.set_defaults(func=cmd_enumerate)
 

@@ -2,9 +2,11 @@
 
 Spaces on n points are streamed as minimal-neighborhood row tuples in
 ascending lexicographic order (rows compared as integers, first row first),
-by a backtracking generator over coherent rows. Homeomorphism classes are
-streamed as the least labeling of each class. The tests cross-check the
-labeled stream against an independent walk over open-set families.
+by one backtracking generator over coherent rows (labeled_rows), run in the
+calling process. Homeomorphism classes are streamed as the least labeling of
+each class. The tests cross-check the labeled stream against an independent
+walk over open-set families, and the relabeling tables against the direct
+relabeling in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -29,12 +31,6 @@ def point_names(n: int) -> tuple[str, ...]:
 
 def space_from_rows(rows: tuple[int, ...]) -> FinSpace:
     return FinSpace(point_names(len(rows)), rows)
-
-
-def first_rows(n: int) -> Iterator[int]:
-    """Legal row-0 values in ascending order: the odd masks on n bits."""
-    for m in range(1, 1 << n, 2):
-        yield m
 
 
 def complete_rows(n: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -85,39 +81,6 @@ def labeled_rows(n: int) -> Iterator[tuple[int, ...]]:
     return complete_rows(n, ())
 
 
-def _completions_task(args: tuple[int, int]) -> list[tuple[int, ...]]:
-    n, r0 = args
-    return list(complete_rows(n, (r0,)))
-
-
-def sharded_labeled_rows(n: int, workers: int = 1) -> Iterator[tuple[int, ...]]:
-    """labeled_rows with first-row shards fanned out across processes.
-
-    Shards are reassembled in ascending first-row order, so the stream is
-    byte-identical to labeled_rows(n) for any worker count.
-    """
-    if n == 0 or workers <= 1:
-        yield from labeled_rows(n)
-        return
-    from .parallel import run_tasks
-
-    tasks = [(n, r0) for r0 in first_rows(n)]
-    for block in run_tasks(_completions_task, tasks, workers):
-        yield from block
-
-
-def permute_rows(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Relabel points: perm[i] is the new index of old point i."""
-    n = len(rows)
-    out = [0] * n
-    for i in range(n):
-        m = 0
-        for j in bits(rows[i]):
-            m |= 1 << perm[j]
-        out[perm[i]] = m
-    return tuple(out)
-
-
 @cache
 def _relabelings(n: int) -> list[tuple[list[int], list[int]]]:
     """Per permutation p of n points, its image table over all 2^n masks and
@@ -134,7 +97,7 @@ def _relabelings(n: int) -> list[tuple[list[int], list[int]]]:
 
 
 def _orbit(rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """permute_rows(rows, p) for every permutation p, in the same order."""
+    """rows relabeled by each permutation p (point i -> p[i]), in permutations order."""
     return (tuple([t[rows[k]] for k in inv]) for t, inv in _relabelings(len(rows)))
 
 
@@ -166,14 +129,13 @@ def homeo_rows(n: int) -> Iterator[tuple[int, ...]]:
         seen.update(_orbit(rows))
 
 
-def space_rows(n: int, mode: str = "labeled", workers: int = 1) -> Iterator[tuple[int, ...]]:
-    """The row stream behind enumerate_spaces, capped per mode; labeled rows
-    are sharded across `workers` processes. Caps are checked on the call,
-    before any row is produced."""
+def space_rows(n: int, mode: str = "labeled") -> Iterator[tuple[int, ...]]:
+    """The row stream behind enumerate_spaces, capped per mode. Caps are
+    checked on the call, before any row is produced."""
     if mode == "labeled":
         if n > LABELED_CAP:
             raise CapExceeded(f"labeled enumeration capped at {LABELED_CAP} points")
-        return sharded_labeled_rows(n, workers)
+        return labeled_rows(n)
     if mode == "homeo":
         if n > HOMEO_CAP:
             raise CapExceeded(f"homeomorphism enumeration capped at {HOMEO_CAP} points")

@@ -219,6 +219,23 @@ def _separate(a: Token, b: Token) -> tuple[int, int]:
     return 0, 0
 
 
+def _pick_in_closure_minus(a, b) -> Token | None:
+    """Least token of cl(a) \\ b, or None when the difference is empty.
+
+    A basic set holds at most one stalk, and one that holds two consecutive
+    tips of a stalk holds the rest of that tail; so if the least few tokens
+    of cl(a) listed below all lie in b, all of cl(a) does."""
+    if isinstance(a, Singleton):
+        candidates = ((a.n, a.m),)
+    elif isinstance(a, StalkBase):
+        candidates = ((a.n,), (a.n, a.m), (a.n, a.m + 1))
+    elif isinstance(a, RootBase):
+        candidates = (ROOT, (a.n,), (a.n + 1,))
+    else:
+        raise OracleError(f"foreign basic set {a!r}")
+    return next((t for t in candidates if b is None or not _member(b, t)), None)
+
+
 def _approach_within(
     x: Token, constraints: Sequence, count: int
 ) -> tuple[Token, ...] | None:
@@ -302,21 +319,8 @@ class HedgehogOracle(OracleSpace):
         return _separate(_check_token(a), _check_token(b))
 
     def pick_in_closure_minus(self, a, b=None) -> Token | None:
-        """Least token of cl(a) \\ b, or None when the difference is empty.
-
-        A basic set holds at most one stalk, and one that holds two
-        consecutive tips of a stalk holds the rest of that tail; so if the
-        least few tokens of cl(a) listed below all lie in b, all of cl(a)
-        does."""
-        if isinstance(a, Singleton):
-            candidates = ((a.n, a.m),)
-        elif isinstance(a, StalkBase):
-            candidates = ((a.n,), (a.n, a.m), (a.n, a.m + 1))
-        elif isinstance(a, RootBase):
-            candidates = (ROOT, (a.n,), (a.n + 1,))
-        else:
-            raise OracleError(f"foreign basic set {a!r}")
-        return next((t for t in candidates if b is None or not _member(b, t)), None)
+        """Least token of cl(a) \\ b, or None when the difference is empty."""
+        return _pick_in_closure_minus(a, b)
 
     def approach_within(
         self, x: Token, constraints: Sequence, count: int
@@ -334,7 +338,6 @@ class SumOracle(OracleSpace):
     """
 
     def __init__(self, summand: FinSpace):
-        self.hh = HedgehogOracle()
         self.summand = summand
 
     def validate(self, t) -> Token:
@@ -391,7 +394,7 @@ class SumOracle(OracleSpace):
             if isinstance(b, FinBase):
                 free &= ~self._fin_mask(b)
             return ("fin", self.summand.names[(free & -free).bit_length() - 1]) if free else None
-        return self.hh.pick_in_closure_minus(a, None if isinstance(b, FinBase) else b)
+        return _pick_in_closure_minus(a, None if isinstance(b, FinBase) else b)
 
     def approach_within(
         self, x: Token, constraints: Sequence, count: int
@@ -413,7 +416,6 @@ class PermutedOracle(OracleSpace):
             raise OracleError("stalk relabeling must permute a finite set of indices >= 1")
         self.fwd = {k: v for k, v in fwd.items() if k != v}
         self.inv = {v: k for k, v in self.fwd.items()}
-        self.hh = HedgehogOracle()
 
     def _fwd_token(self, t: Token) -> Token:
         if is_stalk(t):
@@ -452,7 +454,7 @@ class PermutedOracle(OracleSpace):
     def pick_in_closure_minus(self, a, b=None) -> Token | None:
         inner_a = self._unwrap(a)
         inner_b = None if b is None else self._unwrap(b)
-        t = self.hh.pick_in_closure_minus(inner_a, inner_b)
+        t = _pick_in_closure_minus(inner_a, inner_b)
         if t is None or not (is_stalk(t) and isinstance(inner_a, RootBase)):
             # Relabeling keeps kinds apart and tips of one stalk in order.
             return None if t is None else self._fwd_token(t)

@@ -20,7 +20,6 @@ from .generate import (
     homeo_rows,
     labeled_rows,
     random_space,
-    sharded_labeled_rows,
     space_from_rows,
 )
 from .maps import FinMap, MapClass, classify_map, compose, map_to_obj
@@ -291,18 +290,18 @@ def verify_diagram(
     arrow_violations: list[dict] = []
     sw_spaces = 0
     sw_violations: list[dict] = []
-    verdict_memo: dict[tuple[int, ...], dict[str, bool]] = {}
+    # The transfer phase's spaces and verdicts, per n <= tn.
+    transfer_spaces: dict[int, list[tuple[FinSpace, dict[str, bool]]]] = {}
 
     for n in range(1, n_max + 1):
-        rows_list = list(sharded_labeled_rows(n, workers))
-        counts[n] = len(rows_list)
-        tasks = [(rows, sw_bound) for rows in rows_list]
+        tasks = [(rows, sw_bound) for rows in labeled_rows(n)]
+        counts[n] = len(tasks)
         for rows, vbits, bad_arrows, sw_checked, sw_obj in run_tasks(
             _diagram_task, tasks, workers
         ):
             verdicts = dict(zip(DECIDABLE_PROPERTIES, vbits))
             if n <= tn:
-                verdict_memo[rows] = verdicts
+                transfer_spaces.setdefault(n, []).append((space_from_rows(rows), verdicts))
             if bad_arrows:
                 arrow_violations.append(
                     {"space": space_to_obj(space_from_rows(rows)), "arrows": bad_arrows}
@@ -329,15 +328,15 @@ def verify_diagram(
     wtheta_violations: list[dict] = []
     sw_checks = 0
     sw_transfer_violations: list[dict] = []
-    sw_memo: dict[tuple[int, ...], tuple[FinSpace, FinMap] | None] = {}
 
     for n in range(1, tn + 1):
-        spaces = [space_from_rows(rows) for rows in labeled_rows(n)]
-        perms = [tuple(p) for p in permutations(range(n))]
-        for x in spaces:
-            vx = verdict_memo[x.nbhd]
-            for y in spaces:
-                vy = verdict_memo[y.nbhd]
+        spaces = transfer_spaces[n]
+        perms = list(permutations(range(n)))
+        for x, vx in spaces:
+            # X's identity bijection qualifies, so every X needs its sw
+            # search: one search per X up front is never an extra one.
+            found = sw_witness_search(x, sw_bound)
+            for y, vy in spaces:
                 for perm in perms:
                     scanned += 1
                     h = FinMap(x, y, perm)
@@ -353,9 +352,6 @@ def verify_diagram(
                                 "h": map_to_obj(h),
                             }
                         )
-                    if x.nbhd not in sw_memo:
-                        sw_memo[x.nbhd] = sw_witness_search(x, sw_bound)
-                    found = sw_memo[x.nbhd]
                     if found is not None:
                         f = found[1]
                         sw_checks += 1

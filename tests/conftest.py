@@ -1,9 +1,16 @@
+import os
 import random
+from pathlib import Path
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+import thetatopo
 from thetatopo.space import FinSpace
+
+# Child interpreters started by the tests import the package this run imports.
+_SRC = str(Path(thetatopo.__file__).resolve().parents[1])
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 settings.register_profile(
     "suite",

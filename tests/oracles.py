@@ -374,6 +374,19 @@ def brute_spaces(n: int):
             yield FinSpace(names, rows)
 
 
+def permute_rows(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Relabel points one by one: perm[i] is the new index of old point i.
+    The reference for the package's table-driven relabeling."""
+    n = len(rows)
+    out = [0] * n
+    for i in range(n):
+        m = 0
+        for j in bits(rows[i]):
+            m |= 1 << perm[j]
+        out[perm[i]] = m
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Second enumerator: open-set families.
 # ---------------------------------------------------------------------------

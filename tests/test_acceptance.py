@@ -25,7 +25,6 @@ from thetatopo.generate import (
     canonical_rows,
     homeo_rows,
     labeled_rows,
-    sharded_labeled_rows,
     space_from_rows,
 )
 from thetatopo.hedgehog import (
@@ -146,9 +145,8 @@ def test_07_dual_enumerators_agree_on_frozen_counts():
     for n, want in enumerate(labeled_expected, start=1):
         by_nbhd = sorted(labeled_rows(n))
         by_opens = sorted(open_family_rows(n))
-        by_shards = sorted(sharded_labeled_rows(n, 3))
         assert len(by_nbhd) == want
-        assert by_nbhd == by_opens == by_shards
+        assert by_nbhd == by_opens
     for n, want in enumerate(homeo_expected, start=1):
         reps = list(homeo_rows(n))
         assert len(reps) == want

@@ -365,6 +365,9 @@ SW_BOUND_OVER_CAP = [
     ("classify", "--sw-bound", "5", f"fixtures/{name}.json")
     for name in ("discrete2", "sierpinski")
 ]
+MAX_POINTS_OVER_CAP = [
+    (cmd, "--max-points", "25", "fixtures/sierpinski.json") for cmd in ("classify", "decompose")
+]
 
 
 @pytest.mark.parametrize(
@@ -381,17 +384,31 @@ SW_BOUND_OVER_CAP = [
         ("fn", "compositions", "--samples", "-5", "--sizes", "3,3,3"),
         ("classify", "--sw-bound", "-1", "fixtures/sierpinski.json"),
         *SW_BOUND_OVER_CAP,
+        *MAX_POINTS_OVER_CAP,
     ],
 )
 def test_numeric_flags_below_bound_exit_two(argv):
     # Each would otherwise crash (exit 1) or print a vacuous result; a
-    # --sw-bound over the cap is refused for regular spaces too.
+    # --sw-bound over the cap is refused for regular spaces too, and a
+    # --max-points over the point cap before any space is read.
     code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
     if argv in SW_BOUND_OVER_CAP:
         assert err.startswith("error: witness search capped at domain size 4")
+    elif argv in MAX_POINTS_OVER_CAP:
+        assert "error: argument --max-points: must be at most 24, got 25" in err
     else:
         assert "error: argument" in err and "must be at least" in err
+
+
+def test_sum_discrete_over_cap_exits_two_before_building(monkeypatch):
+    def build_space(*args, **kw):
+        raise AssertionError("sum:discreteK built its summand past the cap")
+
+    monkeypatch.setattr("thetatopo.cli.build_space", build_space)
+    code, out, err = run_cli("hedgehog", "embed", "--space", "sum:discrete25")
+    assert (code, out) == (2, "")
+    assert err == "error: 25 points exceeds the cap of 24\n"
 
 
 def test_usage_errors_exit_two():
@@ -416,3 +433,15 @@ def test_workers_do_not_change_output():
     one = run_cli("verify-diagram", "--max-n", "3", "--json")
     assert one[0] == 0
     assert run_cli("verify-diagram", "--max-n", "3", "--workers", "2", "--json") == one
+
+
+def test_enumerate_workers_start_no_process(monkeypatch):
+    one = run_cli("enumerate", "-n", "5", "--workers", "1")
+    assert one[0] == 0
+
+    def get_context(*args, **kw):
+        raise AssertionError("enumerate started a process pool")
+
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("multiprocessing.get_context", get_context)
+    assert run_cli("enumerate", "-n", "5", "--workers", "2") == one

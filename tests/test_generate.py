@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_spaces, open_family_rows
+from oracles import brute_spaces, open_family_rows, permute_rows
 from thetatopo import generate
 from thetatopo.generate import (
     canonical_rows,
@@ -16,11 +16,9 @@ from thetatopo.generate import (
     enumerate_spaces,
     homeo_rows,
     labeled_rows,
-    permute_rows,
     point_names,
     random_rows,
     random_space,
-    sharded_labeled_rows,
     space_from_rows,
 )
 from thetatopo.parallel import pool_size
@@ -179,15 +177,8 @@ def test_homeo_classes_pairwise_inequivalent():
 
 
 # ---------------------------------------------------------------------------
-# Sharding.
+# Process pool.
 # ---------------------------------------------------------------------------
-
-def test_sharded_enumeration_matches_plain():
-    plain = list(labeled_rows(4))
-    for workers in (1, 2, 3, 5):
-        assert list(sharded_labeled_rows(4, workers)) == plain
-    assert list(sharded_labeled_rows(5, 2)) == list(labeled_rows(5))
-
 
 def test_pool_size_clamped_to_cpus(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 2)

@@ -10,7 +10,7 @@ from oracles import (
     tier_oracle,
     w_theta_regular_oracle,
 )
-from thetatopo import maps
+from thetatopo import maps, survey
 from thetatopo.generate import homeo_rows, labeled_rows, space_from_rows
 from thetatopo.maps import FinMap
 from thetatopo.regularity import DECIDABLE_PROPERTIES
@@ -276,6 +276,18 @@ def test_classification_memo_is_invisible_in_diagram():
     assert maps._memo
     assert json.dumps(verify_diagram(4).to_obj()) == cold
     assert json.dumps(verify_diagram(4, workers=2).to_obj()) == cold
+
+
+def test_diagram_walks_each_labeled_stream_once(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return labeled_rows(n)
+
+    monkeypatch.setattr(survey, "labeled_rows", counted)
+    verify_diagram(4, transfer_max=3)
+    assert calls == [1, 2, 3, 4]
 
 
 def test_diagram_cap():
