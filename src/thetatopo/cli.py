@@ -21,6 +21,7 @@ from .decomposition import (
 )
 from .generate import space_from_rows, space_rows
 from .hedgehog import (
+    DEPTH_CAP,
     ROOT,
     HedgehogOracle,
     NotHausdorffWitnessed,
@@ -53,7 +54,7 @@ from .space import (
     space_from_obj,
     space_to_obj,
 )
-from .survey import check_composition_laws, find_space, verify_diagram
+from .survey import SAMPLES_CAP, check_composition_laws, find_space, verify_diagram
 
 
 def _print_json(obj) -> None:
@@ -65,8 +66,9 @@ def _read_map(arg: str) -> FinMap:
     return map_from_obj(read_json(arg), base_dir=base_dir)
 
 
-def _int_at_least(low: int):
-    """An argparse type: an int no smaller than low."""
+def _int_at_least(low: int, cap: int | None = None):
+    """An argparse type: an int no smaller than low and, given a cap, no
+    larger than it."""
 
     def parse(text: str) -> int:
         try:
@@ -75,17 +77,11 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if cap is not None and value > cap:
+            raise argparse.ArgumentTypeError(f"must be at most {cap}, got {value}")
         return value
 
     return parse
-
-
-def _max_points(text: str) -> int:
-    """An argparse type for --max-points: 1 to POINT_CAP."""
-    value = _int_at_least(1)(text)
-    if value > POINT_CAP:
-        raise argparse.ArgumentTypeError(f"must be at most {POINT_CAP}, got {value}")
-    return value
 
 
 def _sizes(text: str) -> tuple[int, int, int]:
@@ -293,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("classify", help="full property report for a space")
     c.add_argument("space", help="space JSON file, or - for stdin")
     c.add_argument("--sw-bound", type=_int_at_least(1), default=3, help="sw witness search bound")
-    c.add_argument("--max-points", type=_max_points, default=PROPERTY_CAP)
+    c.add_argument("--max-points", type=_int_at_least(1, POINT_CAP), default=PROPERTY_CAP)
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_classify)
 
@@ -310,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     fw.set_defaults(func=cmd_fn_weak_homeo)
     fx = fsub.add_parser("compositions", help="exercise the composition law table")
     fx.add_argument("--sizes", type=_sizes, default=(2, 2, 2), help="e.g. 2,2,2")
-    fx.add_argument("--samples", type=_int_at_least(1), default=10000)
+    fx.add_argument("--samples", type=_int_at_least(1, SAMPLES_CAP), default=10000)
     fx.add_argument("--seed", type=int, default=0)
     fx.add_argument("--json", action="store_true")
     fx.set_defaults(func=cmd_fn_compositions)
@@ -319,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("space")
     d.add_argument("--mode", choices=("theta", "open"), default="theta")
     d.add_argument("--witness", action="store_true", help="emit the weak-homeomorphism map")
-    d.add_argument("--max-points", type=_max_points, default=PROPERTY_CAP)
+    d.add_argument("--max-points", type=_int_at_least(1, POINT_CAP), default=PROPERTY_CAP)
     d.add_argument("--json", action="store_true")
     d.set_defaults(func=cmd_decompose)
 
@@ -350,11 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
     h = sub.add_parser("hedgehog", help="profile certification and embedding")
     hsub = h.add_subparsers(dest="hh_command", required=True)
     hp = hsub.add_parser("profile")
-    hp.add_argument("--depth", type=_int_at_least(1), default=50)
+    hp.add_argument("--depth", type=_int_at_least(1, DEPTH_CAP), default=50)
     hp.add_argument("--json", action="store_true")
     hp.set_defaults(func=cmd_hh_profile)
     he = hsub.add_parser("embed")
-    he.add_argument("--depth", type=_int_at_least(1), default=20)
+    he.add_argument("--depth", type=_int_at_least(1, DEPTH_CAP), default=20)
     he.add_argument(
         "--space",
         default="hedgehog",

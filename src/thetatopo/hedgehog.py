@@ -537,6 +537,11 @@ def _basic_subset(a, b) -> bool:
     return False
 
 
+# Largest `hedgehog profile|embed --depth`: embedding time grows as depth^3
+# and its tip table as depth^2.
+DEPTH_CAP = 400
+
+
 def certify_hedgehog_profile(depth: int) -> ProfileReport:
     """Check, to the given depth, the profile: first-countable via decreasing
     bases, scattered in three layers, locally regular via clopen basic sets,

@@ -10,12 +10,13 @@ subspaces of a subset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Callable, NamedTuple
 
 from .bitset import bits, submasks, subsets_lex
-from .generate import labeled_rows, space_from_rows
-from .maps import FinMap, classify_map, map_to_obj
+from .generate import homeo_rows, space_from_rows
+from .maps import FinMap, classify_map, image_ok_masks, map_to_obj
 from .space import (
     CapExceeded,
     FinSpace,
@@ -308,22 +309,44 @@ def is_nowhere_regular(space: FinSpace) -> bool:
 # Bounded witness search against scattered-but-not-weak maps.
 # ---------------------------------------------------------------------------
 
+@cache
+def _sw_domains(n: int) -> tuple[FinSpace, ...]:
+    """The canonical n-point domains, in homeomorphism-stream order; at most
+    SW_BOUND_CAP lists, so kept for the life of the process."""
+    return tuple(map(space_from_rows, homeo_rows(n)))
+
+
 def sw_witness_search(
     space: FinSpace, max_domain_size: int = 3
 ) -> tuple[FinSpace, FinMap] | None:
     """Search all finite domains Z up to the bound and all maps f: Z -> X for
     a scatteredly continuous map that is not weakly discontinuous. A hit
     disproves that every scatteredly continuous map into X is weakly
-    discontinuous; exhausting the bound proves nothing."""
+    discontinuous; exhausting the bound proves nothing.
+
+    The answer is the first hit over labeled domains in ascending row order,
+    then maps in product order, but only canonical domains are scanned: if
+    a labeled Z admits a witness f, its relabeling sigma Z admits f o
+    sigma^-1, so whole classes admit one or none, and the first labeled
+    domain that does is its class's least labeling. Within a domain a map is
+    classified through its ok_masks key alone, so only the first map of
+    each new key goes to classify_map; that map is also the first in
+    product order that carries the key, so the witness is unchanged.
+    """
     if max_domain_size > SW_BOUND_CAP:
         raise CapExceeded(f"witness search capped at domain size {SW_BOUND_CAP}")
     nx = len(space)
     if nx == 0:
         return None
+    cod = space.nbhd
     for n in range(1, max_domain_size + 1):
-        for rows in labeled_rows(n):
-            z = space_from_rows(rows)
+        for z in _sw_domains(n):
+            seen = set()
             for img in product(range(nx), repeat=n):
+                key = image_ok_masks(cod, img)
+                if key in seen:
+                    continue
+                seen.add(key)
                 f = FinMap(z, space, img)
                 mc = classify_map(f)
                 if mc.reaches("scatteredly_continuous") and not mc.reaches(

@@ -5,6 +5,11 @@ property predicate, verify_diagram checks every provable implication,
 sw-witness exclusion, and transfer statement against all labeled spaces
 up to a size bound, and check_composition_laws exercises the ladder
 composition table either exhaustively or on randomized triples.
+
+verify_diagram reports what a scan over every labeled space and every
+bijection reports, but decides each homeomorphism class once and scans
+the transfer statements over identity pairs; tests/oracles.py keeps the
+labeled scan as the reference.
 """
 
 from __future__ import annotations
@@ -12,11 +17,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import factorial
 from typing import Iterator
 
 from .generate import (
     HOMEO_CAP,
     LABELED_CAP,
+    _orbit,
     homeo_rows,
     labeled_rows,
     random_space,
@@ -34,6 +41,10 @@ from .regularity import (
     sw_witness_search,
 )
 from .space import CapExceeded, FinSpace, TopologyError, space_to_obj
+
+# Largest effective --transfer-max: the identity-pair scan is quadratic in
+# the labeled spaces (126,025 pairs at 4 points, 48M at 5).
+TRANSFER_CAP = 4
 
 # ---------------------------------------------------------------------------
 # Property predicates.
@@ -261,6 +272,50 @@ def _diagram_task(args: tuple[tuple[int, ...], int]) -> tuple:
     return rows, vbits, bad_arrows, sw_checked, sw_obj
 
 
+def _qualifies(h: FinMap) -> bool:
+    """h is theta-weakly discontinuous with a weakly discontinuous inverse."""
+    return classify_map(h).reaches("theta_weakly_discontinuous") and classify_map(
+        h.inverse()
+    ).reaches("weakly_discontinuous")
+
+
+def _sw_kept(mc: MapClass) -> bool:
+    """The composite is still an sw-witness: scattered, not weakly discontinuous."""
+    return mc.reaches("scatteredly_continuous") and not mc.reaches("weakly_discontinuous")
+
+
+def _transfer_violations(
+    x: FinSpace,
+    vx: dict[str, bool],
+    f: FinMap | None,
+    spaces: list[tuple[FinSpace, dict[str, bool]]],
+) -> tuple[list[dict], list[dict]]:
+    """The w-theta and sw transfer violations of X, bijection by bijection
+    over every labeled Y and permutation, in scan order."""
+    wtheta: list[dict] = []
+    sw: list[dict] = []
+    perms = list(permutations(range(len(x))))
+    for y, vy in spaces:
+        for perm in perms:
+            h = FinMap(x, y, perm)
+            if not _qualifies(h):
+                continue
+            if vy["w_theta_regular"] and not vx["w_theta_regular"]:
+                wtheta.append({"kind": "w_theta_regular", "h": map_to_obj(h)})
+            if f is not None:
+                mcc = classify_map(compose(h, f))
+                if not _sw_kept(mcc):
+                    sw.append(
+                        {
+                            "kind": "sw_witness",
+                            "h": map_to_obj(h),
+                            "f": map_to_obj(f),
+                            "composite_tier": mcc.tier,
+                        }
+                    )
+    return wtheta, sw
+
+
 def verify_diagram(
     n_max: int = 4,
     sw_bound: int = 3,
@@ -276,10 +331,36 @@ def verify_diagram(
     discontinuous inverse) must transfer w-theta regularity backwards and
     sw-witnesses forwards. The full collapse/separation matrix over ordered
     property pairs is recorded with least counterexamples as a side product.
+
+    The report is the one a scan over every labeled space and every
+    bijection gives, but the work is done per homeomorphism class:
+
+    - Every verdict is a homeomorphism invariant, so each class is decided
+      once, on its canonical representative, and weighted by its orbit
+      size; counts and sw_spaces_checked are sums of orbit sizes.
+    - The labeled stream ascends and each class's least labeling is its
+      representative, so the first class in homeo order with p and not q
+      gives the matrix's least counterexample for p => q.
+    - A class with an arrow or sw violation is decided again labeling by
+      labeling, and those entries are merged in labeled order, so the
+      violation lists are the labeled scan's (empty on PASS).
+    - The transfer phase reads each labeling's verdicts through its class.
+      A bijection h = (X, Y, p) has the ok_masks of the identity X -> Y',
+      where N_Y'(x) = p^-1 N_Y(p(x)); its inverse is the identity Y' -> X
+      relabeled by p, and h o f has the ok_masks of id o f, so all three
+      classify as on the identity pair (X, Y'). For fixed p, Y -> Y' is a
+      bijection of the labeled spaces, so each identity pair stands for n!
+      bijections. An X with a violating pair is scanned again bijection by
+      bijection, so the violation lists come out in the labeled order.
+
+    The effective transfer bound min(n_max, transfer_max) is capped at
+    TRANSFER_CAP; both caps are checked before any work.
     """
     if n_max > LABELED_CAP:
         raise CapExceeded(f"diagram verification capped at {LABELED_CAP} points")
     tn = min(n_max, transfer_max)
+    if tn > TRANSFER_CAP:
+        raise CapExceeded(f"transfer scan capped at {TRANSFER_CAP} points")
     matrix = {
         f"{p} => {q}": {"holds": True, "counterexample": None}
         for p in DECIDABLE_PROPERTIES
@@ -290,28 +371,26 @@ def verify_diagram(
     arrow_violations: list[dict] = []
     sw_spaces = 0
     sw_violations: list[dict] = []
-    # The transfer phase's spaces and verdicts, per n <= tn.
+    # The transfer phase's labeled spaces, ascending, with verdicts, per n <= tn.
     transfer_spaces: dict[int, list[tuple[FinSpace, dict[str, bool]]]] = {}
 
     for n in range(1, n_max + 1):
-        tasks = [(rows, sw_bound) for rows in labeled_rows(n)]
-        counts[n] = len(tasks)
+        counts[n] = 0
+        labeled: dict[tuple[int, ...], dict[str, bool]] = {}
+        recheck: list[tuple[int, ...]] = []
+        tasks = [(rows, sw_bound) for rows in homeo_rows(n)]
         for rows, vbits, bad_arrows, sw_checked, sw_obj in run_tasks(
             _diagram_task, tasks, workers
         ):
+            orbit = set(_orbit(rows))
+            counts[n] += len(orbit)
+            if sw_checked:
+                sw_spaces += len(orbit)
+            if bad_arrows or sw_obj is not None:
+                recheck.extend(orbit)
             verdicts = dict(zip(DECIDABLE_PROPERTIES, vbits))
             if n <= tn:
-                transfer_spaces.setdefault(n, []).append((space_from_rows(rows), verdicts))
-            if bad_arrows:
-                arrow_violations.append(
-                    {"space": space_to_obj(space_from_rows(rows)), "arrows": bad_arrows}
-                )
-            if sw_checked:
-                sw_spaces += 1
-                if sw_obj is not None:
-                    sw_violations.append(
-                        {"space": space_to_obj(space_from_rows(rows)), "witness": sw_obj}
-                    )
+                labeled.update(dict.fromkeys(orbit, verdicts))
             for p in DECIDABLE_PROPERTIES:
                 if not verdicts[p]:
                     continue
@@ -322,6 +401,20 @@ def verify_diagram(
                     if entry["holds"]:
                         entry["holds"] = False
                         entry["counterexample"] = space_to_obj(space_from_rows(rows))
+        tasks = [(rows, sw_bound) for rows in sorted(recheck)]
+        for rows, _, bad_arrows, _, sw_obj in run_tasks(_diagram_task, tasks, workers):
+            if bad_arrows:
+                arrow_violations.append(
+                    {"space": space_to_obj(space_from_rows(rows)), "arrows": bad_arrows}
+                )
+            if sw_obj is not None:
+                sw_violations.append(
+                    {"space": space_to_obj(space_from_rows(rows)), "witness": sw_obj}
+                )
+        if n <= tn:
+            transfer_spaces[n] = [
+                (space_from_rows(rows), v) for rows, v in sorted(labeled.items())
+            ]
 
     scanned = 0
     qualifying = 0
@@ -331,42 +424,29 @@ def verify_diagram(
 
     for n in range(1, tn + 1):
         spaces = transfer_spaces[n]
-        perms = list(permutations(range(n)))
+        ident = tuple(range(n))
+        relabelings = factorial(n)
         for x, vx in spaces:
             # X's identity bijection qualifies, so every X needs its sw
             # search: one search per X up front is never an extra one.
             found = sw_witness_search(x, sw_bound)
+            f = None if found is None else found[1]
+            violated = False
             for y, vy in spaces:
-                for perm in perms:
-                    scanned += 1
-                    h = FinMap(x, y, perm)
-                    if not classify_map(h).reaches("theta_weakly_discontinuous"):
-                        continue
-                    if not classify_map(h.inverse()).reaches("weakly_discontinuous"):
-                        continue
-                    qualifying += 1
-                    if vy["w_theta_regular"] and not vx["w_theta_regular"]:
-                        wtheta_violations.append(
-                            {
-                                "kind": "w_theta_regular",
-                                "h": map_to_obj(h),
-                            }
-                        )
-                    if found is not None:
-                        f = found[1]
-                        sw_checks += 1
-                        mcc = classify_map(compose(h, f))
-                        if not mcc.reaches("scatteredly_continuous") or mcc.reaches(
-                            "weakly_discontinuous"
-                        ):
-                            sw_transfer_violations.append(
-                                {
-                                    "kind": "sw_witness",
-                                    "h": map_to_obj(h),
-                                    "f": map_to_obj(f),
-                                    "composite_tier": mcc.tier,
-                                }
-                            )
+                scanned += relabelings
+                if not _qualifies(FinMap(x, y, ident)):
+                    continue
+                qualifying += relabelings
+                if vy["w_theta_regular"] and not vx["w_theta_regular"]:
+                    violated = True
+                if f is not None:
+                    sw_checks += relabelings
+                    if not _sw_kept(classify_map(FinMap(f.domain, y, f.img))):
+                        violated = True
+            if violated:
+                wtheta, sw = _transfer_violations(x, vx, f, spaces)
+                wtheta_violations += wtheta
+                sw_transfer_violations += sw
 
     return DiagramReport(
         n_max=n_max,
@@ -431,6 +511,8 @@ LAWS: tuple[tuple[str, str, str, str, bool], ...] = (
 )
 
 COMPOSITION_SIZE_CAP = 8
+# Largest --samples; the randomized sweep is linear in it.
+SAMPLES_CAP = 100_000
 
 
 @dataclass

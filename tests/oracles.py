@@ -4,7 +4,9 @@ Everything here is computed from first definitions: the open-set family is
 materialized as the set of all unions of minimal neighborhoods, and every
 notion (closure, interior, theta-openness, continuity, the regularity
 variants) is decided by exhaustive quantification over that family. Nothing
-below calls the package's own closure/interior/classification code.
+below calls the package's own closure/interior/classification code, except
+the labeled references for the per-class sweeps, which check only the
+symmetry reductions.
 """
 
 from __future__ import annotations
@@ -448,6 +450,182 @@ def sw_witness_exists_oracle(space: FinSpace, bound: int) -> bool:
                 if tier_oracle(f) == "scatteredly_continuous":
                     return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Labeled references for the per-class sweeps. Unlike the rest of this file
+# they call the package's deciders and classify_map; what they check is the
+# symmetry reduction, so they scan every labeled domain, map, space and
+# bijection that the reduced sweeps stand for.
+# ---------------------------------------------------------------------------
+
+def labeled_sw_witness_search(space: FinSpace, max_domain_size: int = 3):
+    """sw_witness_search over every labeled domain and every map: the first
+    scatteredly continuous, not weakly discontinuous f: Z -> X, domains in
+    ascending row order, maps in product order."""
+    from thetatopo.generate import labeled_rows, space_from_rows
+    from thetatopo.maps import FinMap, classify_map
+
+    nx = len(space)
+    if nx == 0:
+        return None
+    for n in range(1, max_domain_size + 1):
+        for rows in labeled_rows(n):
+            z = space_from_rows(rows)
+            for img in product(range(nx), repeat=n):
+                f = FinMap(z, space, img)
+                mc = classify_map(f)
+                if mc.reaches("scatteredly_continuous") and not mc.reaches(
+                    "weakly_discontinuous"
+                ):
+                    return z, f
+    return None
+
+
+def _labeled_diagram_task(args: tuple[tuple[int, ...], int]) -> tuple:
+    from thetatopo.generate import space_from_rows
+    from thetatopo.maps import map_to_obj
+    from thetatopo.regularity import (
+        DECIDABLE_PROPERTIES,
+        SW_SAFE_PREMISES,
+        check_arrows,
+        property_verdicts,
+    )
+
+    rows, sw_bound = args
+    space = space_from_rows(rows)
+    verdicts, _ = property_verdicts(space)
+    bad_arrows = check_arrows(verdicts)
+    sw_checked = any(verdicts[p] for p in SW_SAFE_PREMISES)
+    sw_obj = None
+    if sw_checked:
+        found = labeled_sw_witness_search(space, sw_bound)
+        if found is not None:
+            sw_obj = map_to_obj(found[1])
+    vbits = tuple(verdicts[p] for p in DECIDABLE_PROPERTIES)
+    return rows, vbits, bad_arrows, sw_checked, sw_obj
+
+
+def labeled_verify_diagram(
+    n_max: int = 4,
+    sw_bound: int = 3,
+    transfer_max: int = 3,
+    workers: int = 1,
+):
+    """verify_diagram decided labeled space by labeled space, with the sw
+    search above and the transfer scan over every bijection (X, Y, p)."""
+    from itertools import permutations
+
+    from thetatopo.generate import LABELED_CAP, labeled_rows, space_from_rows
+    from thetatopo.maps import FinMap, classify_map, compose, map_to_obj
+    from thetatopo.parallel import run_tasks
+    from thetatopo.regularity import DECIDABLE_PROPERTIES
+    from thetatopo.space import space_to_obj
+    from thetatopo.survey import DiagramReport
+
+    if n_max > LABELED_CAP:
+        raise CapExceeded(f"diagram verification capped at {LABELED_CAP} points")
+    tn = min(n_max, transfer_max)
+    matrix = {
+        f"{p} => {q}": {"holds": True, "counterexample": None}
+        for p in DECIDABLE_PROPERTIES
+        for q in DECIDABLE_PROPERTIES
+        if p != q
+    }
+    counts: dict[int, int] = {}
+    arrow_violations: list[dict] = []
+    sw_spaces = 0
+    sw_violations: list[dict] = []
+    transfer_spaces: dict[int, list] = {}
+
+    for n in range(1, n_max + 1):
+        tasks = [(rows, sw_bound) for rows in labeled_rows(n)]
+        counts[n] = len(tasks)
+        for rows, vbits, bad_arrows, sw_checked, sw_obj in run_tasks(
+            _labeled_diagram_task, tasks, workers
+        ):
+            verdicts = dict(zip(DECIDABLE_PROPERTIES, vbits))
+            if n <= tn:
+                transfer_spaces.setdefault(n, []).append((space_from_rows(rows), verdicts))
+            if bad_arrows:
+                arrow_violations.append(
+                    {"space": space_to_obj(space_from_rows(rows)), "arrows": bad_arrows}
+                )
+            if sw_checked:
+                sw_spaces += 1
+                if sw_obj is not None:
+                    sw_violations.append(
+                        {"space": space_to_obj(space_from_rows(rows)), "witness": sw_obj}
+                    )
+            for p in DECIDABLE_PROPERTIES:
+                if not verdicts[p]:
+                    continue
+                for q in DECIDABLE_PROPERTIES:
+                    if q == p or verdicts[q]:
+                        continue
+                    entry = matrix[f"{p} => {q}"]
+                    if entry["holds"]:
+                        entry["holds"] = False
+                        entry["counterexample"] = space_to_obj(space_from_rows(rows))
+
+    scanned = 0
+    qualifying = 0
+    wtheta_violations: list[dict] = []
+    sw_checks = 0
+    sw_transfer_violations: list[dict] = []
+
+    for n in range(1, tn + 1):
+        spaces = transfer_spaces[n]
+        perms = list(permutations(range(n)))
+        for x, vx in spaces:
+            found = labeled_sw_witness_search(x, sw_bound)
+            for y, vy in spaces:
+                for perm in perms:
+                    scanned += 1
+                    h = FinMap(x, y, perm)
+                    if not classify_map(h).reaches("theta_weakly_discontinuous"):
+                        continue
+                    if not classify_map(h.inverse()).reaches("weakly_discontinuous"):
+                        continue
+                    qualifying += 1
+                    if vy["w_theta_regular"] and not vx["w_theta_regular"]:
+                        wtheta_violations.append(
+                            {
+                                "kind": "w_theta_regular",
+                                "h": map_to_obj(h),
+                            }
+                        )
+                    if found is not None:
+                        f = found[1]
+                        sw_checks += 1
+                        mcc = classify_map(compose(h, f))
+                        if not mcc.reaches("scatteredly_continuous") or mcc.reaches(
+                            "weakly_discontinuous"
+                        ):
+                            sw_transfer_violations.append(
+                                {
+                                    "kind": "sw_witness",
+                                    "h": map_to_obj(h),
+                                    "f": map_to_obj(f),
+                                    "composite_tier": mcc.tier,
+                                }
+                            )
+
+    return DiagramReport(
+        n_max=n_max,
+        sw_bound=sw_bound,
+        transfer_max=tn,
+        counts=counts,
+        arrow_violations=arrow_violations,
+        sw_spaces_checked=sw_spaces,
+        sw_violations=sw_violations,
+        matrix=matrix,
+        transfer_scanned=scanned,
+        transfer_qualifying=qualifying,
+        wtheta_transfer_violations=wtheta_violations,
+        sw_transfer_checked=sw_checks,
+        sw_transfer_violations=sw_transfer_violations,
+    )
 
 
 # ---------------------------------------------------------------------------

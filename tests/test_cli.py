@@ -1,3 +1,4 @@
+import hashlib
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -368,6 +369,15 @@ SW_BOUND_OVER_CAP = [
 MAX_POINTS_OVER_CAP = [
     (cmd, "--max-points", "25", "fixtures/sierpinski.json") for cmd in ("classify", "decompose")
 ]
+# (argv, the argparse message): --depth above DEPTH_CAP, --samples above
+# SAMPLES_CAP.
+KNOBS_OVER_CAP = {
+    ("hedgehog", "profile", "--depth", "401"): "argument --depth: must be at most 400, got 401",
+    ("hedgehog", "embed", "--depth", "401"): "argument --depth: must be at most 400, got 401",
+    ("fn", "compositions", "--samples", "100001", "--sizes", "3,3,3"): (
+        "argument --samples: must be at most 100000, got 100001"
+    ),
+}
 
 
 @pytest.mark.parametrize(
@@ -385,6 +395,7 @@ MAX_POINTS_OVER_CAP = [
         ("classify", "--sw-bound", "-1", "fixtures/sierpinski.json"),
         *SW_BOUND_OVER_CAP,
         *MAX_POINTS_OVER_CAP,
+        *KNOBS_OVER_CAP,
     ],
 )
 def test_numeric_flags_below_bound_exit_two(argv):
@@ -397,6 +408,8 @@ def test_numeric_flags_below_bound_exit_two(argv):
         assert err.startswith("error: witness search capped at domain size 4")
     elif argv in MAX_POINTS_OVER_CAP:
         assert "error: argument --max-points: must be at most 24, got 25" in err
+    elif argv in KNOBS_OVER_CAP:
+        assert f"error: {KNOBS_OVER_CAP[argv]}" in err
     else:
         assert "error: argument" in err and "must be at least" in err
 
@@ -409,6 +422,32 @@ def test_sum_discrete_over_cap_exits_two_before_building(monkeypatch):
     code, out, err = run_cli("hedgehog", "embed", "--space", "sum:discrete25")
     assert (code, out) == (2, "")
     assert err == "error: 25 points exceeds the cap of 24\n"
+
+
+def test_transfer_bound_over_cap_exits_two_before_work(monkeypatch):
+    def rows(n):
+        raise AssertionError("verify-diagram started past the transfer cap")
+
+    monkeypatch.setattr("thetatopo.survey.homeo_rows", rows)
+    monkeypatch.setattr("thetatopo.survey.labeled_rows", rows)
+    code, out, err = run_cli("verify-diagram", "--max-n", "5", "--transfer-max", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: transfer scan capped at 4 points\n"
+
+
+def test_transfer_bound_clipped_to_max_n():
+    code, out, _ = run_cli("verify-diagram", "--max-n", "3", "--transfer-max", "5")
+    assert code == 0
+    assert "transfer (n <= 3): 5079 bijections, 583 qualifying" in out
+
+
+def test_verify_diagram_five_points_pinned():
+    # The report of the scan over all 7,331 labeled spaces with n <= 5.
+    code, out, _ = run_cli("verify-diagram", "--max-n", "5", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "69470be1dba071aa08b4b9ab51afd56ef461ba352e5c1f6e8d717384e99c7e77"
+    )
 
 
 def test_usage_errors_exit_two():

@@ -6,6 +6,7 @@ from oracles import (
     PROPERTY_ORACLES,
     all_opens,
     bits,
+    labeled_sw_witness_search,
     nonempty_subsets,
     quasi_regular_oracle,
     regular_at_oracle,
@@ -214,6 +215,15 @@ def test_sw_search_matches_brute_oracle():
     for sp in all_labeled(3):
         found = sw_witness_search(sp, 2) is not None
         assert found == sw_witness_exists_oracle(sp, 2), sp.nbhd
+
+
+def test_sw_search_matches_labeled_reference():
+    # Same witness (domain labeling and map) as the scan over every labeled
+    # domain and every map, for every labeled X with at most four points.
+    for n in range(1, 5):
+        for rows in labeled_rows(n):
+            x = space_from_rows(rows)
+            assert sw_witness_search(x, 3) == labeled_sw_witness_search(x, 3), rows
 
 
 def test_sw_witness_is_genuine():

@@ -6,19 +6,21 @@ import pytest
 from oracles import (
     PROPERTY_ORACLES,
     brute_spaces,
+    labeled_verify_diagram,
     reaches_oracle,
     tier_oracle,
     w_theta_regular_oracle,
 )
 from thetatopo import maps, survey
-from thetatopo.generate import homeo_rows, labeled_rows, space_from_rows
+from thetatopo.generate import canonical_rows, homeo_rows, space_from_rows
 from thetatopo.maps import FinMap
-from thetatopo.regularity import DECIDABLE_PROPERTIES
+from thetatopo.regularity import DECIDABLE_PROPERTIES, DECIDERS, property_verdicts
 from thetatopo.space import CapExceeded, space_from_obj
 from thetatopo.survey import (
     COMPOSITION_SIZE_CAP,
     DiagramReport,
     LAWS,
+    TRANSFER_CAP,
     ParseError,
     check_composition_laws,
     eval_predicate,
@@ -278,21 +280,58 @@ def test_classification_memo_is_invisible_in_diagram():
     assert json.dumps(verify_diagram(4, workers=2).to_obj()) == cold
 
 
-def test_diagram_walks_each_labeled_stream_once(monkeypatch):
+def test_diagram_decides_each_class_once(monkeypatch):
     calls = []
 
-    def counted(n):
-        calls.append(n)
-        return labeled_rows(n)
+    def counted(space, *args, **kw):
+        calls.append(space.nbhd)
+        return property_verdicts(space, *args, **kw)
 
-    monkeypatch.setattr(survey, "labeled_rows", counted)
+    monkeypatch.setattr(survey, "property_verdicts", counted)
     verify_diagram(4, transfer_max=3)
-    assert calls == [1, 2, 3, 4]
+    # One call per homeomorphism class, none in the transfer phase.
+    assert len(calls) == 1 + 3 + 9 + 33
+    assert calls == [rows for n in (1, 2, 3, 4) for rows in homeo_rows(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_diagram_matches_labeled_reference(n):
+    expected = labeled_verify_diagram(n, transfer_max=3).to_obj()
+    assert verify_diagram(n, transfer_max=3).to_obj() == expected
+    assert verify_diagram(n, transfer_max=3, workers=2).to_obj() == expected
+
+
+def test_diagram_violations_match_labeled_reference(monkeypatch):
+    # Report the 3-point chain, a 6-labeling class, as regular and flip its
+    # w-theta verdict: arrow, sw and w-theta transfer violations must list
+    # the same labeled spaces and bijections, in the same order, as the
+    # labeled scan's.
+    chain = (1, 3, 7)
+    regular, w_theta = DECIDERS["regular"], DECIDERS["w_theta_regular"]
+
+    def fake_regular(space):
+        return None if canonical_rows(space.nbhd) == chain else regular.find(space)
+
+    def fake_w_theta(space):
+        w = w_theta.find(space)
+        if canonical_rows(space.nbhd) != chain:
+            return w
+        return (space.full_mask, space.full_mask) if w is None else None
+
+    monkeypatch.setitem(DECIDERS, "regular", regular._replace(find=fake_regular))
+    monkeypatch.setitem(DECIDERS, "w_theta_regular", w_theta._replace(find=fake_w_theta))
+    got = verify_diagram(3).to_obj()
+    assert got == labeled_verify_diagram(3).to_obj()
+    assert got["verdict"] == "FAIL"
+    assert [len(got[k]) for k in ("arrow_violations", "sw_violations")] == [6, 6]
+    assert len(got["wtheta_transfer_violations"]) == 180
 
 
 def test_diagram_cap():
     with pytest.raises(CapExceeded):
         verify_diagram(7)
+    with pytest.raises(CapExceeded, match="transfer scan capped at 4 points"):
+        verify_diagram(5, transfer_max=TRANSFER_CAP + 1)
 
 
 def test_diagram_report_failure_rendering():
