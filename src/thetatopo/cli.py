@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 a verification-type failure (diagram violations,
 failed embedding checks, non-empty residue under --witness, violated
 composition laws), 2 input or usage errors. All output is deterministic
-byte-for-byte for fixed inputs and flags, independent of --workers.
+byte-for-byte for fixed inputs and flags. Every command runs in one process;
+--workers is accepted by enumerate and verify-diagram and has no effect.
 """
 
 from __future__ import annotations
@@ -236,7 +237,6 @@ def cmd_verify_diagram(args) -> int:
         n_max=args.max_n,
         sw_bound=args.sw_bound,
         transfer_max=args.transfer_max,
-        workers=args.workers,
     )
     if args.json:
         _print_json(report.to_obj())
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--max-n", type=_int_at_least(1), default=4)
     v.add_argument("--sw-bound", type=_int_at_least(1), default=3)
     v.add_argument("--transfer-max", type=_int_at_least(1), default=3)
-    v.add_argument("--workers", type=_int_at_least(1), default=1)
+    v.add_argument("--workers", type=_int_at_least(1), default=1, help="accepted, no effect")
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify_diagram)
 

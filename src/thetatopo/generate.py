@@ -33,8 +33,8 @@ def space_from_rows(rows: tuple[int, ...]) -> FinSpace:
     return FinSpace(point_names(len(rows)), rows)
 
 
-def complete_rows(n: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Extend a valid row prefix to all full coherent row tuples, ascending.
+def labeled_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """All coherent minimal-neighborhood row tuples on n points, ascending.
 
     Point i's row must lie inside N(j) for each decided j with i ∈ N(j), so
     the candidates are the submasks of the AND of those rows, walked in
@@ -43,14 +43,11 @@ def complete_rows(n: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     over each set of decided points). Every point pair is checked when its
     later member is placed, so leaves are exactly the valid topologies.
     """
-    if len(prefix) == n:
-        yield prefix
+    if n == 0:
+        yield ()
         return
     full = (1 << n) - 1
-    rows = list(prefix)
-    unions = [0]
-    for r in rows:
-        unions += [u | r for u in unions]
+    rows: list[int] = []
 
     def place(i: int, unions: list[int]) -> Iterator[tuple[int, ...]]:
         own = 1 << i
@@ -73,12 +70,7 @@ def complete_rows(n: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
                 return
             t = ((t | ~free) + 1) & free
 
-    yield from place(len(prefix), unions)
-
-
-def labeled_rows(n: int) -> Iterator[tuple[int, ...]]:
-    """All coherent minimal-neighborhood row tuples on n points, ascending."""
-    return complete_rows(n, ())
+    yield from place(0, [0])
 
 
 @cache

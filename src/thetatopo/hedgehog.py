@@ -459,11 +459,14 @@ class PermutedOracle(OracleSpace):
             # Relabeling keeps kinds apart and tips of one stalk in order.
             return None if t is None else self._fwd_token(t)
         # The stalks of cl(U(n)) are all (k), k >= n, and b blocks one at
-        # most, so the least visible name is at most max(support, n) + 2.
-        for v in itertools.count(1):
+        # most, so the least admissible name is a moved one or one of the
+        # two least unmoved names >= n.
+        def admissible(v: int) -> bool:
             s = (self.inv.get(v, v),)
-            if _adheres(inner_a, s) and (inner_b is None or not _member(inner_b, s)):
-                return (v,)
+            return _adheres(inner_a, s) and (inner_b is None or not _member(inner_b, s))
+
+        unmoved = (v for v in itertools.count(inner_a.n) if v not in self.inv)
+        return (min(filter(admissible, (*self.inv, *itertools.islice(unmoved, 2)))),)
 
     def approach_within(
         self, x: Token, constraints: Sequence, count: int

@@ -330,19 +330,24 @@ def sw_witness_search(
     sigma^-1, so whole classes admit one or none, and the first labeled
     domain that does is its class's least labeling. Within a domain a map is
     classified through its ok_masks key alone, so only the first map of
-    each new key goes to classify_map; that map is also the first in
-    product order that carries the key, so the witness is unchanged.
+    each new key goes to classify_map.
+
+    Images range over reps, the least point of each distinct row of
+    space.nbhd, not over every point. ok_masks sees an image only through
+    its minimal neighborhood (a lies in N(c) iff N(a) is inside N(c)), so
+    replacing each coordinate of a tuple by the least point of its row
+    lowers the tuple coordinatewise and keeps its key. Hence the first
+    tuple of every key in product order is a tuple over reps: the same keys
+    reach classify_map in the same order, and the witness is unchanged.
     """
     if max_domain_size > SW_BOUND_CAP:
         raise CapExceeded(f"witness search capped at domain size {SW_BOUND_CAP}")
-    nx = len(space)
-    if nx == 0:
-        return None
     cod = space.nbhd
+    reps = [x for x, row in enumerate(cod) if row not in cod[:x]]
     for n in range(1, max_domain_size + 1):
         for z in _sw_domains(n):
             seen = set()
-            for img in product(range(nx), repeat=n):
+            for img in product(reps, repeat=n):
                 key = image_ok_masks(cod, img)
                 if key in seen:
                     continue

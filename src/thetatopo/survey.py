@@ -9,7 +9,7 @@ composition table either exhaustively or on randomized triples.
 verify_diagram reports what a scan over every labeled space and every
 bijection reports, but decides each homeomorphism class once and scans
 the transfer statements over identity pairs; tests/oracles.py keeps the
-labeled scan as the reference.
+labeled scan as the reference. Every sweep runs in the calling process.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .generate import (
     space_from_rows,
 )
 from .maps import FinMap, MapClass, classify_map, compose, map_to_obj
-from .parallel import run_tasks
 from .regularity import (
     ARROWS,
     DECIDABLE_PROPERTIES,
@@ -82,11 +81,17 @@ def _tokens(text: str) -> list[str]:
     return out
 
 
+# Deepest predicate accepted. Depth counts each !, parenthesized group and
+# && or || node on a path, with left-nested chains one level per operator,
+# so the recursive parser and evaluator stay far from the recursion limit.
+PREDICATE_DEPTH_CAP = 100
+
+
 def parse_predicate(text: str) -> tuple:
     """Parse `! && || ( )` over property names into a nested-tuple AST.
 
     Nodes are ("prop", name), ("not", x), ("and", x, y), ("or", x, y);
-    ! binds tightest, then &&, then ||.
+    ! binds tightest, then &&, then ||. && and || nest to the left.
     """
     toks = _tokens(text)
     if not toks:
@@ -103,35 +108,46 @@ def parse_predicate(text: str) -> tuple:
         pos += 1
         return t
 
-    def parse_or() -> tuple:
-        node = parse_and()
+    def check(depth: int) -> int:
+        if depth > PREDICATE_DEPTH_CAP:
+            raise ParseError(f"predicate nested deeper than {PREDICATE_DEPTH_CAP} levels")
+        return depth
+
+    # Each parser takes the number of levels above it and returns its node
+    # with the depth of the node's deepest leaf, counted from the top.
+    def parse_or(above: int) -> tuple[tuple, int]:
+        node, depth = parse_and(above)
         while pos < len(toks) and toks[pos] == "||":
             take()
-            node = ("or", node, parse_and())
-        return node
+            rhs, rdepth = parse_and(above)
+            node, depth = ("or", node, rhs), check(max(depth, rdepth) + 1)
+        return node, depth
 
-    def parse_and() -> tuple:
-        node = parse_unary()
+    def parse_and(above: int) -> tuple[tuple, int]:
+        node, depth = parse_unary(above)
         while pos < len(toks) and toks[pos] == "&&":
             take()
-            node = ("and", node, parse_unary())
-        return node
+            rhs, rdepth = parse_unary(above)
+            node, depth = ("and", node, rhs), check(max(depth, rdepth) + 1)
+        return node, depth
 
-    def parse_unary() -> tuple:
+    def parse_unary(above: int) -> tuple[tuple, int]:
+        here = check(above + 1)
         t = take()
         if t == "!":
-            return ("not", parse_unary())
+            node, depth = parse_unary(here)
+            return ("not", node), depth
         if t == "(":
-            node = parse_or()
+            node, depth = parse_or(here)
             take(")")
-            return node
+            return node, depth
         if t in REPORT_PROPERTIES:
-            return ("prop", t)
+            return ("prop", t), here
         raise ParseError(
             f"unknown property {t!r}; choose from " + ", ".join(REPORT_PROPERTIES)
         )
 
-    node = parse_or()
+    node, _ = parse_or(0)
     if pos != len(toks):
         raise ParseError(f"trailing input at token {toks[pos]!r}")
     return node
@@ -257,19 +273,18 @@ class DiagramReport:
         return "\n".join(lines)
 
 
-def _diagram_task(args: tuple[tuple[int, ...], int]) -> tuple:
-    rows, sw_bound = args
+def _decide(rows: tuple[int, ...], sw_bound: int) -> tuple:
+    """One space's verdicts, arrow violations, whether an sw search ran, and
+    the witness it found (as an object) or None."""
     space = space_from_rows(rows)
     verdicts, _ = property_verdicts(space)
-    bad_arrows = check_arrows(verdicts)
     sw_checked = any(verdicts[p] for p in SW_SAFE_PREMISES)
     sw_obj = None
     if sw_checked:
         found = sw_witness_search(space, sw_bound)
         if found is not None:
             sw_obj = map_to_obj(found[1])
-    vbits = tuple(verdicts[p] for p in DECIDABLE_PROPERTIES)
-    return rows, vbits, bad_arrows, sw_checked, sw_obj
+    return verdicts, check_arrows(verdicts), sw_checked, sw_obj
 
 
 def _qualifies(h: FinMap) -> bool:
@@ -320,7 +335,6 @@ def verify_diagram(
     n_max: int = 4,
     sw_bound: int = 3,
     transfer_max: int = 3,
-    workers: int = 1,
 ) -> DiagramReport:
     """Check the implication diagram against every labeled space with at most
     n_max points.
@@ -378,17 +392,14 @@ def verify_diagram(
         counts[n] = 0
         labeled: dict[tuple[int, ...], dict[str, bool]] = {}
         recheck: list[tuple[int, ...]] = []
-        tasks = [(rows, sw_bound) for rows in homeo_rows(n)]
-        for rows, vbits, bad_arrows, sw_checked, sw_obj in run_tasks(
-            _diagram_task, tasks, workers
-        ):
+        for rows in homeo_rows(n):
+            verdicts, bad_arrows, sw_checked, sw_obj = _decide(rows, sw_bound)
             orbit = set(_orbit(rows))
             counts[n] += len(orbit)
             if sw_checked:
                 sw_spaces += len(orbit)
             if bad_arrows or sw_obj is not None:
                 recheck.extend(orbit)
-            verdicts = dict(zip(DECIDABLE_PROPERTIES, vbits))
             if n <= tn:
                 labeled.update(dict.fromkeys(orbit, verdicts))
             for p in DECIDABLE_PROPERTIES:
@@ -401,8 +412,8 @@ def verify_diagram(
                     if entry["holds"]:
                         entry["holds"] = False
                         entry["counterexample"] = space_to_obj(space_from_rows(rows))
-        tasks = [(rows, sw_bound) for rows in sorted(recheck)]
-        for rows, _, bad_arrows, _, sw_obj in run_tasks(_diagram_task, tasks, workers):
+        for rows in sorted(recheck):
+            _, bad_arrows, _, sw_obj = _decide(rows, sw_bound)
             if bad_arrows:
                 arrow_violations.append(
                     {"space": space_to_obj(space_from_rows(rows)), "arrows": bad_arrows}

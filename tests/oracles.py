@@ -482,35 +482,26 @@ def labeled_sw_witness_search(space: FinSpace, max_domain_size: int = 3):
     return None
 
 
-def _labeled_diagram_task(args: tuple[tuple[int, ...], int]) -> tuple:
+def _labeled_decide(rows: tuple[int, ...], sw_bound: int) -> tuple:
     from thetatopo.generate import space_from_rows
     from thetatopo.maps import map_to_obj
-    from thetatopo.regularity import (
-        DECIDABLE_PROPERTIES,
-        SW_SAFE_PREMISES,
-        check_arrows,
-        property_verdicts,
-    )
+    from thetatopo.regularity import SW_SAFE_PREMISES, check_arrows, property_verdicts
 
-    rows, sw_bound = args
     space = space_from_rows(rows)
     verdicts, _ = property_verdicts(space)
-    bad_arrows = check_arrows(verdicts)
     sw_checked = any(verdicts[p] for p in SW_SAFE_PREMISES)
     sw_obj = None
     if sw_checked:
         found = labeled_sw_witness_search(space, sw_bound)
         if found is not None:
             sw_obj = map_to_obj(found[1])
-    vbits = tuple(verdicts[p] for p in DECIDABLE_PROPERTIES)
-    return rows, vbits, bad_arrows, sw_checked, sw_obj
+    return verdicts, check_arrows(verdicts), sw_checked, sw_obj
 
 
 def labeled_verify_diagram(
     n_max: int = 4,
     sw_bound: int = 3,
     transfer_max: int = 3,
-    workers: int = 1,
 ):
     """verify_diagram decided labeled space by labeled space, with the sw
     search above and the transfer scan over every bijection (X, Y, p)."""
@@ -518,7 +509,6 @@ def labeled_verify_diagram(
 
     from thetatopo.generate import LABELED_CAP, labeled_rows, space_from_rows
     from thetatopo.maps import FinMap, classify_map, compose, map_to_obj
-    from thetatopo.parallel import run_tasks
     from thetatopo.regularity import DECIDABLE_PROPERTIES
     from thetatopo.space import space_to_obj
     from thetatopo.survey import DiagramReport
@@ -539,12 +529,10 @@ def labeled_verify_diagram(
     transfer_spaces: dict[int, list] = {}
 
     for n in range(1, n_max + 1):
-        tasks = [(rows, sw_bound) for rows in labeled_rows(n)]
-        counts[n] = len(tasks)
-        for rows, vbits, bad_arrows, sw_checked, sw_obj in run_tasks(
-            _labeled_diagram_task, tasks, workers
-        ):
-            verdicts = dict(zip(DECIDABLE_PROPERTIES, vbits))
+        counts[n] = 0
+        for rows in labeled_rows(n):
+            counts[n] += 1
+            verdicts, bad_arrows, sw_checked, sw_obj = _labeled_decide(rows, sw_bound)
             if n <= tn:
                 transfer_spaces.setdefault(n, []).append((space_from_rows(rows), verdicts))
             if bad_arrows:

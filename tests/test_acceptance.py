@@ -82,7 +82,7 @@ def test_02_doubleton_identity_is_weak_but_not_theta_weak():
 
 def test_03_diagram_holds_on_all_spaces_up_to_four_points():
     start = time.perf_counter()
-    report = verify_diagram(n_max=4, workers=1)
+    report = verify_diagram(n_max=4)
     elapsed = time.perf_counter() - start
     assert report.counts == {1: 1, 2: 4, 3: 29, 4: 355}
     assert report.arrow_violations == []

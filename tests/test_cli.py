@@ -339,6 +339,9 @@ def test_exit_two_paths(tmp_path):
     code, _, err = run_cli("search", "--where", "bogus")
     assert code == 2 and "unknown property" in err
 
+    code, out, err = run_cli("search", "--where", "!" * 3000 + "regular")
+    assert code == 2 and out == "" and "error:" in err
+
     code, _, err = run_cli("hedgehog", "embed", "--space", "moebius")
     assert code == 2 and "unknown oracle space" in err
 
@@ -477,10 +480,13 @@ def test_workers_do_not_change_output():
 def test_enumerate_workers_start_no_process(monkeypatch):
     one = run_cli("enumerate", "-n", "5", "--workers", "1")
     assert one[0] == 0
+    diagram = run_cli("verify-diagram", "--max-n", "4", "--workers", "1", "--json")
+    assert diagram[0] == 0
 
     def get_context(*args, **kw):
-        raise AssertionError("enumerate started a process pool")
+        raise AssertionError("a command started a process pool")
 
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setattr("multiprocessing.get_context", get_context)
     assert run_cli("enumerate", "-n", "5", "--workers", "2") == one
+    assert run_cli("verify-diagram", "--max-n", "4", "--workers", "2", "--json") == diagram

@@ -21,7 +21,6 @@ from thetatopo.generate import (
     random_space,
     space_from_rows,
 )
-from thetatopo.parallel import pool_size
 from thetatopo.space import CapExceeded, FinSpace
 
 LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
@@ -86,10 +85,11 @@ def test_no_relabeling_table_built_at_import():
         " and calls.append(1))\n"
         "import thetatopo.cli\n"
         "sys.setprofile(None)\n"
-        "print(len(calls))\n"
+        "print(len(calls), 'multiprocessing' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout == "0\n"
+    # Nor is the multiprocessing package loaded: every command runs in one process.
+    assert out.stdout == "0 False\n"
 
 
 def test_zero_points():
@@ -174,19 +174,6 @@ def test_homeo_classes_pairwise_inequivalent():
             orbit = {permute_rows(a, p) for p in permutations(range(n))}
             for b in classes[i + 1 :]:
                 assert b not in orbit
-
-
-# ---------------------------------------------------------------------------
-# Process pool.
-# ---------------------------------------------------------------------------
-
-def test_pool_size_clamped_to_cpus(monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    assert pool_size(209527, 209527) == 2
-    assert pool_size(5, 1) == 1
-    assert pool_size(1, 100) == 1
-    monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert pool_size(4, 100) == 1
 
 
 # ---------------------------------------------------------------------------

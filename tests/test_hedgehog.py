@@ -585,6 +585,8 @@ def test_permuted_pick_past_any_window():
     # Answered in closed form at any index, not from a finite scan.
     o = PermutedOracle({1: 2, 2: 1})
     assert o.pick_in_closure_minus(MappedSet(RootBase(200)), MappedSet(RootBase(1))) == (200,)
+    big = 10**12
+    assert o.pick_in_closure_minus(MappedSet(RootBase(big)), MappedSet(RootBase(1))) == (big,)
     assert o.pick_in_closure_minus(
         MappedSet(StalkBase(300, 500)), MappedSet(StalkBase(300, 502))
     ) == (300, 500)

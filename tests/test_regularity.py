@@ -219,11 +219,14 @@ def test_sw_search_matches_brute_oracle():
 
 def test_sw_search_matches_labeled_reference():
     # Same witness (domain labeling and map) as the scan over every labeled
-    # domain and every map, for every labeled X with at most four points.
+    # domain and every map, for every labeled X with at most four points,
+    # and at bound 4 for every labeled X with at most three points.
     for n in range(1, 5):
         for rows in labeled_rows(n):
             x = space_from_rows(rows)
             assert sw_witness_search(x, 3) == labeled_sw_witness_search(x, 3), rows
+            if n <= 3:
+                assert sw_witness_search(x, 4) == labeled_sw_witness_search(x, 4), rows
 
 
 def test_sw_witness_is_genuine():
