@@ -2,11 +2,14 @@
 
 Spaces on n points are streamed as minimal-neighborhood row tuples in
 ascending lexicographic order (rows compared as integers, first row first),
-by one backtracking generator over coherent rows (labeled_rows), run in the
-calling process. Homeomorphism classes are streamed as the least labeling of
-each class. The tests cross-check the labeled stream against an independent
-walk over open-set families, and the relabeling tables against the direct
-relabeling in tests/oracles.py.
+by one backtracking generator over coherent rows (_walk), run in the calling
+process. labeled_rows keeps every leaf; homeo_rows runs the same walk as an
+orderly generation that keeps only the least labeling of each class, pruning
+by transpositions on the way down and checking every relabeling at the
+leaves, so it holds no set of classes seen. The tests cross-check the
+labeled stream against an independent walk over open-set families, the
+homeo stream against an orbit-marking reference, and the relabeling tables
+against the direct relabeling in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -34,7 +37,12 @@ def space_from_rows(rows: tuple[int, ...]) -> FinSpace:
 
 
 def labeled_rows(n: int) -> Iterator[tuple[int, ...]]:
-    """All coherent minimal-neighborhood row tuples on n points, ascending.
+    """All coherent minimal-neighborhood row tuples on n points, ascending."""
+    return _walk(n, False)
+
+
+def _walk(n: int, orderly: bool) -> Iterator[tuple[int, ...]]:
+    """The coherent-row backtracking walk behind both streams, ascending.
 
     Point i's row must lie inside N(j) for each decided j with i ∈ N(j), so
     the candidates are the submasks of the AND of those rows, walked in
@@ -42,11 +50,15 @@ def labeled_rows(n: int) -> Iterator[tuple[int, ...]]:
     decided j it holds (looked up in `unions`, the OR of the decided rows
     over each set of decided points). Every point pair is checked when its
     later member is placed, so leaves are exactly the valid topologies.
+
+    When orderly, only the least labeling of each class is kept: subtrees
+    that _swap_lowers rejects are skipped and leaves must pass _is_least.
     """
     if n == 0:
         yield ()
         return
     full = (1 << n) - 1
+    tables = _relabelings(n) if orderly else []
     rows: list[int] = []
 
     def place(i: int, unions: list[int]) -> Iterator[tuple[int, ...]]:
@@ -61,16 +73,51 @@ def labeled_rows(n: int) -> Iterator[tuple[int, ...]]:
             m = t | own
             if not unions[m & (own - 1)] & ~m:
                 rows.append(m)
-                if i + 1 == n:
-                    yield tuple(rows)
-                else:
-                    yield from place(i + 1, unions + [u | m for u in unions])
+                if not (orderly and _swap_lowers(rows)):
+                    if i + 1 < n:
+                        yield from place(i + 1, unions + [u | m for u in unions])
+                    elif not orderly or _is_least(rows, tables):
+                        yield tuple(rows)
                 rows.pop()
             if t == free:
                 return
             t = ((t | ~free) + 1) & free
 
     yield from place(0, [0])
+
+
+def _swap_lowers(rows: list[int]) -> bool:
+    """Whether some transposition (i j), j the last decided point and i < j,
+    relabels the decided rows 0..j to a smaller tuple."""
+    j = len(rows) - 1
+    bj = 1 << j
+    for i in range(j):
+        bi = 1 << i
+        both = bi | bj
+        for k in range(j + 1):
+            src = rows[j if k == i else i if k == j else k]
+            r = src ^ both if (src & both) in (bi, bj) else src  # bits i, j swapped
+            if r != rows[k]:
+                if r < rows[k]:
+                    return True
+                break
+    return False
+
+
+def _is_least(rows: list[int], tables: list[tuple[list[int], list[int]]]) -> bool:
+    """Whether no relabeling gives a smaller row tuple, i.e. whether rows is
+    its own canonical form; each relabeling is compared row by row up to
+    its first difference."""
+    last = len(rows) - 1
+    for t, inv in tables:
+        k = 0
+        r = t[rows[inv[0]]]
+        while r == rows[k] and k < last:
+            k += 1
+            r = t[rows[inv[k]]]
+        if r < rows[k]:
+            return False
+    return True
 
 
 @cache
@@ -107,18 +154,20 @@ def canonicalize(space: FinSpace) -> FinSpace:
 
 
 def homeo_rows(n: int) -> Iterator[tuple[int, ...]]:
-    """One representative per homeomorphism class, in ascending order.
+    """One representative per homeomorphism class, in ascending order: the
+    orderly walk keeps exactly the labelings equal to their canonical form.
 
-    The labeled stream ascends, so the first member of each class met is its
-    least labeling, i.e. the canonical form; the rest of the orbit is marked
-    seen. Memory is the orbit union, which is why the cap sits at 7.
+    After row j is placed, a transposition (i j) with i < j fixes every point
+    above j, so rows 0..j of the relabeled tuple depend on the decided rows
+    alone. If they form a smaller tuple, every completion of the prefix has
+    a smaller relabeling and is not canonical, so the subtree is skipped. A
+    leaf is kept only if no relabeling table gives a smaller tuple, which is
+    rows == canonical_rows(rows). Pruning only drops rows from the ascending
+    labeled walk, so the stream ascends and, the least labeling of each class
+    being kept, holds one row tuple per class. Memory is the relabeling tables
+    and the current path.
     """
-    seen: set[tuple[int, ...]] = set()
-    for rows in labeled_rows(n):
-        if rows in seen:
-            continue
-        yield rows
-        seen.update(_orbit(rows))
+    return _walk(n, True)
 
 
 def space_rows(n: int, mode: str = "labeled") -> Iterator[tuple[int, ...]]:

@@ -437,6 +437,23 @@ def open_family_rows(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(rows)
 
 
+def orbit_set_homeo_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """One representative per homeomorphism class, in ascending order: the
+    reference for the orderly walk in generate.homeo_rows.
+
+    The labeled stream ascends, so the first member of each class met is its
+    least labeling, i.e. the canonical form; the rest of the orbit is marked
+    seen. Memory is the orbit union."""
+    from thetatopo.generate import _orbit, labeled_rows
+
+    seen: set[tuple[int, ...]] = set()
+    for rows in labeled_rows(n):
+        if rows in seen:
+            continue
+        yield rows
+        seen.update(_orbit(rows))
+
+
 def sw_witness_exists_oracle(space: FinSpace, bound: int) -> bool:
     """Is there a scatteredly continuous, not weakly discontinuous map into
     the space from some domain with at most ``bound`` points?"""

@@ -453,6 +453,16 @@ def test_verify_diagram_five_points_pinned():
     )
 
 
+def test_enumerate_seven_point_classes_pinned():
+    # The 4,535 classes on 7 points, recorded from the orbit-set walk.
+    code, out, err = run_cli("enumerate", "-n", "7", "--homeo")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 4535
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fc90a8999006143589daea4a008d7e2be021d4abece57449945585cb6914042e"
+    )
+
+
 def test_usage_errors_exit_two():
     assert run_cli()[0] == 2
     assert run_cli("unknown-command")[0] == 2

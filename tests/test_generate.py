@@ -1,13 +1,14 @@
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_spaces, open_family_rows, permute_rows
+from oracles import brute_spaces, open_family_rows, orbit_set_homeo_rows, permute_rows
 from thetatopo import generate
 from thetatopo.generate import (
     canonical_rows,
@@ -68,6 +69,24 @@ def test_homeo_stream_is_sorted_orbit_minima():
         perms = list(permutations(range(n)))
         minima = {min(permute_rows(rows, p) for p in perms) for rows in labeled_rows(n)}
         assert list(homeo_rows(n)) == sorted(minima), n
+
+
+def test_homeo_rows_match_orbit_set_reference():
+    for n in range(7):
+        assert list(homeo_rows(n)) == list(orbit_set_homeo_rows(n)), n
+
+
+def test_homeo_walk_holds_no_orbit_set():
+    # The orderly walk holds the relabeling tables and the current path; the
+    # orbit-set reference peaks at about 26 MiB here.
+    generate._relabelings.cache_clear()
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in homeo_rows(6)) == 718
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def test_orbit_tables_match_permute_rows():
