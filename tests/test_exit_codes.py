@@ -100,9 +100,8 @@ EMBED_SPACES = st.one_of(
 
 def commands(tmp_dir: Path):
     """(command words, positional strategy or None, {flag: value strategy
-    or None for a switch}). The first flag of verify-diagram and of the
-    hedgehog commands is always drawn: their defaults run for a tenth of a
-    second or more."""
+    or None for a switch}). The first flag of the commands in ALWAYS_FIRST
+    is always drawn: their defaults run for a tenth of a second or more."""
     spaces = file_arg(tmp_dir, SPACE_FIXTURES, SPACE_DOCS)
     maps = file_arg(tmp_dir, MAP_FIXTURES, MAP_DOCS)
     max_points = knob(1, 24, 25)
@@ -114,9 +113,9 @@ def commands(tmp_dir: Path):
             ("fn", "compositions"),
             None,
             {
+                "--samples": knob(1, 50, 100_001),
                 "--sizes": st.tuples(knob(1, 3, 9), knob(1, 3, 9), knob(1, 3, 9)).map(",".join)
                 | NOT_INTS,
-                "--samples": knob(1, 50, 100_001),
                 "--seed": st.integers(-(10**12), 10**12).map(str) | NOT_INTS,
                 "--json": None,
             },
@@ -169,7 +168,7 @@ def commands(tmp_dir: Path):
     ]
 
 
-ALWAYS_FIRST = ("verify-diagram", "hedgehog")
+ALWAYS_FIRST = ("compositions", "verify-diagram", "profile", "embed")
 
 
 @st.composite
@@ -177,7 +176,7 @@ def argvs(draw, tmp_dir: Path):
     words, positional, flags = draw(st.sampled_from(commands(tmp_dir)))
     argv = list(words)
     for i, (flag, value) in enumerate(flags.items()):
-        if (i == 0 and words[0] in ALWAYS_FIRST) or draw(st.booleans()):
+        if (i == 0 and words[-1] in ALWAYS_FIRST) or draw(st.booleans()):
             argv.append(flag)
             if value is not None:
                 argv.append(draw(value))
