@@ -271,36 +271,12 @@ def _approach_within(
 # ---------------------------------------------------------------------------
 
 
-class OracleSpace:
-    """Interface: validate, nbhd_base, contains, closure_contains, separate,
-    pick_in_closure_minus, approach_within. All deterministic; refusals are
-    returned as None, never guessed."""
+class HedgehogOracle:
+    """The hedgehog itself. Every oracle answers validate, nbhd_base,
+    contains, closure_contains, separate, pick_in_closure_minus and
+    approach_within, all deterministically; refusals are returned as None,
+    never guessed."""
 
-    def validate(self, t) -> Token:
-        raise NotImplementedError
-
-    def nbhd_base(self, x: Token, k: int):
-        raise NotImplementedError
-
-    def contains(self, b, t: Token) -> bool:
-        raise NotImplementedError
-
-    def closure_contains(self, b, t: Token) -> bool:
-        raise NotImplementedError
-
-    def separate(self, a: Token, b: Token) -> tuple[int, int]:
-        raise NotImplementedError
-
-    def pick_in_closure_minus(self, a, b=None) -> Token | None:
-        raise NotImplementedError
-
-    def approach_within(
-        self, x: Token, constraints: Sequence, count: int
-    ) -> tuple[Token, ...] | None:
-        raise NotImplementedError
-
-
-class HedgehogOracle(OracleSpace):
     def validate(self, t) -> Token:
         return _check_token(t)
 
@@ -330,7 +306,7 @@ class HedgehogOracle(OracleSpace):
         return _approach_within(_check_token(x), constraints, count)
 
 
-class SumOracle(OracleSpace):
+class SumOracle:
     """Disjoint sum of the hedgehog and a finite space.
 
     Finite points are tokens ("fin", name) with constant neighborhood base
@@ -405,7 +381,7 @@ class SumOracle(OracleSpace):
         return _approach_within(x, constraints, count)
 
 
-class PermutedOracle(OracleSpace):
+class PermutedOracle:
     """The hedgehog with stalk indices relabeled by a finite-support
     permutation; pick_in_closure_minus breaks ties by the visible names,
     not the hidden ones."""
@@ -479,6 +455,9 @@ class PermutedOracle(OracleSpace):
         if inner is None:
             return None
         return tuple(self._fwd_token(t) for t in inner)
+
+
+OracleSpace = HedgehogOracle | SumOracle | PermutedOracle
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ composition table either exhaustively or on randomized triples.
 
 verify_diagram reports what a scan over every labeled space and every
 bijection reports, but decides each homeomorphism class once and scans
-the transfer statements over identity pairs; tests/oracles.py keeps the
-labeled scan as the reference. Every sweep runs in the calling process.
+the transfer statements over identity pairs. Its violation lists expand
+the class and pair verdicts that detect them; nothing is re-scanned
+labeling by labeling. tests/oracles.py keeps the labeled scan as the
+reference. Every sweep runs in the calling process.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import factorial
 from typing import Iterator
 
 from .generate import (
@@ -31,9 +32,9 @@ from .generate import (
 )
 from .maps import FinMap, MapClass, classify_map, compose, map_to_obj
 from .regularity import (
-    ARROWS,
     DECIDABLE_PROPERTIES,
     REPORT_PROPERTIES,
+    SW_BOUND_CAP,
     SW_SAFE_PREMISES,
     check_arrows,
     property_verdicts,
@@ -273,20 +274,6 @@ class DiagramReport:
         return "\n".join(lines)
 
 
-def _decide(rows: tuple[int, ...], sw_bound: int) -> tuple:
-    """One space's verdicts, arrow violations, whether an sw search ran, and
-    the witness it found (as an object) or None."""
-    space = space_from_rows(rows)
-    verdicts, _ = property_verdicts(space)
-    sw_checked = any(verdicts[p] for p in SW_SAFE_PREMISES)
-    sw_obj = None
-    if sw_checked:
-        found = sw_witness_search(space, sw_bound)
-        if found is not None:
-            sw_obj = map_to_obj(found[1])
-    return verdicts, check_arrows(verdicts), sw_checked, sw_obj
-
-
 def _qualifies(h: FinMap) -> bool:
     """h is theta-weakly discontinuous with a weakly discontinuous inverse."""
     return classify_map(h).reaches("theta_weakly_discontinuous") and classify_map(
@@ -297,38 +284,6 @@ def _qualifies(h: FinMap) -> bool:
 def _sw_kept(mc: MapClass) -> bool:
     """The composite is still an sw-witness: scattered, not weakly discontinuous."""
     return mc.reaches("scatteredly_continuous") and not mc.reaches("weakly_discontinuous")
-
-
-def _transfer_violations(
-    x: FinSpace,
-    vx: dict[str, bool],
-    f: FinMap | None,
-    spaces: list[tuple[FinSpace, dict[str, bool]]],
-) -> tuple[list[dict], list[dict]]:
-    """The w-theta and sw transfer violations of X, bijection by bijection
-    over every labeled Y and permutation, in scan order."""
-    wtheta: list[dict] = []
-    sw: list[dict] = []
-    perms = list(permutations(range(len(x))))
-    for y, vy in spaces:
-        for perm in perms:
-            h = FinMap(x, y, perm)
-            if not _qualifies(h):
-                continue
-            if vy["w_theta_regular"] and not vx["w_theta_regular"]:
-                wtheta.append({"kind": "w_theta_regular", "h": map_to_obj(h)})
-            if f is not None:
-                mcc = classify_map(compose(h, f))
-                if not _sw_kept(mcc):
-                    sw.append(
-                        {
-                            "kind": "sw_witness",
-                            "h": map_to_obj(h),
-                            "f": map_to_obj(f),
-                            "composite_tier": mcc.tier,
-                        }
-                    )
-    return wtheta, sw
 
 
 def verify_diagram(
@@ -355,26 +310,31 @@ def verify_diagram(
     - The labeled stream ascends and each class's least labeling is its
       representative, so the first class in homeo order with p and not q
       gives the matrix's least counterexample for p => q.
-    - A class with an arrow or sw violation is decided again labeling by
-      labeling, and those entries are merged in labeled order, so the
-      violation lists are the labeled scan's (empty on PASS).
+    - Verdicts are class invariants, so a class with an arrow violation or
+      an sw witness lists each member with the class's arrows; only the sw
+      witness, which depends on the labeling, is searched member by member.
+      Members are emitted in labeled order, so the violation lists are the
+      labeled scan's (empty on PASS).
     - The transfer phase reads each labeling's verdicts through its class.
       A bijection h = (X, Y, p) has the ok_masks of the identity X -> Y',
       where N_Y'(x) = p^-1 N_Y(p(x)); its inverse is the identity Y' -> X
       relabeled by p, and h o f has the ok_masks of id o f, so all three
       classify as on the identity pair (X, Y'). For fixed p, Y -> Y' is a
-      bijection of the labeled spaces, so each identity pair stands for n!
-      bijections. An X with a violating pair is scanned again bijection by
-      bijection, so the violation lists come out in the labeled order.
+      bijection of the labeled spaces, so each identity pair stands for the
+      n! bijections (X, p.Y', p), p.Y' the relabeling of Y' by p, and each
+      of them violates as the pair does, with its composite tier. Sorting an
+      X's entries by (Y, p) gives the labeled scan's order.
 
     The effective transfer bound min(n_max, transfer_max) is capped at
-    TRANSFER_CAP; both caps are checked before any work.
+    TRANSFER_CAP; it, n_max and sw_bound are checked before any work.
     """
     if n_max > LABELED_CAP:
         raise CapExceeded(f"diagram verification capped at {LABELED_CAP} points")
     tn = min(n_max, transfer_max)
     if tn > TRANSFER_CAP:
         raise CapExceeded(f"transfer scan capped at {TRANSFER_CAP} points")
+    if sw_bound > SW_BOUND_CAP:
+        raise CapExceeded(f"witness search capped at domain size {SW_BOUND_CAP}")
     matrix = {
         f"{p} => {q}": {"holds": True, "counterexample": None}
         for p in DECIDABLE_PROPERTIES
@@ -391,15 +351,20 @@ def verify_diagram(
     for n in range(1, n_max + 1):
         counts[n] = 0
         labeled: dict[tuple[int, ...], dict[str, bool]] = {}
-        recheck: list[tuple[int, ...]] = []
+        # (member rows, class arrows, whether the class has an sw witness)
+        flagged: list[tuple[tuple[int, ...], list[str], bool]] = []
         for rows in homeo_rows(n):
-            verdicts, bad_arrows, sw_checked, sw_obj = _decide(rows, sw_bound)
+            space = space_from_rows(rows)
+            verdicts, _ = property_verdicts(space)
+            bad_arrows = check_arrows(verdicts)
+            sw_checked = any(verdicts[p] for p in SW_SAFE_PREMISES)
+            witnessed = sw_checked and sw_witness_search(space, sw_bound) is not None
             orbit = set(_orbit(rows))
             counts[n] += len(orbit)
             if sw_checked:
                 sw_spaces += len(orbit)
-            if bad_arrows or sw_obj is not None:
-                recheck.extend(orbit)
+            if bad_arrows or witnessed:
+                flagged.extend((member, bad_arrows, witnessed) for member in orbit)
             if n <= tn:
                 labeled.update(dict.fromkeys(orbit, verdicts))
             for p in DECIDABLE_PROPERTIES:
@@ -411,17 +376,16 @@ def verify_diagram(
                     entry = matrix[f"{p} => {q}"]
                     if entry["holds"]:
                         entry["holds"] = False
-                        entry["counterexample"] = space_to_obj(space_from_rows(rows))
-        for rows in sorted(recheck):
-            _, bad_arrows, _, sw_obj = _decide(rows, sw_bound)
+                        entry["counterexample"] = space_to_obj(space)
+        for rows, bad_arrows, witnessed in sorted(flagged):
+            member = space_from_rows(rows)
             if bad_arrows:
                 arrow_violations.append(
-                    {"space": space_to_obj(space_from_rows(rows)), "arrows": bad_arrows}
+                    {"space": space_to_obj(member), "arrows": list(bad_arrows)}
                 )
-            if sw_obj is not None:
-                sw_violations.append(
-                    {"space": space_to_obj(space_from_rows(rows)), "witness": sw_obj}
-                )
+            if witnessed:
+                _, f = sw_witness_search(member, sw_bound)
+                sw_violations.append({"space": space_to_obj(member), "witness": map_to_obj(f)})
         if n <= tn:
             transfer_spaces[n] = [
                 (space_from_rows(rows), v) for rows, v in sorted(labeled.items())
@@ -435,29 +399,44 @@ def verify_diagram(
 
     for n in range(1, tn + 1):
         spaces = transfer_spaces[n]
-        ident = tuple(range(n))
-        relabelings = factorial(n)
+        perms = list(permutations(range(n)))
+        ident = perms[0]
         for x, vx in spaces:
             # X's identity bijection qualifies, so every X needs its sw
             # search: one search per X up front is never an extra one.
             found = sw_witness_search(x, sw_bound)
             f = None if found is None else found[1]
-            violated = False
+            # (Y rows, p index, w-theta violated, composite tier or None)
+            hits: list[tuple[tuple[int, ...], int, bool, str | None]] = []
             for y, vy in spaces:
-                scanned += relabelings
+                scanned += len(perms)
                 if not _qualifies(FinMap(x, y, ident)):
                     continue
-                qualifying += relabelings
-                if vy["w_theta_regular"] and not vx["w_theta_regular"]:
-                    violated = True
+                qualifying += len(perms)
+                wtheta_bad = vy["w_theta_regular"] and not vx["w_theta_regular"]
+                tier = None
                 if f is not None:
-                    sw_checks += relabelings
-                    if not _sw_kept(classify_map(FinMap(f.domain, y, f.img))):
-                        violated = True
-            if violated:
-                wtheta, sw = _transfer_violations(x, vx, f, spaces)
-                wtheta_violations += wtheta
-                sw_transfer_violations += sw
+                    sw_checks += len(perms)
+                    mcc = classify_map(FinMap(f.domain, y, f.img))
+                    if not _sw_kept(mcc):
+                        tier = mcc.tier
+                if wtheta_bad or tier is not None:
+                    hits.extend(
+                        (rows, i, wtheta_bad, tier) for i, rows in enumerate(_orbit(y.nbhd))
+                    )
+            for rows, i, wtheta_bad, tier in sorted(hits):
+                h = FinMap(x, space_from_rows(rows), perms[i])
+                if wtheta_bad:
+                    wtheta_violations.append({"kind": "w_theta_regular", "h": map_to_obj(h)})
+                if tier is not None:
+                    sw_transfer_violations.append(
+                        {
+                            "kind": "sw_witness",
+                            "h": map_to_obj(h),
+                            "f": map_to_obj(f),
+                            "composite_tier": tier,
+                        }
+                    )
 
     return DiagramReport(
         n_max=n_max,

@@ -453,6 +453,15 @@ def test_verify_diagram_five_points_pinned():
     )
 
 
+def test_verify_diagram_six_points_pinned():
+    # The report of the scan over all 216,858 labeled spaces with n <= 6.
+    code, out, _ = run_cli("verify-diagram", "--max-n", "6", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6fa20bb2284f52f9d8ab306c06e249e7e3732919491ea0b207f44d5314c2ca5f"
+    )
+
+
 def test_enumerate_seven_point_classes_pinned():
     # The 4,535 classes on 7 points, recorded from the orbit-set walk.
     code, out, err = run_cli("enumerate", "-n", "7", "--homeo")

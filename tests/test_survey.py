@@ -1,4 +1,5 @@
 import json
+from collections import OrderedDict
 from itertools import permutations, product
 
 import pytest
@@ -323,6 +324,42 @@ def test_diagram_violations_match_labeled_reference(monkeypatch):
     assert got["verdict"] == "FAIL"
     assert [len(got[k]) for k in ("arrow_violations", "sw_violations")] == [6, 6]
     assert len(got["wtheta_transfer_violations"]) == 180
+
+
+def test_diagram_sw_transfer_violations_match_labeled_reference(monkeypatch):
+    # Promote scatteredly continuous maps out of 3-point domains whose ok
+    # masks hold 4 bits in total to weakly discontinuous. The condition is
+    # invariant under relabeling, so both paths see one consistent fake, and
+    # composites h o f of 3-point witnesses f stop being sw-witnesses.
+    sweep = maps._sweep
+
+    def fake_sweep(domain, ok):
+        tier, masks = sweep(domain, ok)
+        if len(domain) == 3 and sum(bin(m).count("1") for m in ok) == 4:
+            if tier == "scatteredly_continuous":
+                tier = "weakly_discontinuous"
+                masks = tuple((t, m) for t, m in masks if t != "weakly_discontinuous")
+        return tier, masks
+
+    # A fresh memo, so faked tiers never reach later tests.
+    monkeypatch.setattr(maps, "_memo", OrderedDict())
+    monkeypatch.setattr(maps, "_sweep", fake_sweep)
+    got = verify_diagram(3).to_obj()
+    assert got == labeled_verify_diagram(3).to_obj()
+    assert got["verdict"] == "FAIL"
+    assert got["sw_transfer_checked"] == 508
+    assert len(got["sw_transfer_violations"]) == 108
+
+
+def test_diagram_sw_bound_checked_before_any_work(monkeypatch):
+    def refuse(space, *args, **kw):
+        raise AssertionError("decided a space before checking the caps")
+
+    monkeypatch.setattr(survey, "property_verdicts", refuse)
+    with pytest.raises(CapExceeded, match="witness search capped at domain size 4"):
+        verify_diagram(2, sw_bound=5)
+    with pytest.raises(CapExceeded):
+        verify_diagram(0, sw_bound=9)
 
 
 def test_diagram_cap():
