@@ -24,20 +24,16 @@ def index_tuple(mask: int) -> tuple[int, ...]:
 
 
 def submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, including 0 and mask itself, ascending by the
-    numeric value of the compressed counter. Order is arbitrary for callers;
+    """All submasks of mask, including 0 and mask itself, in ascending
+    numeric order: (sub - mask) & mask adds one at the lowest bit of mask
+    and carries through the bits outside it. Order is arbitrary for callers;
     use subsets_lex when 'first hit' must mean 'lexicographically least'."""
-    positions = list(bits(mask))
-    for k in range(1 << len(positions)):
-        sub = 0
-        rest = k
-        i = 0
-        while rest:
-            if rest & 1:
-                sub |= 1 << positions[i]
-            rest >>= 1
-            i += 1
+    sub = 0
+    while True:
         yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
 
 
 def subsets_lex(mask: int) -> Iterator[int]:

@@ -22,10 +22,11 @@ from .space import (
     FinSpace,
     TopologyError,
     closure_mask,
+    closure_rows,
     format_names,
     is_open_mask,
-    theta_interior_mask,
-    theta_open_part_mask,
+    theta_part,
+    theta_step,
 )
 
 # Properties a finite space either has or lacks, in report order. The search
@@ -116,12 +117,11 @@ def quasi_regular_witness(space: FinSpace, within: int | None = None) -> int | N
     neighborhoods suffice on both sides (shrinking the inner set and the
     outer set only helps), so the witness is a minimal piece."""
     a = space.full_mask if within is None else within
-    points = list(bits(a))
-    for x in points:
+    rows = closure_rows(space, a)
+    pieces = [rows[x] for x in bits(a)]
+    for x in bits(a):
         target = space.nbhd[x] & a
-        if not any(
-            closure_mask(space, space.nbhd[y] & a, a) & ~target == 0 for y in points
-        ):
+        if not any(cl & ~target == 0 for cl in pieces):
             return target
     return None
 
@@ -160,18 +160,18 @@ def t1_witness(space: FinSpace) -> int | None:
 
 def theta_kernel_mask(space: FinSpace, a: int) -> int:
     """Union of all subsets of a that are theta-open in the subspace on a and
-    regular as subspaces. Scans submasks, cheapest test first; the result is
-    itself theta-open in a and regular, which is asserted."""
+    regular as subspaces. Scans submasks, cheapest test first, over one
+    closure_rows table of a; the result is itself theta-open in a and
+    regular, which is asserted."""
+    rows = closure_rows(space, a)
     out = 0
     for v in submasks(a):
         if v == 0 or v & ~out == 0:
             continue
-        if theta_interior_mask(space, v, a) != v:
-            continue
-        if is_regular_mask(space, v):
+        if theta_step(rows, v) == v and is_regular_mask(space, v):
             out |= v
     if out:
-        if theta_interior_mask(space, out, a) != out or not is_regular_mask(space, out):
+        if theta_step(rows, out) != out or not is_regular_mask(space, out):
             raise TopologyError("internal: theta kernel lost theta-openness or regularity")
     return out
 
@@ -216,11 +216,14 @@ def theta_weakly_regular_witness(space: FinSpace) -> int | None:
 def w_theta_regular_witness(space: FinSpace) -> tuple[int, int] | None:
     """Least (subspace, relatively open set) such that the open set contains
     no non-empty theta-open-in-the-subspace subset. Relatively open sets are
-    unions of minimal pieces, so checking the pieces is exact."""
+    unions of minimal pieces, so checking the pieces is exact. Each subspace
+    builds one closure_rows table for all of its pieces."""
+    nbhd = space.nbhd
     for a in subsets_lex(space.full_mask):
+        rows = closure_rows(space, a)
         for x in bits(a):
-            u = space.nbhd[x] & a
-            if theta_open_part_mask(space, u, a) == 0:
+            u = nbhd[x] & a
+            if theta_part(rows, u) == 0:
                 return a, u
     return None
 

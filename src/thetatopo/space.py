@@ -3,8 +3,17 @@
 A finite space is one bitmask per point: the smallest open set containing
 that point. A set U is open iff it contains the minimal neighborhood of each
 of its points, so closure, interior and the theta variants are short bit
-sweeps. Spaces and point sets are immutable after construction and safe to
-share between worker processes; every operation here is pure.
+sweeps. Spaces and point sets are immutable after construction; every
+operation here is pure.
+
+Two tables carry the closures. A space builds its up-rows on first use,
+up[y] = {x : y in N(x)}, the closure of {y}; a closure is then the OR of the
+up-rows of the points of s. For a subspace w, closure_rows(space, w) holds
+cl_w(N(x) & w) for each x in w, the relative closure of x's minimal piece.
+One theta-interior step over w reads only that table, so a caller that
+takes many steps over one w (a fixpoint, a kernel scan over the submasks of
+w) builds it once and keeps it in a local variable: no closure_rows table
+outlives the call that built it.
 """
 
 from __future__ import annotations
@@ -63,10 +72,13 @@ class FinSpace:
     neighborhood of point i.
     """
 
-    __slots__ = ("names", "nbhd", "_pos")
+    __slots__ = ("names", "nbhd", "_pos", "up")
 
     names: tuple[str, ...]
     nbhd: tuple[int, ...]
+    # up[y] = {x : y in N(x)}, built by __getattr__ on first read; not part
+    # of ==, hash or pickling, which see names and nbhd only.
+    up: tuple[int, ...]
 
     def __init__(self, names: Sequence[str], nbhd: Sequence[int]):
         names = tuple(names)
@@ -94,6 +106,21 @@ class FinSpace:
 
     def __setattr__(self, *_):
         raise AttributeError("FinSpace is immutable")
+
+    def __getattr__(self, name: str):
+        # Called only while a slot is unset, so every later read of `up` is
+        # a plain slot read.
+        if name != "up":
+            raise AttributeError(f"'FinSpace' object has no attribute {name!r}")
+        up = [0] * len(self.nbhd)
+        for x, m in enumerate(self.nbhd):
+            while m:
+                low = m & -m
+                up[low.bit_length() - 1] |= 1 << x
+                m ^= low
+        up = tuple(up)
+        object.__setattr__(self, "up", up)
+        return up
 
     def __reduce__(self):
         return (FinSpace, (self.names, self.nbhd))
@@ -263,22 +290,60 @@ def build_space(
 # ---------------------------------------------------------------------------
 
 def closure_mask(space: FinSpace, s: int, within: int | None = None) -> int:
+    """The points of w whose minimal neighborhood meets s & w: the OR of the
+    up-rows of the points of s & w, cut back to w."""
     w = space.full_mask if within is None else within
     s &= w
+    up = space.up
     out = 0
-    for x in bits(w):
-        if space.nbhd[x] & w & s:
-            out |= 1 << x
-    return out
+    while s:
+        low = s & -s
+        out |= up[low.bit_length() - 1]
+        s ^= low
+    return out & w
+
+
+def closure_rows(
+    space: FinSpace, within: int | None = None, points: int | None = None
+) -> list[int]:
+    """rows[x] = cl_w(N(x) & w) for each x in `points` (default: all of w),
+    and 0 elsewhere.
+
+    x is regular in the subspace on w iff rows[x] == N(x) & w, and one
+    theta-interior step over w keeps the x of s with rows[x] inside s, so
+    steps inside s need only the rows of the points of s.
+    """
+    w = space.full_mask if within is None else within
+    nbhd = space.nbhd
+    up = space.up
+    rows = [0] * len(nbhd)
+    rest = w if points is None else points & w
+    while rest:
+        low = rest & -rest
+        x = low.bit_length() - 1
+        rest ^= low
+        m = nbhd[x] & w
+        cl = 0
+        while m:
+            b = m & -m
+            cl |= up[b.bit_length() - 1]
+            m ^= b
+        rows[x] = cl & w
+    return rows
 
 
 def interior_mask(space: FinSpace, s: int, within: int | None = None) -> int:
     w = space.full_mask if within is None else within
     s &= w
+    outside = w & ~s
+    nbhd = space.nbhd
     out = 0
-    for x in bits(s):
-        if space.nbhd[x] & w & ~s == 0:
-            out |= 1 << x
+    rest = s
+    while rest:
+        low = rest & -rest
+        if nbhd[low.bit_length() - 1] & outside == 0:
+            out |= low
+        rest ^= low
     return out
 
 
@@ -286,37 +351,56 @@ def is_open_mask(space: FinSpace, s: int, within: int | None = None) -> bool:
     w = space.full_mask if within is None else within
     if s & ~w:
         return False
-    for x in bits(s):
-        if space.nbhd[x] & w & ~s:
+    outside = w & ~s
+    nbhd = space.nbhd
+    rest = s
+    while rest:
+        low = rest & -rest
+        if nbhd[low.bit_length() - 1] & outside:
             return False
+        rest ^= low
     return True
+
+
+def theta_step(rows: Sequence[int], s: int) -> int:
+    """One theta-interior step over the table closure_rows(space, w), for
+    s inside w: the points of s whose row lies inside s."""
+    out = 0
+    rest = s
+    while rest:
+        low = rest & -rest
+        if rows[low.bit_length() - 1] & ~s == 0:
+            out |= low
+        rest ^= low
+    return out
+
+
+def theta_part(rows: Sequence[int], s: int) -> int:
+    """The largest theta-open subset of s, over the table
+    closure_rows(space, w), for s inside w.
+
+    Iterating the one-step theta interior to a fixpoint is exact: the
+    fixpoint condition is the theta-openness condition, and every theta-open
+    subset of s survives each step.
+    """
+    while True:
+        nxt = theta_step(rows, s)
+        if nxt == s:
+            return s
+        s = nxt
 
 
 def theta_interior_mask(space: FinSpace, s: int, within: int | None = None) -> int:
     """One refinement step: the points of s whose minimal relative
     neighborhood has relative closure inside s."""
     w = space.full_mask if within is None else within
-    s &= w
-    out = 0
-    for x in bits(s):
-        if closure_mask(space, space.nbhd[x] & w, w) & ~s == 0:
-            out |= 1 << x
-    return out
+    return theta_step(closure_rows(space, w, s), s & w)
 
 
 def theta_open_part_mask(space: FinSpace, s: int, within: int | None = None) -> int:
-    """The largest theta-open (relative to `within`) subset of s.
-
-    Iterating the one-step theta interior to a fixpoint is exact: the
-    fixpoint condition is the theta-openness condition, and every theta-open
-    subset of s survives each step.
-    """
-    cur = s if within is None else s & within
-    while True:
-        nxt = theta_interior_mask(space, cur, within)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    """The largest theta-open (relative to `within`) subset of s."""
+    w = space.full_mask if within is None else within
+    return theta_part(closure_rows(space, w, s), s & w)
 
 
 def is_theta_open_mask(space: FinSpace, s: int, within: int | None = None) -> bool:

@@ -1,7 +1,9 @@
+import functools
 import os
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,19 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def memo_oracles(monkeypatch):
+    """The oracles module with its pure building blocks memoized for one
+    test. Every oracle still decides from the definitions; the ones that
+    call all_opens, cl_oracle or theta_open_oracle by name just stop
+    recomputing them."""
+    import oracles
+
+    for name in ("all_opens", "cl_oracle", "theta_open_oracle"):
+        monkeypatch.setattr(oracles, name, functools.cache(getattr(oracles, name)))
+    return oracles
 
 
 def repaired_space(n: int, raw_masks: list[int]) -> FinSpace:

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given
 
@@ -19,6 +22,7 @@ from oracles import (
     tier_oracle,
 )
 import thetatopo
+from thetatopo.decomposition import open_decomposition, theta_decomposition
 from thetatopo.generate import homeo_rows, labeled_rows, space_from_rows
 from thetatopo.maps import classify_map
 from thetatopo.regularity import (
@@ -38,6 +42,7 @@ from thetatopo.regularity import (
     is_scattered,
     open_kernel_mask,
     property_verdicts,
+    quasi_regular_witness,
     scattered_residue_mask,
     sw_witness_search,
     t1_witness,
@@ -73,6 +78,19 @@ def test_verdicts_match_oracles_random(sp):
     verdicts, _ = property_verdicts(sp)
     for prop, fn in PROPERTY_ORACLES.items():
         assert verdicts[prop] == fn(sp), prop
+
+
+def test_deciders_pinned_on_six_point_classes():
+    # property_verdicts (verdicts and witnesses, as JSON) and both kernel
+    # decompositions on the 718 classes at n = 6, pinned byte for byte.
+    h = hashlib.sha256()
+    for rows in homeo_rows(6):
+        sp = space_from_rows(rows)
+        verdicts, witnesses = property_verdicts(sp)
+        h.update(json.dumps({"verdicts": verdicts, "witnesses": witnesses}).encode() + b"\n")
+        h.update(theta_decomposition(sp).to_text().encode() + b"\n")
+        h.update(open_decomposition(sp).to_text().encode() + b"\n")
+    assert h.hexdigest() == "f002f7f8c55ee072e6b8e82a4a7cfe6303d1e0dab364515fa4510d30fb5489c3"
 
 
 def test_one_decider_per_property():
@@ -153,7 +171,7 @@ def test_t1_violation_is_real():
 # Kernels.
 # ---------------------------------------------------------------------------
 
-def test_kernels_match_brute_unions():
+def test_kernels_match_brute_unions(memo_oracles):
     for sp in all_labeled(4):
         full = sp.full_mask
         for a in nonempty_subsets(full):
@@ -169,6 +187,23 @@ def test_kernels_match_brute_unions():
                         want_open |= u
             assert theta_kernel_mask(sp, a) == want_theta
             assert open_kernel_mask(sp, a) == want_open
+
+
+def test_quasi_regular_witness_on_every_subspace(memo_oracles):
+    # Every subspace of every space on 4 points, the closed ones included:
+    # the witness is the least minimal piece that contains the relative
+    # closure of no non-empty relatively open set.
+    oracles = memo_oracles
+    for sp in all_labeled(4):
+        for a in nonempty_subsets(sp.full_mask):
+            opens = [v for v in oracles.all_opens(sp, a) if v]
+            failing = [
+                sp.nbhd[x] & a
+                for x in bits(a)
+                if not any(oracles.cl_oracle(sp, v, a) & ~sp.nbhd[x] == 0 for v in opens)
+            ]
+            assert quasi_regular_witness(sp, a) == (failing[0] if failing else None)
+            assert (not failing) == oracles.quasi_regular_oracle(sp, a)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from oracles import (
     theta_part_oracle,
     theta_step_oracle,
 )
-from thetatopo.bitset import index_tuple
+from thetatopo.bitset import index_tuple, submasks as package_submasks
 from thetatopo.generate import labeled_rows, space_from_rows
 from thetatopo.regularity import is_t1
 from thetatopo.space import (
@@ -31,6 +31,7 @@ from thetatopo.space import (
     UnknownPoint,
     build_space,
     closure_mask,
+    closure_rows,
     format_mask,
     format_names,
     format_space,
@@ -112,6 +113,42 @@ def test_immutability_equality_pickle():
     assert pickle.loads(pickle.dumps(sp)) == sp
 
 
+def test_up_rows_built_on_first_read_only():
+    sp = build_space(["a", "b", "c"], {"a": ["a"], "b": ["a", "b"], "c": ["c"]})
+    fresh = build_space(["a", "b", "c"], {"a": ["a"], "b": ["a", "b"], "c": ["c"]})
+    # Constructing a space builds no up-rows: the slot is still unset.
+    with pytest.raises(AttributeError):
+        FinSpace.up.__get__(sp, FinSpace)
+    assert sp.up == (0b011, 0b010, 0b100)
+    assert FinSpace.up.__get__(sp, FinSpace) is sp.up
+    # The table is invisible to ==, hash and pickling.
+    assert sp == fresh and hash(sp) == hash(fresh)
+    back = pickle.loads(pickle.dumps(sp))
+    assert back == fresh and hash(back) == hash(fresh)
+    with pytest.raises(AttributeError):
+        FinSpace.up.__get__(back, FinSpace)
+    with pytest.raises(AttributeError):
+        sp.up = (0, 0, 0)
+    with pytest.raises(AttributeError):
+        sp.nbhd = (1, 2, 4)
+    with pytest.raises(AttributeError):
+        getattr(sp, "missing")
+    assert sp.up == (0b011, 0b010, 0b100)
+
+
+def test_up_rows_match_definition():
+    for sp in all_labeled(4):
+        for y in range(len(sp)):
+            assert sp.up[y] == sum(1 << x for x in range(len(sp)) if sp.nbhd[x] >> y & 1)
+            assert sp.up[y] == cl_oracle(sp, 1 << y)
+
+
+def test_submasks_ascending():
+    for mask in range(1 << 8):
+        want = sorted(s for s in range(mask + 1) if s & ~mask == 0)
+        assert list(package_submasks(mask)) == want
+
+
 # ---------------------------------------------------------------------------
 # Set operators against the definitional oracles.
 # ---------------------------------------------------------------------------
@@ -128,13 +165,21 @@ def test_operators_match_oracles_exhaustively():
                 assert theta_interior_mask(sp, s, a) == theta_step_oracle(sp, s, a)
 
 
-def test_operators_match_oracles_n4_ambient():
+def test_operators_match_oracles_n4(memo_oracles):
+    # Every space on 4 points, every subset, every ambient subspace.
+    oracles = memo_oracles
     for sp in all_labeled(4):
         full = sp.full_mask
-        for s in range(full + 1):
-            assert closure_mask(sp, s) == cl_oracle(sp, s)
-            assert interior_mask(sp, s) == int_oracle(sp, s)
-            assert theta_open_part_mask(sp, s) == theta_part_oracle(sp, s)
+        for a in range(1, full + 1):
+            rows = closure_rows(sp, a)
+            for x in range(len(sp)):
+                want = oracles.cl_oracle(sp, sp.nbhd[x] & a, a) if a >> x & 1 else 0
+                assert rows[x] == want
+            for s in range(full + 1):
+                assert closure_mask(sp, s, a) == oracles.cl_oracle(sp, s, a)
+                assert interior_mask(sp, s, a) == oracles.int_oracle(sp, s, a)
+                assert theta_interior_mask(sp, s, a) == oracles.theta_step_oracle(sp, s, a)
+                assert theta_open_part_mask(sp, s, a) == oracles.theta_part_oracle(sp, s, a)
 
 
 def test_open_family_matches_oracle():
