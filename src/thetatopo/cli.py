@@ -23,6 +23,7 @@ from .decomposition import (
 from .generate import space_from_rows, space_rows
 from .hedgehog import (
     DEPTH_CAP,
+    EMBED_DEPTH_CAP,
     ROOT,
     HedgehogOracle,
     NotHausdorffWitnessed,
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     hp.add_argument("--json", action="store_true")
     hp.set_defaults(func=cmd_hh_profile)
     he = hsub.add_parser("embed")
-    he.add_argument("--depth", type=_int_at_least(1, DEPTH_CAP), default=20)
+    he.add_argument("--depth", type=_int_at_least(1, EMBED_DEPTH_CAP), default=20)
     he.add_argument(
         "--space",
         default="hedgehog",

@@ -14,6 +14,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator
 
+from thetatopo.hedgehog import MalformedToken
 from thetatopo.space import CapExceeded, FinSpace
 
 
@@ -636,6 +637,26 @@ def labeled_verify_diagram(
 # ---------------------------------------------------------------------------
 # Truncated hedgehog: member sets straight from the base formulas.
 # ---------------------------------------------------------------------------
+
+def hh_check_token(t, allow_fin: bool = False):
+    """The hedgehog's token check before its fast path, kept as written:
+    the reference the package's _check_token must agree with."""
+    if isinstance(t, list):
+        t = tuple(t)
+    if not isinstance(t, tuple):
+        raise MalformedToken(f"token must be a tuple, got {t!r}")
+    if t == ():
+        return t
+    if len(t) == 1 and isinstance(t[0], int) and t[0] >= 1:
+        return t
+    if len(t) == 2 and t[0] == "fin":
+        if allow_fin and isinstance(t[1], str):
+            return t
+        raise MalformedToken(f"finite-summand token {t!r} not valid here")
+    if len(t) == 2 and all(isinstance(v, int) and v >= 1 for v in t):
+        return t
+    raise MalformedToken(f"not a well-formed token: {t!r}")
+
 
 def hh_universe(limit: int) -> tuple:
     """All hedgehog tokens with indices up to the limit."""

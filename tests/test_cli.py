@@ -372,11 +372,11 @@ SW_BOUND_OVER_CAP = [
 MAX_POINTS_OVER_CAP = [
     (cmd, "--max-points", "25", "fixtures/sierpinski.json") for cmd in ("classify", "decompose")
 ]
-# (argv, the argparse message): --depth above DEPTH_CAP, --samples above
-# SAMPLES_CAP.
+# (argv, the argparse message): --depth above DEPTH_CAP (profile) or
+# EMBED_DEPTH_CAP (embed), --samples above SAMPLES_CAP.
 KNOBS_OVER_CAP = {
     ("hedgehog", "profile", "--depth", "401"): "argument --depth: must be at most 400, got 401",
-    ("hedgehog", "embed", "--depth", "401"): "argument --depth: must be at most 400, got 401",
+    ("hedgehog", "embed", "--depth", "201"): "argument --depth: must be at most 200, got 201",
     ("fn", "compositions", "--samples", "100001", "--sizes", "3,3,3"): (
         "argument --samples: must be at most 100000, got 100001"
     ),
@@ -469,6 +469,28 @@ def test_enumerate_seven_point_classes_pinned():
     assert out.count("\n") == 4535
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "fc90a8999006143589daea4a008d7e2be021d4abece57449945585cb6914042e"
+    )
+
+
+def test_hedgehog_outputs_pinned():
+    # stdout of the profile and of embeddings into four oracle spaces, text
+    # and --json, verification checks included; recorded when every oracle
+    # query still re-validated its token.
+    runs = [("hedgehog", "profile", "--depth", "60", "--json")]
+    for spec in ("hedgehog", "permuted:3,1,2", "permuted:5,4,3,2,1", "sum:discrete3"):
+        for depth in ("1", "3", "12"):
+            for u0 in ("0", "2"):
+                for fmt in ((), ("--json",)):
+                    runs.append(
+                        ("hedgehog", "embed", "--space", spec, "--depth", depth, "--u0-index", u0, *fmt)
+                    )
+    h = hashlib.sha256()
+    for argv in runs:
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, ""), argv
+        h.update(out.encode())
+    assert h.hexdigest() == (
+        "c56fdc4ad413fa2393b84e4c0e524ba32136a949ca4ca03a0b11217b035ff440"
     )
 
 

@@ -159,7 +159,7 @@ def commands(tmp_dir: Path):
             ("hedgehog", "embed"),
             None,
             {
-                "--depth": knob(1, 3, 401),
+                "--depth": knob(1, 3, 201),
                 "--space": EMBED_SPACES,
                 "--u0-index": knob(0, 10**12),
                 "--json": None,

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import namedtuple
 from itertools import product
 
 import pytest
@@ -7,6 +8,7 @@ from oracles import (
     cl_oracle,
     hh_base_members,
     hh_brute_closure_contains,
+    hh_check_token,
     hh_least_pick,
     hh_members,
     hh_universe,
@@ -66,6 +68,46 @@ def test_token_validation():
     for bad in ["x", 5, (0,), (-1,), (1, 0), (0, 1), (1, 2, 3), (1.5,), ("fin", "a")]:
         with pytest.raises(MalformedToken):
             o.validate(bad)
+
+
+class Index(int):
+    pass
+
+
+Tip = namedtuple("Tip", "n m")
+
+# Well-formed tokens, and every kind of near miss the fast path must hand on
+# to the full check: lists, bools, int subclasses, tuple subclasses, zero,
+# negatives, floats, strings, nested tuples, length 3, finite-summand tokens.
+TOKEN_CATALOG = [
+    (), (1,), (3, 7), (10**12, 1),
+    [], [4], [2, 5], [0, 1], [1, 2, 3], ["fin", "a"],
+    (True,), (False,), (1, False), (True, True), (2, True),
+    (Index(2),), (1, Index(3)), Tip(1, 2), Tip(0, 2),
+    0, 5, -1, 1.5, None, "x", "fin", b"\x01",
+    (0,), (-1,), (1, 0), (0, 1), (-3, 2), (1.5,), (2, 2.0), (1.0, 1),
+    ("1",), ("a", "b"), ((1,),), ((1, 2), 3), (1, (2,)), ((),),
+    (1, 2, 3), (1, 1, 1), (0, 0, 0), ("fin", "a", "b"),
+    ("fin", "a"), ("fin", 1), ("fin", ""), ("fin", ("a",)), ("fin",),
+]
+
+
+def check_outcome(check, t, allow_fin):
+    try:
+        got = check(t, allow_fin=allow_fin)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+    return "returns", type(got), repr(got)
+
+
+def test_check_token_matches_reference():
+    import thetatopo.hedgehog as m
+
+    for t in TOKEN_CATALOG:
+        for allow_fin in (False, True):
+            assert check_outcome(m._check_token, t, allow_fin) == check_outcome(
+                hh_check_token, t, allow_fin
+            ), (t, allow_fin)
 
 
 def test_token_order_and_rendering():
@@ -408,50 +450,134 @@ def tamper(e, **kw):
     return dataclasses.replace(e, **kw)
 
 
+# Each oracle answers the verifier's membership questions through its own
+# unchecked entries, so every tampered embedding is checked on all three.
+TAMPER_ORACLES = (HedgehogOracle(), SumOracle(SIERPINSKI), PermutedOracle({1: 3, 2: 1, 3: 2}))
+
+
+def tampered(change):
+    """(oracle, its depth-3 embedding with change(e) replacing fields)."""
+    for o in TAMPER_ORACLES:
+        e = embed_hedgehog(o, depth=3)
+        yield o, tamper(e, **change(e))
+
+
 def test_verify_detects_duplicate_image():
-    o = HedgehogOracle()
-    e = embed_hedgehog(o, depth=3)
-    row = (e.tips[0][1], e.tips[0][1], e.tips[0][2])
-    bad = tamper(e, tips=(row,) + e.tips[1:])
-    with pytest.raises(VerificationFailure) as ei:
-        verify_embedding(o, bad, 3)
-    assert ei.value.clause == "distinctness"
+    for o, bad in tampered(
+        lambda e: {"tips": ((e.tips[0][1], e.tips[0][1], e.tips[0][2]),) + e.tips[1:]}
+    ):
+        with pytest.raises(VerificationFailure) as ei:
+            verify_embedding(o, bad, 3)
+        assert ei.value.clause == "distinctness"
 
 
 def test_verify_detects_diverging_tips():
-    o = HedgehogOracle()
-    e = embed_hedgehog(o, depth=3)
-    bad = tamper(e, tips=(tuple(reversed(e.tips[0])),) + e.tips[1:])
-    with pytest.raises(VerificationFailure) as ei:
-        verify_embedding(o, bad, 3)
-    assert ei.value.clause == "stalk_convergence"
+    for o, bad in tampered(lambda e: {"tips": (tuple(reversed(e.tips[0])),) + e.tips[1:]}):
+        with pytest.raises(VerificationFailure) as ei:
+            verify_embedding(o, bad, 3)
+        assert ei.value.clause == "stalk_convergence"
 
 
 def test_verify_detects_wrong_root():
-    o = HedgehogOracle()
-    e = embed_hedgehog(o, depth=3)
-    bad = tamper(e, root_image=(9, 9))
-    with pytest.raises(VerificationFailure) as ei:
-        verify_embedding(o, bad, 3)
-    assert ei.value.clause == "root_pattern"
+    for o, bad in tampered(lambda e: {"root_image": (9, 9)}):
+        with pytest.raises(VerificationFailure) as ei:
+            verify_embedding(o, bad, 3)
+        assert ei.value.clause == "root_pattern"
 
 
 def test_verify_detects_adhering_tail():
-    o = HedgehogOracle()
-    e = embed_hedgehog(o, depth=3)
-    bad = tamper(e, ks=(e.ks[0], 0) + e.ks[2:])
-    with pytest.raises(VerificationFailure, match="still adheres") as ei:
-        verify_embedding(o, bad, 3)
-    assert ei.value.clause == "separation"
+    for o, bad in tampered(lambda e: {"ks": (e.ks[0], 0) + e.ks[2:]}):
+        with pytest.raises(VerificationFailure, match="still adheres") as ei:
+            verify_embedding(o, bad, 3)
+        assert ei.value.clause == "separation"
 
 
 def test_verify_detects_leaky_v():
-    o = HedgehogOracle()
+    for o, bad in tampered(lambda e: {"v_indices": (5,) + e.v_indices[1:]}):
+        with pytest.raises(VerificationFailure, match="misses its own tip") as ei:
+            verify_embedding(o, bad, 3)
+        assert ei.value.clause == "separation"
+
+
+def test_verify_detects_captured_tip():
+    # A far tip of stalk image 1 in stalk 2's row: only the last tip of a
+    # row must converge, and only the last stalk's tips face the root bases,
+    # so V_1 is the first to see it.
+    def change(e):
+        far = (e.stalk_images[0][0], 50)
+        return {"tips": (e.tips[0], (far,) + e.tips[1][1:], e.tips[2])}
+
+    for o, bad in tampered(change):
+        with pytest.raises(VerificationFailure, match="captures a tip image of stalk 2") as ei:
+            verify_embedding(o, bad, 3)
+        assert ei.value.clause == "separation"
+
+
+def test_verify_detects_short_tail():
+    # The tail base at k_2 = 100 lies past every stalk the images use.
+    for o, bad in tampered(lambda e: {"ks": (e.ks[0], 100) + e.ks[2:]}):
+        with pytest.raises(
+            VerificationFailure, match=r"tail base at k_2 misses tip image \(2,1\) of stalk 2"
+        ) as ei:
+            verify_embedding(o, bad, 3)
+        assert ei.value.clause == "separation"
+
+
+def test_verify_detects_captured_stalk():
+    # In a finite summand a minimal neighborhood can hold another point:
+    # with stalk images p and q, V_1 = N(p) holds q.
+    fin = build_space(
+        ["p", "q", "r", "s", "u", "z"],
+        {"p": ["p", "q", "r", "s", "u", "z"], "q": ["q", "z"], **{c: [c] for c in "rsuz"}},
+    )
+    o = SumOracle(fin)
     e = embed_hedgehog(o, depth=3)
-    bad = tamper(e, v_indices=(5,) + e.v_indices[1:])
-    with pytest.raises(VerificationFailure, match="misses its own tip") as ei:
+    bad = tamper(
+        e,
+        stalk_images=(("fin", "p"), ("fin", "q"), e.stalk_images[2]),
+        tips=(
+            (("fin", "r"), ("fin", "s"), ("fin", "u")),
+            ((1, 1), (1, 2), ("fin", "z")),
+            e.tips[2],
+        ),
+    )
+    with pytest.raises(VerificationFailure, match="V_1 captures the stalk image of 2") as ei:
         verify_embedding(o, bad, 3)
     assert ei.value.clause == "separation"
+
+
+def test_verify_rejects_malformed_images():
+    # Images are validated once, after the distinctness pass; a token the
+    # oracle does not know still raises what the oracle's own check raises.
+    for o, bad in tampered(lambda e: {"tips": (e.tips[0], ((0, 2),) + e.tips[1][1:], e.tips[2])}):
+        with pytest.raises(MalformedToken, match=r"not a well-formed token: \(0, 2\)"):
+            verify_embedding(o, bad, 3)
+    for o, bad in tampered(lambda e: {"root_image": (0,)}):
+        with pytest.raises(MalformedToken):
+            verify_embedding(o, bad, 3)
+    for o, bad in tampered(
+        lambda e: {"tips": (e.tips[0], (("fin", "zz"),) + e.tips[1][1:], e.tips[2])}
+    ):
+        expected = UnknownPoint if isinstance(o, SumOracle) else MalformedToken
+        with pytest.raises(expected, match="zz"):
+            verify_embedding(o, bad, 3)
+
+
+def test_verify_checks_each_token_once(monkeypatch):
+    # The verifier validates its images once and asks every membership
+    # question through the unchecked entries: at most three token checks
+    # per image, against 3,690 when every query re-validated.
+    import thetatopo.hedgehog as m
+
+    calls = []
+    check = m._check_token
+    monkeypatch.setattr(m, "_check_token", lambda *a, **k: calls.append(a) or check(*a, **k))
+    d = 10
+    for o in TAMPER_ORACLES:
+        e = embed_hedgehog(o, depth=d)
+        calls.clear()
+        assert verify_embedding(o, e, d)["verdict"] == "pass"
+        assert len(calls) <= 3 * (1 + d + d * d)
 
 
 # ---------------------------------------------------------------------------
