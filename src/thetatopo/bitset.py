@@ -17,27 +17,24 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def index_tuple(mask: int) -> tuple[int, ...]:
-    """The sorted tuple of bit positions; the comparison key that defines
-    the 'lexicographically least' subset in reports."""
-    return tuple(bits(mask))
+def lex_less(a: int, b: int) -> bool:
+    """tuple(bits(a)) < tuple(bits(b)): the sorted-index-tuple order that
+    defines the 'lexicographically least' subset in reports.
 
-
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, including 0 and mask itself, in ascending
-    numeric order: (sub - mask) & mask adds one at the lowest bit of mask
-    and carries through the bits outside it. Order is arbitrary for callers;
-    use subsets_lex when 'first hit' must mean 'lexicographically least'."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
+    The tuples agree below low, the lowest bit where a and b differ. If a
+    holds low, a is less iff b goes on past it, i.e. has a bit above low;
+    if b holds low, a is less iff it ends there. A mask has a bit above low
+    iff it is at least 2 * low.
+    """
+    d = a ^ b
+    if not d:
+        return False
+    low = d & -d
+    return b >= low << 1 if a & low else a < low << 1
 
 
 def subsets_lex(mask: int) -> Iterator[int]:
-    """Non-empty submasks of mask in index_tuple (sorted-tuple) lex order,
+    """Non-empty subsets of mask in ascending lex_less order,
     e.g. {0} < {0,1} < {0,1,2} < {0,2} < {1} < {1,2} < {2}.
 
     Scanning in this order makes the first witness the least one.

@@ -45,7 +45,7 @@ def _walk(n: int, orderly: bool) -> Iterator[tuple[int, ...]]:
     """The coherent-row backtracking walk behind both streams, ascending.
 
     Point i's row must lie inside N(j) for each decided j with i ∈ N(j), so
-    the candidates are the submasks of the AND of those rows, walked in
+    the candidates are the subsets of the AND of those rows, walked in
     ascending order; a candidate is kept when it contains N(j) for each
     decided j it holds (looked up in `unions`, the OR of the decided rows
     over each set of decided points). Every point pair is checked when its

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .bitset import bits, index_tuple, subsets_gray
+from .bitset import bits, lex_less, subsets_gray
 from .space import (
     POINT_CAP,
     CapExceeded,
@@ -30,7 +30,7 @@ from .space import (
     read_json,
     space_from_obj,
     space_to_obj,
-    theta_open_part_mask,
+    theta_components,
 )
 
 
@@ -262,7 +262,10 @@ def _sweep(domain: FinSpace, ok: tuple[int, ...]) -> tuple[str, tuple[tuple[str,
 
     Subsets run in Gray-code order so the per-point discontinuity counters
     update by one flip per step; witnesses are still selected globally as the
-    least failing restriction, independent of sweep order.
+    least failing restriction under lex_less, independent of sweep order.
+    A restriction A fails the theta tier iff no component of the closure
+    relation on A lies inside the continuity set C(f|A), so the walk over
+    those components stops at the first one it finds.
     """
     n = len(domain)
     if n == 0:
@@ -280,13 +283,12 @@ def _sweep(domain: FinSpace, ok: tuple[int, ...]) -> tuple[str, tuple[tuple[str,
     bad_count = [0] * n
     calm = full  # points whose current restriction shows no bad neighbor
     c_full = 0
-    fails: dict[str, tuple[tuple[int, ...], int]] = {}
+    fails: dict[str, int] = {}
 
     def note(tier: str, a: int) -> None:
-        key = index_tuple(a)
         cur = fails.get(tier)
-        if cur is None or key < cur[0]:
-            fails[tier] = (key, a)
+        if cur is None or lex_less(a, cur):
+            fails[tier] = a
 
     for a, flipped in subsets_gray(full):
         if flipped >= 0:
@@ -312,12 +314,12 @@ def _sweep(domain: FinSpace, ok: tuple[int, ...]) -> tuple[str, tuple[tuple[str,
         elif interior_mask(domain, c, a) == 0:
             note("weakly_discontinuous", a)
             note("theta_weakly_discontinuous", a)
-        elif theta_open_part_mask(domain, c, a) == 0:
+        elif next(theta_components(domain, c, a), 0) == 0:
             note("theta_weakly_discontinuous", a)
 
-    masks = {t: a for t, (_, a) in fails.items()}
+    masks = fails
     if c_full != full:
-        masks = {"continuous": full & ~c_full, **masks}
+        masks = {"continuous": full & ~c_full, **fails}
 
     if "scatteredly_continuous" in masks:
         tier = "none"

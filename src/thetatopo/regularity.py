@@ -14,7 +14,7 @@ from functools import cache
 from itertools import product
 from typing import Callable, NamedTuple
 
-from .bitset import bits, submasks, subsets_lex
+from .bitset import bits, subsets_lex
 from .generate import homeo_rows, space_from_rows
 from .maps import FinMap, classify_map, image_ok_masks, map_to_obj
 from .space import (
@@ -25,7 +25,7 @@ from .space import (
     closure_rows,
     format_names,
     is_open_mask,
-    theta_part,
+    theta_components,
     theta_step,
 )
 
@@ -160,19 +160,14 @@ def t1_witness(space: FinSpace) -> int | None:
 
 def theta_kernel_mask(space: FinSpace, a: int) -> int:
     """Union of all subsets of a that are theta-open in the subspace on a and
-    regular as subspaces. Scans submasks, cheapest test first, over one
-    closure_rows table of a; the result is itself theta-open in a and
-    regular, which is asserted."""
-    rows = closure_rows(space, a)
+    regular as subspaces: the union of the regular components of a (see the
+    space module). A theta-open set is a union of components, which are
+    regular if the set is, since regularity is hereditary; and a union of
+    clopen regular components is their topological sum, which is regular."""
     out = 0
-    for v in submasks(a):
-        if v == 0 or v & ~out == 0:
-            continue
-        if theta_step(rows, v) == v and is_regular_mask(space, v):
-            out |= v
-    if out:
-        if theta_step(rows, out) != out or not is_regular_mask(space, out):
-            raise TopologyError("internal: theta kernel lost theta-openness or regularity")
+    for comp in theta_components(space, a, a):
+        if is_regular_mask(space, comp):
+            out |= comp
     return out
 
 
@@ -216,14 +211,18 @@ def theta_weakly_regular_witness(space: FinSpace) -> int | None:
 def w_theta_regular_witness(space: FinSpace) -> tuple[int, int] | None:
     """Least (subspace, relatively open set) such that the open set contains
     no non-empty theta-open-in-the-subspace subset. Relatively open sets are
-    unions of minimal pieces, so checking the pieces is exact. Each subspace
-    builds one closure_rows table for all of its pieces."""
+    unions of minimal pieces, so checking the pieces is exact.
+
+    A piece u = N(x) & a lies inside the component of x in a, since each
+    y in u lies in N(y) & N(x) & a. Its theta-open part is the union
+    of the components inside u, so it is non-empty iff u is that component,
+    iff u is theta-open: one step over the closure_rows table of a."""
     nbhd = space.nbhd
     for a in subsets_lex(space.full_mask):
         rows = closure_rows(space, a)
         for x in bits(a):
             u = nbhd[x] & a
-            if theta_part(rows, u) == 0:
+            if theta_step(rows, u) != u:
                 return a, u
     return None
 

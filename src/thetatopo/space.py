@@ -9,11 +9,21 @@ operation here is pure.
 Two tables carry the closures. A space builds its up-rows on first use,
 up[y] = {x : y in N(x)}, the closure of {y}; a closure is then the OR of the
 up-rows of the points of s. For a subspace w, closure_rows(space, w) holds
-cl_w(N(x) & w) for each x in w, the relative closure of x's minimal piece.
-One theta-interior step over w reads only that table, so a caller that
-takes many steps over one w (a fixpoint, a kernel scan over the submasks of
-w) builds it once and keeps it in a local variable: no closure_rows table
-outlives the call that built it.
+cl_w(N(x) & w) for each x in w, the relative closure of x's minimal piece,
+and one theta-interior step over w reads only that table. No closure_rows
+table outlives the call that built it.
+
+Theta-openness itself needs no table. Relate z ~ x in w iff z lies in
+cl_w(N(x) & w), that is iff N(z) & N(x) & w is non-empty:
+  - the relation is reflexive and symmetric, so its connected components
+    partition w;
+  - s inside w is theta-open iff cl_w(N(x) & w) lies in s for each x in s,
+    iff s is closed under ~, iff s is a union of components;
+  - so the largest theta-open subset of s is the union of the components
+    that lie inside s; a component and its complement are both
+    theta-open, hence open, so each component is clopen in w.
+theta_components grows those components one at a time, reading the up-rows
+of the points it reaches, and drops a component as soon as it leaves s.
 """
 
 from __future__ import annotations
@@ -375,19 +385,46 @@ def theta_step(rows: Sequence[int], s: int) -> int:
     return out
 
 
-def theta_part(rows: Sequence[int], s: int) -> int:
-    """The largest theta-open subset of s, over the table
-    closure_rows(space, w), for s inside w.
+def theta_components(space: FinSpace, s: int, within: int | None = None) -> Iterator[int]:
+    """The connected components of the closure relation on w (see the module
+    docstring) that lie inside s, in order of their least point of s.
 
-    Iterating the one-step theta interior to a fixpoint is exact: the
-    fixpoint condition is the theta-openness condition, and every theta-open
-    subset of s survives each step.
+    A component grows from a point of s by layers: the points of w that
+    join it are those whose minimal neighborhood meets N(p) & w for a new
+    member p, the up-rows of the points of N(p) & w, and each up-row is read
+    at most once per component. Growth stops as soon as it reaches a point
+    outside s.
     """
-    while True:
-        nxt = theta_step(rows, s)
-        if nxt == s:
-            return s
-        s = nxt
+    w = space.full_mask if within is None else within
+    s &= w
+    nbhd = space.nbhd
+    up = space.up
+    rest = s
+    while rest:
+        comp = new = rest & -rest
+        met = 0  # points of w whose up-rows are already in comp
+        while new:
+            pieces = 0
+            while new:
+                low = new & -new
+                pieces |= nbhd[low.bit_length() - 1]
+                new ^= low
+            pieces &= w & ~met
+            met |= pieces
+            reach = 0
+            while pieces:
+                low = pieces & -pieces
+                reach |= up[low.bit_length() - 1]
+                pieces ^= low
+            reach &= w
+            if reach & ~s:
+                comp |= reach
+                break
+            new = reach & ~comp
+            comp |= reach
+        else:
+            yield comp
+        rest &= ~comp
 
 
 def theta_interior_mask(space: FinSpace, s: int, within: int | None = None) -> int:
@@ -398,13 +435,18 @@ def theta_interior_mask(space: FinSpace, s: int, within: int | None = None) -> i
 
 
 def theta_open_part_mask(space: FinSpace, s: int, within: int | None = None) -> int:
-    """The largest theta-open (relative to `within`) subset of s."""
-    w = space.full_mask if within is None else within
-    return theta_part(closure_rows(space, w, s), s & w)
+    """The largest theta-open (relative to `within`) subset of s: the union
+    of the components of w that lie inside s."""
+    out = 0
+    for comp in theta_components(space, s, within):
+        out |= comp
+    return out
 
 
 def is_theta_open_mask(space: FinSpace, s: int, within: int | None = None) -> bool:
-    return theta_interior_mask(space, s, within) == (s if within is None else s & within)
+    """s is a subset of w on which one theta-interior step changes nothing."""
+    w = space.full_mask if within is None else within
+    return s & ~w == 0 and theta_interior_mask(space, s, w) == s
 
 
 # ---------------------------------------------------------------------------

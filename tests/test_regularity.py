@@ -149,6 +149,43 @@ def test_false_witnesses_are_genuine():
             assert not quasi_regular_oracle(sp, h)
 
 
+def test_theta_deciders_give_least_witnesses(memo_oracles):
+    # On every space on 4 points, both theta deciders return the least
+    # witness that the definitions give, in sorted-index-tuple order: the
+    # least closed set with an empty theta kernel, and the least subspace
+    # with a failing minimal piece, then that subspace's failing piece of
+    # the least point.
+    oracles = memo_oracles
+
+    def key(m):
+        return tuple(bits(m))
+
+    for rows in labeled_rows(4):
+        sp = space_from_rows(rows)
+        full = sp.full_mask
+        closed = sorted((full & ~v for v in oracles.all_opens(sp) if v != full), key=key)
+        want = next(
+            (
+                a
+                for a in closed
+                if not any(
+                    u and oracles.theta_open_oracle(sp, u, a) and oracles.regular_oracle(sp, u)
+                    for u in submasks(a)
+                )
+            ),
+            None,
+        )
+        assert theta_weakly_regular_witness(sp) == want, rows
+        want = None
+        for a in sorted(nonempty_subsets(full), key=key):
+            pieces = (sp.nbhd[x] & a for x in bits(a))
+            u = next((u for u in pieces if oracles.theta_part_oracle(sp, u, a) == 0), None)
+            if u is not None:
+                want = (a, u)
+                break
+        assert w_theta_regular_witness(sp) == want, rows
+
+
 def test_scattered_residue():
     for sp in all_labeled(4):
         residue = scattered_residue_mask(sp)

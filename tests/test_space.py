@@ -16,7 +16,7 @@ from oracles import (
     theta_part_oracle,
     theta_step_oracle,
 )
-from thetatopo.bitset import index_tuple, submasks as package_submasks
+from thetatopo.bitset import bits, lex_less, subsets_lex
 from thetatopo.generate import labeled_rows, space_from_rows
 from thetatopo.regularity import is_t1
 from thetatopo.space import (
@@ -143,10 +143,16 @@ def test_up_rows_match_definition():
             assert sp.up[y] == cl_oracle(sp, 1 << y)
 
 
-def test_submasks_ascending():
+def test_lex_less_is_the_sorted_tuple_order():
+    # Every pair of masks below 2^7, and subsets_lex ascends under it.
+    keys = [tuple(bits(m)) for m in range(1 << 7)]
+    for a, ka in enumerate(keys):
+        for b, kb in enumerate(keys):
+            assert lex_less(a, b) == (ka < kb), (a, b)
     for mask in range(1 << 8):
-        want = sorted(s for s in range(mask + 1) if s & ~mask == 0)
-        assert list(package_submasks(mask)) == want
+        seq = list(subsets_lex(mask))
+        assert sorted(seq) == [s for s in range(1, mask + 1) if s & ~mask == 0]
+        assert all(lex_less(u, v) for u, v in zip(seq, seq[1:])), mask
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +247,22 @@ def test_theta_open_implies_open(sp):
     for u in range(full + 1):
         if is_theta_open_mask(sp, u):
             assert is_open_mask(sp, u)
+
+
+def test_is_theta_open_mask_exhaustively(memo_oracles):
+    # Every space on up to 4 points and every pair (s, w): a set that leaves
+    # w is neither open nor theta-open in w, and inside w the answer is the
+    # definition's.
+    assert not is_theta_open_mask(build_space(["a", "b"], {"a": ["a"], "b": ["b"]}), 0b11, 0b01)
+    for sp in all_labeled(4):
+        full = sp.full_mask
+        for w in range(full + 1):
+            for s in range(full + 1):
+                got = is_theta_open_mask(sp, s, w)
+                if got:
+                    assert is_open_mask(sp, s, w), (sp.nbhd, s, w)
+                if s & ~w == 0:
+                    assert got == memo_oracles.theta_open_oracle(sp, s, w), (sp.nbhd, s, w)
 
 
 def test_theta_interior_iterates_to_part():
@@ -340,6 +362,3 @@ def test_formatting_helpers():
     assert format_names(()) == "{}"
     assert format_mask(SIERPINSKI, 0b11) == "{a,b}"
     assert format_space(SIERPINSKI) == "{a:{a},b:{a,b}}"
-    assert index_tuple(0) == ()
-    assert index_tuple(0b101) == (0, 2)
-    assert index_tuple(0b10) > index_tuple(0b101)
