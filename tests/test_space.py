@@ -144,11 +144,15 @@ def test_up_rows_match_definition():
 
 
 def test_lex_less_is_the_sorted_tuple_order():
-    # Every pair of masks below 2^7, and subsets_lex ascends under it.
+    # Every pair of masks below 2^7.
     keys = [tuple(bits(m)) for m in range(1 << 7)]
     for a, ka in enumerate(keys):
         for b, kb in enumerate(keys):
             assert lex_less(a, b) == (ka < kb), (a, b)
+
+
+def test_submasks_ascending():
+    # subsets_lex yields every non-empty submask once, ascending under lex_less.
     for mask in range(1 << 8):
         seq = list(subsets_lex(mask))
         assert sorted(seq) == [s for s in range(1, mask + 1) if s & ~mask == 0]
