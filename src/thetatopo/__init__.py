@@ -41,6 +41,7 @@ from .maps import (
     continuity_points,
     identity_map,
     is_weak_homeomorphism,
+    reaches,
 )
 from .regularity import (
     PropertyReport,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .maps import CLASSIFY_CAP, FinMap, classify_map
+from .maps import CLASSIFY_CAP, FinMap, reaches
 from .regularity import PROPERTY_CAP, open_kernel_mask, theta_kernel_mask
 from .space import (
     CapExceeded,
@@ -62,9 +62,7 @@ class Decomposition:
 
 def _decompose(space: FinSpace, mode: str, max_points: int) -> Decomposition:
     if len(space) > max_points:
-        raise CapExceeded(
-            f"kernel scans are exponential; cap is {max_points} points"
-        )
+        raise CapExceeded(f"decomposition capped at {max_points} points")
     kernel = theta_kernel_mask if mode == "theta" else open_kernel_mask
     layers: list[int] = []
     cur = space.full_mask
@@ -120,8 +118,8 @@ def weak_homeo_witness(
 
     tier = "theta_weakly_discontinuous" if theta else "weakly_discontinuous"
     if len(space) <= CLASSIFY_CAP:
-        if not classify_map(back.inverse()).reaches("continuous"):
+        if not reaches(back.inverse(), "continuous"):
             raise TopologyError("internal: sum-to-space identity is not continuous")
-        if not classify_map(back).reaches(tier):
+        if not reaches(back, tier):
             raise TopologyError(f"internal: witness map does not reach {tier}")
     return y, back

@@ -242,12 +242,7 @@ def classify_map(f: FinMap) -> MapClass:
     """Classify f by sweeping all non-empty restrictions of its domain, or
     by the memo entry of an earlier map with the same key. Exponential in
     the domain size, hence CLASSIFY_CAP."""
-    n = len(f.domain)
-    if n > CLASSIFY_CAP:
-        raise CapExceeded(
-            f"classification sweeps 2^{n} restrictions; cap is {CLASSIFY_CAP} points"
-        )
-    key = (f.domain.nbhd, ok_masks(f))
+    key = _memo_key(f)
     found = _memo.get(key)
     if found is None:
         if len(_memo) >= MEMO_CAP:
@@ -256,7 +251,33 @@ def classify_map(f: FinMap) -> MapClass:
     return MapClass(found[0], found[1], f.domain.names)
 
 
-def _sweep(domain: FinSpace, ok: tuple[int, ...]) -> tuple[str, tuple[tuple[str, int], ...]]:
+def reaches(f: FinMap, tier: str) -> bool:
+    """classify_map(f).reaches(tier), deciding only that tier. Continuity
+    is one pass over the points; a restriction tier reads the memo entry of
+    an earlier classify_map, or else sweeps only up to the first restriction
+    that fails tier. The memo is never written."""
+    key = _memo_key(f)
+    if tier == "none":
+        return True
+    if tier == "continuous":
+        full = f.domain.full_mask
+        return continuity_set_mask(f, full, key[1]) == full
+    found = _memo.get(key) or _sweep(f.domain, key[1], tier)
+    return TIER_RANK[found[0]] <= TIER_RANK[tier]
+
+
+def _memo_key(f: FinMap) -> tuple:
+    n = len(f.domain)
+    if n > CLASSIFY_CAP:
+        raise CapExceeded(
+            f"classification sweeps 2^{n} restrictions; cap is {CLASSIFY_CAP} points"
+        )
+    return f.domain.nbhd, ok_masks(f)
+
+
+def _sweep(
+    domain: FinSpace, ok: tuple[int, ...], stop: str | None = None
+) -> tuple[str, tuple[tuple[str, int], ...]]:
     """The tier and the (tier, least witness mask) pairs of any map out of
     domain with these ok masks.
 
@@ -266,6 +287,12 @@ def _sweep(domain: FinSpace, ok: tuple[int, ...]) -> tuple[str, tuple[tuple[str,
     A restriction A fails the theta tier iff no component of the closure
     relation on A lies inside the continuity set C(f|A), so the walk over
     those components stops at the first one it finds.
+
+    With a restriction tier as stop, only the rungs down to stop are tested,
+    and the sweep returns at the first restriction that fails stop, with
+    the tier just below the failed rung and that restriction. The result
+    then tells only whether the map reaches stop, not its tier or least
+    witnesses.
     """
     n = len(domain)
     if n == 0:
@@ -284,6 +311,10 @@ def _sweep(domain: FinSpace, ok: tuple[int, ...]) -> tuple[str, tuple[tuple[str,
     calm = full  # points whose current restriction shows no bad neighbor
     c_full = 0
     fails: dict[str, int] = {}
+    # The rungs tested are those of TIER_RANK >= depth: all three restriction
+    # tiers, or stop and the weaker ones. failed is the TIER_RANK of the
+    # weakest tier A fails; A then fails every restriction tier above it too.
+    depth = TIER_RANK[stop] if stop is not None else 1
 
     def note(tier: str, a: int) -> None:
         cur = fails.get(tier)
@@ -308,14 +339,17 @@ def _sweep(domain: FinSpace, ok: tuple[int, ...]) -> tuple[str, tuple[tuple[str,
         if a == full:
             c_full = c
         if c == 0:
-            note("scatteredly_continuous", a)
-            note("weakly_discontinuous", a)
-            note("theta_weakly_discontinuous", a)
-        elif interior_mask(domain, c, a) == 0:
-            note("weakly_discontinuous", a)
-            note("theta_weakly_discontinuous", a)
-        elif next(theta_components(domain, c, a), 0) == 0:
-            note("theta_weakly_discontinuous", a)
+            failed = 3
+        elif depth <= 2 and interior_mask(domain, c, a) == 0:
+            failed = 2
+        elif depth <= 1 and next(theta_components(domain, c, a), 0) == 0:
+            failed = 1
+        else:
+            continue
+        if stop is not None:
+            return TIERS[failed + 1], ((TIERS[failed], a),)
+        for t in TIERS[failed:0:-1]:
+            note(t, a)
 
     masks = fails
     if c_full != full:
@@ -339,10 +373,7 @@ def is_weak_homeomorphism(f: FinMap, theta: bool = False) -> bool:
     if not f.is_bijective():
         raise BijectivityError("weak homeomorphisms are bijections")
     tier = "theta_weakly_discontinuous" if theta else "weakly_discontinuous"
-    return (
-        classify_map(f).reaches(tier)
-        and classify_map(f.inverse()).reaches(tier)
-    )
+    return reaches(f, tier) and reaches(f.inverse(), tier)
 
 
 def map_class_text(mc: MapClass) -> str:

@@ -30,7 +30,7 @@ from .generate import (
     random_space,
     space_from_rows,
 )
-from .maps import FinMap, MapClass, classify_map, compose, map_to_obj
+from .maps import FinMap, MapClass, classify_map, compose, map_to_obj, reaches
 from .regularity import (
     DECIDABLE_PROPERTIES,
     REPORT_PROPERTIES,
@@ -276,9 +276,9 @@ class DiagramReport:
 
 def _qualifies(h: FinMap) -> bool:
     """h is theta-weakly discontinuous with a weakly discontinuous inverse."""
-    return classify_map(h).reaches("theta_weakly_discontinuous") and classify_map(
-        h.inverse()
-    ).reaches("weakly_discontinuous")
+    return reaches(h, "theta_weakly_discontinuous") and reaches(
+        h.inverse(), "weakly_discontinuous"
+    )
 
 
 def _sw_kept(mc: MapClass) -> bool:

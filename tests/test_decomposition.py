@@ -102,7 +102,7 @@ def test_text_and_obj_forms():
 def test_cap():
     names = [str(i) for i in range(11)]
     big = build_space(names, {a: [a] for a in names})
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="^decomposition capped at 10 points$"):
         theta_decomposition(big)
 
 

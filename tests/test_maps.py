@@ -1,6 +1,7 @@
 import json
 import pickle
-from itertools import product
+import re
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -12,12 +13,14 @@ from oracles import (
     int_oracle,
     map_witness_oracle,
     nonempty_subsets,
+    reaches_oracle,
     theta_part_oracle,
     tier_oracle,
 )
 from thetatopo import maps
 from thetatopo.generate import labeled_rows, space_from_rows
 from thetatopo.maps import (
+    CLASSIFY_CAP,
     TIERS,
     BijectivityError,
     DomainMismatch,
@@ -33,6 +36,7 @@ from thetatopo.maps import (
     map_from_obj,
     map_to_obj,
     ok_masks,
+    reaches,
 )
 from thetatopo.space import CapExceeded, build_space
 
@@ -217,6 +221,82 @@ def test_classify_cap():
     big = build_space(names, {a: [a] for a in names})
     with pytest.raises(CapExceeded):
         classify_map(identity_map(big))
+
+
+# ---------------------------------------------------------------------------
+# Single-tier decisions.
+# ---------------------------------------------------------------------------
+
+def test_reaches_matches_oracle_small():
+    maps._memo.clear()
+    for x in spaces_up_to(2):
+        for y in spaces_up_to(2):
+            for img in product(range(len(y)), repeat=len(x)):
+                f = FinMap(x, y, img)
+                for t in TIERS:
+                    assert reaches(f, t) == reaches_oracle(f, t), (f, t)
+    assert not maps._memo
+
+
+def test_reaches_matches_classification_on_bijections():
+    spaces3 = [space_from_rows(rows) for rows in labeled_rows(3)]
+    cases = [
+        FinMap(x, y, img)
+        for x in spaces3
+        for y in spaces3
+        for img in permutations(range(3))
+    ]
+    maps._memo.clear()
+    got = [[reaches(f, t) for t in TIERS] for f in cases]
+    assert not maps._memo
+    assert got == [[classify_map(f).reaches(t) for t in TIERS] for f in cases]
+
+
+def test_reaches_never_writes_the_memo(monkeypatch):
+    maps._memo.clear()
+    classify_map(identity_map(DISCRETE2))
+    before = list(maps._memo.items())
+    for t in TIERS:  # a miss: the key of D_TO_DISCRETE is not stored
+        reaches(D_TO_DISCRETE, t)
+        assert list(maps._memo.items()) == before
+    classify_map(D_TO_DISCRETE)
+    before = list(maps._memo.items())
+
+    def refuse(*args):
+        raise AssertionError("swept a key that the memo holds")
+
+    monkeypatch.setattr(maps, "_sweep", refuse)
+    assert [reaches(D_TO_DISCRETE, t) for t in TIERS] == [
+        classify_map(D_TO_DISCRETE).reaches(t) for t in TIERS
+    ]
+    assert list(maps._memo.items()) == before
+
+
+def test_reaches_skips_the_theta_walk_below_theta(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("walked theta components for a lower tier")
+
+    maps._memo.clear()
+    monkeypatch.setattr(maps, "theta_components", refuse)
+    assert reaches(D_TO_DISCRETE, "weakly_discontinuous")
+    assert reaches(D_TO_DISCRETE, "scatteredly_continuous")
+
+
+def test_reaches_cap_matches_classify():
+    # An indiscrete domain sent onto two discrete points: the restriction
+    # {0,1} has no continuity point, so a stop sweep returns at once.
+    for n in (CLASSIFY_CAP, CLASSIFY_CAP + 1):
+        names = [str(i) for i in range(n)]
+        blob = build_space(names, {a: names for a in names})
+        f = build_map(blob, DISCRETE2, {a: "0" if a == "0" else "1" for a in names})
+        if n <= CLASSIFY_CAP:
+            assert [reaches(f, t) for t in TIERS] == [t == "none" for t in TIERS]
+            continue
+        with pytest.raises(CapExceeded) as refused:
+            classify_map(f)
+        for t in TIERS:
+            with pytest.raises(CapExceeded, match=re.escape(str(refused.value))):
+                reaches(f, t)
 
 
 # ---------------------------------------------------------------------------

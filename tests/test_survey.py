@@ -333,7 +333,7 @@ def test_diagram_sw_transfer_violations_match_labeled_reference(monkeypatch):
     # composites h o f of 3-point witnesses f stop being sw-witnesses.
     sweep = maps._sweep
 
-    def fake_sweep(domain, ok):
+    def fake_sweep(domain, ok, stop=None):
         tier, masks = sweep(domain, ok)
         if len(domain) == 3 and sum(bin(m).count("1") for m in ok) == 4:
             if tier == "scatteredly_continuous":
