@@ -99,7 +99,9 @@ def weak_homeo_witness(
     Returns (Y, back) where Y is the topological sum of the layer subspaces
     and back: X -> Y sends x to its copy in its layer. The forward identity
     Y -> X is continuous and back is (theta-)weakly discontinuous; both facts
-    are re-checked here before returning.
+    are re-checked here before returning. On finite spaces the theta tier is
+    continuity (maps.reaches), so with theta the check asks that back be a
+    homeomorphism onto Y.
     """
     dec = _decompose(space, "theta" if theta else "open", max_points)
     if not dec.exhausted:

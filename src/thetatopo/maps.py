@@ -5,7 +5,8 @@ domain: the continuity set C(f|A) must be non-empty (scatteredly continuous),
 have non-empty interior in A (weakly discontinuous), or contain a non-empty
 theta-open-in-A subset (theta-weakly discontinuous). Continuity of the whole
 map tops the ladder. Witnesses are the least failing restriction under the
-sorted-index-tuple order, so reports are reproducible.
+sorted-index-tuple order, so reports are reproducible. On finite spaces the
+theta tier is continuity (see reaches), so no map has that tier.
 """
 
 from __future__ import annotations
@@ -253,13 +254,16 @@ def classify_map(f: FinMap) -> MapClass:
 
 def reaches(f: FinMap, tier: str) -> bool:
     """classify_map(f).reaches(tier), deciding only that tier. Continuity
-    is one pass over the points; a restriction tier reads the memo entry of
-    an earlier classify_map, or else sweeps only up to the first restriction
-    that fails tier. The memo is never written."""
+    and the theta tier are one pass over the points: if f is discontinuous
+    at x, then in A = N(x) each u has u in N(u) & N(x), so x lies in
+    cl_A(N(u) & A), every non-empty theta-open subset of A contains x, and
+    x is not in C(f|A). A weaker tier reads the memo entry of an earlier
+    classify_map, or else sweeps only up to the first restriction that
+    fails tier. The memo is never written."""
     key = _memo_key(f)
     if tier == "none":
         return True
-    if tier == "continuous":
+    if TIER_RANK[tier] <= TIER_RANK["theta_weakly_discontinuous"]:
         full = f.domain.full_mask
         return continuity_set_mask(f, full, key[1]) == full
     found = _memo.get(key) or _sweep(f.domain, key[1], tier)
@@ -306,6 +310,8 @@ def _sweep(
     for x in range(n):
         for p in bits(nbhd[x] & ~ok[x]):
             bad_src[p] |= 1 << x
+    if not any(bad_src):  # N(x) lies in ok[x] for all x: every f|A is continuous
+        return "continuous", ()
 
     bad_count = [0] * n
     calm = full  # points whose current restriction shows no bad neighbor

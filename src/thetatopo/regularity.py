@@ -2,9 +2,10 @@
 
 Every decider reduces its quantifier to minimal neighborhoods where that is
 exact, and otherwise scans subsets in sorted-index-tuple order so the first
-failure found is the least witness. The kernel operations used by the
-decomposition module live here too: the union of all (theta-)open regular
-subspaces of a subset.
+failure found is the least witness. The four deciders that scan subspaces
+first test for a partition space, where their property holds outright (see
+is_partition_space). The kernel operations used by the decomposition module
+live here too: the union of all (theta-)open regular subspaces of a subset.
 """
 
 from __future__ import annotations
@@ -185,6 +186,17 @@ def open_kernel_mask(space: FinSpace, a: int) -> int:
     return out
 
 
+def is_partition_space(space: FinSpace) -> bool:
+    """Whether the minimal neighborhoods partition the points (y in N(x)
+    implies x in N(y)). Then so do those of each subspace a: its pieces
+    N(x) & a are clopen in a, so each is its own closure and a component of
+    the closure relation on a, and a closed a is open, regular and the union
+    of its regular components, so both kernels of a are a. Hence
+    hereditarily_quasi_regular, weakly_regular, theta_weakly_regular and
+    w_theta_regular all hold."""
+    return space.up == space.nbhd
+
+
 def _closed_nonempty_lex(space: FinSpace):
     full = space.full_mask
     for a in subsets_lex(full):
@@ -195,6 +207,8 @@ def _closed_nonempty_lex(space: FinSpace):
 def weakly_regular_witness(space: FinSpace) -> int | None:
     """Least non-empty closed subset with no non-empty relatively open
     regular subspace, or None."""
+    if is_partition_space(space):
+        return None
     for a in _closed_nonempty_lex(space):
         if open_kernel_mask(space, a) == 0:
             return a
@@ -202,6 +216,8 @@ def weakly_regular_witness(space: FinSpace) -> int | None:
 
 
 def theta_weakly_regular_witness(space: FinSpace) -> int | None:
+    if is_partition_space(space):
+        return None
     for a in _closed_nonempty_lex(space):
         if theta_kernel_mask(space, a) == 0:
             return a
@@ -217,6 +233,8 @@ def w_theta_regular_witness(space: FinSpace) -> tuple[int, int] | None:
     y in u lies in N(y) & N(x) & a. Its theta-open part is the union
     of the components inside u, so it is non-empty iff u is that component,
     iff u is theta-open: one step over the closure_rows table of a."""
+    if is_partition_space(space):
+        return None
     nbhd = space.nbhd
     for a in subsets_lex(space.full_mask):
         rows = closure_rows(space, a)
@@ -228,6 +246,8 @@ def w_theta_regular_witness(space: FinSpace) -> tuple[int, int] | None:
 
 
 def hereditarily_quasi_regular_witness(space: FinSpace) -> int | None:
+    if is_partition_space(space):
+        return None
     for a in subsets_lex(space.full_mask):
         if quasi_regular_witness(space, a) is not None:
             return a

@@ -462,6 +462,16 @@ def test_verify_diagram_six_points_pinned():
     )
 
 
+def test_verify_diagram_transfer_four_pinned():
+    # The report at transfer bound 4, which scans 3,029,679 bijections
+    # between labeled spaces of at most 4 points.
+    code, out, _ = run_cli("verify-diagram", "--max-n", "4", "--transfer-max", "4", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "df4dd366254d5f86f9d2184ef0d74e6251e62f8498d5262b4eb22233bfbbeffc"
+    )
+
+
 def test_enumerate_seven_point_classes_pinned():
     # The 4,535 classes on 7 points, recorded from the orbit-set walk.
     code, out, err = run_cli("enumerate", "-n", "7", "--homeo")

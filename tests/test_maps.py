@@ -252,6 +252,53 @@ def test_reaches_matches_classification_on_bijections():
     assert got == [[classify_map(f).reaches(t) for t in TIERS] for f in cases]
 
 
+def test_theta_tier_is_continuity(monkeypatch):
+    # On finite spaces the theta tier is continuity: the oracle never gives
+    # a map the tier theta_weakly_discontinuous, and reaches decides that
+    # tier with no restriction sweep.
+    def refuse(*args):
+        raise AssertionError("swept restrictions for the theta tier")
+
+    maps._memo.clear()
+    monkeypatch.setattr(maps, "_sweep", refuse)
+    theta = "theta_weakly_discontinuous"
+    small = spaces_up_to(2)
+    pairs = [(x, y) for x in small for y in small]
+    pairs += [(x, y) for x in spaces_up_to(3)[len(small):] for y in small[1:]]
+    for x, y in pairs:
+        for img in product(range(len(y)), repeat=len(x)):
+            f = FinMap(x, y, img)
+            continuous = reaches_oracle(f, "continuous")
+            assert reaches_oracle(f, theta) == continuous, f
+            assert reaches(f, theta) == continuous, f
+
+
+def test_sweep_skips_the_walk_for_continuous_keys(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("walked the restrictions of a continuous map")
+
+    monkeypatch.setattr(maps, "subsets_gray", refuse)
+    for x in spaces_up_to(2):
+        for y in spaces_up_to(2):
+            for img in product(range(len(y)), repeat=len(x)):
+                f = FinMap(x, y, img)
+                if reaches_oracle(f, "continuous"):
+                    assert maps._sweep(x, ok_masks(f)) == ("continuous", ())
+
+
+def test_identity_on_sixteen_points_is_continuous(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("walked 2^16 restrictions of a continuous map")
+
+    maps._memo.clear()
+    monkeypatch.setattr(maps, "subsets_gray", refuse)
+    names = [str(i) for i in range(CLASSIFY_CAP)]
+    chain = build_space(names, {a: names[: i + 1] for i, a in enumerate(names)})
+    mc = classify_map(identity_map(chain))
+    assert (mc.tier, mc.witness_masks) == ("continuous", ())
+    assert mc.witnesses == {}
+
+
 def test_reaches_never_writes_the_memo(monkeypatch):
     maps._memo.clear()
     classify_map(identity_map(DISCRETE2))

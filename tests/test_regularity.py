@@ -25,6 +25,7 @@ import thetatopo
 from thetatopo.decomposition import open_decomposition, theta_decomposition
 from thetatopo.generate import homeo_rows, labeled_rows, space_from_rows
 from thetatopo.maps import classify_map
+from thetatopo import regularity
 from thetatopo.regularity import (
     ARROWS,
     DECIDABLE_PROPERTIES,
@@ -37,6 +38,7 @@ from thetatopo.regularity import (
     hereditarily_quasi_regular_witness,
     is_locally_regular,
     is_nowhere_regular,
+    is_partition_space,
     is_regular,
     is_regular_at,
     is_scattered,
@@ -241,6 +243,68 @@ def test_quasi_regular_witness_on_every_subspace(memo_oracles):
             ]
             assert quasi_regular_witness(sp, a) == (failing[0] if failing else None)
             assert (not failing) == oracles.quasi_regular_oracle(sp, a)
+
+
+# ---------------------------------------------------------------------------
+# Partition spaces: the subspace scans are skipped.
+# ---------------------------------------------------------------------------
+
+SUBSPACE_SCANNING = (
+    "hereditarily_quasi_regular",
+    "weakly_regular",
+    "theta_weakly_regular",
+    "w_theta_regular",
+)
+
+
+def block_space(sizes):
+    """The partition space whose minimal neighborhoods are consecutive
+    blocks of points of the given sizes."""
+    rows, start = [], 0
+    for k in sizes:
+        rows += [((1 << k) - 1) << start] * k
+        start += k
+    return space_from_rows(tuple(rows))
+
+
+def test_partition_space_matches_definition():
+    # The minimal neighborhoods partition the points iff any two of them
+    # are equal or disjoint.
+    for sp in all_labeled(4):
+        rows = sp.nbhd
+        expected = all(r == s or r & s == 0 for r in rows for s in rows)
+        assert is_partition_space(sp) == expected, rows
+    assert is_partition_space(block_space((1, 2, 3, 4)))
+    assert not is_partition_space(SIERPINSKI)
+
+
+def test_partition_spaces_skip_the_subspace_scans(monkeypatch):
+    spaces = [block_space(sizes) for sizes in ((1, 2, 3, 4), (10,), (1,) * 10)]
+    spaces += [sp for sp in all_labeled(4) if is_partition_space(sp)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scanned the subspaces of a partition space")
+
+    monkeypatch.setattr(regularity, "subsets_lex", refuse)
+    monkeypatch.setattr(regularity, "_closed_nonempty_lex", refuse)
+    real_closure_rows = regularity.closure_rows
+    monkeypatch.setattr(regularity, "closure_rows", refuse)
+    for sp in spaces:
+        for prop in SUBSPACE_SCANNING:
+            assert DECIDERS[prop].find(sp) is None, (sp.nbhd, prop)
+
+    def whole_space_rows(space, within=None, points=None):
+        # quasi_regular_witness reads the table of the whole space, which
+        # is not a subspace scan.
+        if within not in (None, space.full_mask):
+            refuse()
+        return real_closure_rows(space, within, points)
+
+    monkeypatch.setattr(regularity, "closure_rows", whole_space_rows)
+    for sp in spaces:
+        verdicts, witnesses = property_verdicts(sp)
+        assert all(verdicts[prop] for prop in SUBSPACE_SCANNING), sp.nbhd
+        assert not set(SUBSPACE_SCANNING) & set(witnesses)
 
 
 # ---------------------------------------------------------------------------
