@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .maps import CLASSIFY_CAP, FinMap, reaches
+from .maps import FinMap, reaches
 from .regularity import PROPERTY_CAP, open_kernel_mask, theta_kernel_mask
 from .space import (
     CapExceeded,
@@ -119,9 +119,8 @@ def weak_homeo_witness(
     back = FinMap(space, y, img)
 
     tier = "theta_weakly_discontinuous" if theta else "weakly_discontinuous"
-    if len(space) <= CLASSIFY_CAP:
-        if not reaches(back.inverse(), "continuous"):
-            raise TopologyError("internal: sum-to-space identity is not continuous")
-        if not reaches(back, tier):
-            raise TopologyError(f"internal: witness map does not reach {tier}")
+    if not reaches(back.inverse(), "continuous"):
+        raise TopologyError("internal: sum-to-space identity is not continuous")
+    if not reaches(back, tier):
+        raise TopologyError(f"internal: witness map does not reach {tier}")
     return y, back

@@ -7,6 +7,33 @@ theta-open-in-A subset (theta-weakly discontinuous). Continuity of the whole
 map tops the ladder. Witnesses are the least failing restriction under the
 sorted-index-tuple order, so reports are reproducible. On finite spaces the
 theta tier is continuity (see reaches), so no map has that tier.
+
+The quantifier is decided without visiting the 2^n restrictions. Let
+bad[x] = N(x) minus ok[x] (see ok_masks) and B(S) = {x in S : bad[x] meets
+S}, the discontinuity points of f|S, so C(f|S) = S minus B(S). Each rung
+has a pruning operator P with P(S) inside S, and S fails the rung iff
+P(S) = S:
+
+- scattered: P(S) = B(S). S fails iff C(f|S) is empty.
+- weak: P(S) = {x in S : N(x) meets B(S)}. A point x of C(f|S) is interior
+  iff its minimal relative neighborhood N(x) & S misses B(S), and P keeps
+  every point of B(S), as x lies in N(x). So S fails iff int_S C(f|S) is
+  empty.
+- theta: P(S) = the union of the components of the closure relation on S
+  (space.theta_components) that meet B(S). The theta-open subsets of S
+  are the unions of components, so S fails iff no component lies inside
+  C(f|S).
+
+Each P is monotone: B(S) only grows with S, N(x) is fixed, and a component
+of S lies inside a component of any larger set. So for fixpoints S_i,
+S_i = P(S_i) lies in P(union of the S_i) for each i: every failing family
+is closed under union. By Tarski's fixpoint theorem on the subsets of U,
+the largest failing subset of U is the greatest fixpoint of P below U. It
+is the limit of U, P(U), P(P(U)), ..., reached in at most |U| rounds: each
+fixpoint F inside a term lies inside the next, since F = P(F). A set that
+fails the weak rung fails the theta rung, because x and a point of
+N(x) & B(S) lie in one component, and a set that fails the scattered rung
+fails the weak one, because x lies in N(x).
 """
 
 from __future__ import annotations
@@ -16,7 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .bitset import bits, lex_less, subsets_gray
+from .bitset import bits
 from .space import (
     POINT_CAP,
     CapExceeded,
@@ -27,7 +54,6 @@ from .space import (
     TopologyError,
     UnknownPoint,
     format_names,
-    interior_mask,
     read_json,
     space_from_obj,
     space_to_obj,
@@ -51,8 +77,8 @@ TIERS = (
     "none",
 )
 TIER_RANK = {name: i for i, name in enumerate(TIERS)}
-# Largest domain classify_map sweeps; it scans all 2^n restrictions.
-CLASSIFY_CAP = 16
+# Largest domain classify_map and reaches accept.
+CLASSIFY_CAP = POINT_CAP
 TIER_LABELS = {
     "continuous": "continuous",
     "theta_weakly_discontinuous": "θ-weakly discontinuous",
@@ -229,7 +255,7 @@ class MapClass:
         return f"{self.tier} (not {TIER_LABELS[missed]}; witness A = {witness})"
 
 
-# Sweep results keyed by (domain rows, ok_masks): the tier and every least
+# Classifications keyed by (domain rows, ok_masks): the tier and every least
 # witness mask depend on nothing else, so one entry serves every map with
 # that key whatever its point names or codomain. The oldest entry goes
 # first once the table holds MEMO_CAP entries, which keeps memory flat; an
@@ -240,15 +266,15 @@ _memo: OrderedDict[tuple, tuple[str, tuple[tuple[str, int], ...]]] = OrderedDict
 
 
 def classify_map(f: FinMap) -> MapClass:
-    """Classify f by sweeping all non-empty restrictions of its domain, or
-    by the memo entry of an earlier map with the same key. Exponential in
-    the domain size, hence CLASSIFY_CAP."""
+    """Classify f from the greatest fixpoints of the three rungs (see the
+    module docstring), or by the memo entry of an earlier map with the same
+    key. Polynomial in the domain size; CLASSIFY_CAP bounds the domain."""
     key = _memo_key(f)
     found = _memo.get(key)
     if found is None:
         if len(_memo) >= MEMO_CAP:
             _memo.popitem(last=False)
-        found = _memo[key] = _sweep(f.domain, key[1])
+        found = _memo[key] = _classify(f.domain, key[1])
     return MapClass(found[0], found[1], f.domain.names)
 
 
@@ -257,121 +283,170 @@ def reaches(f: FinMap, tier: str) -> bool:
     and the theta tier are one pass over the points: if f is discontinuous
     at x, then in A = N(x) each u has u in N(u) & N(x), so x lies in
     cl_A(N(u) & A), every non-empty theta-open subset of A contains x, and
-    x is not in C(f|A). A weaker tier reads the memo entry of an earlier
-    classify_map, or else sweeps only up to the first restriction that
-    fails tier. The memo is never written."""
-    key = _memo_key(f)
+    x is not in C(f|A). A weaker tier holds iff no restriction fails it,
+    i.e. iff the greatest fixpoint of its rung's operator on the whole
+    domain is empty. The memo is neither read nor written."""
+    ok = _memo_key(f)[1]
     if tier == "none":
         return True
+    bad = _bad_rows(f.domain, ok)
     if TIER_RANK[tier] <= TIER_RANK["theta_weakly_discontinuous"]:
-        full = f.domain.full_mask
-        return continuity_set_mask(f, full, key[1]) == full
-    found = _memo.get(key) or _sweep(f.domain, key[1], tier)
-    return TIER_RANK[found[0]] <= TIER_RANK[tier]
+        return not any(bad)
+    return not _gfp(_pruners(f.domain, bad)[tier], f.domain.full_mask)
 
 
 def _memo_key(f: FinMap) -> tuple:
     n = len(f.domain)
     if n > CLASSIFY_CAP:
-        raise CapExceeded(
-            f"classification sweeps 2^{n} restrictions; cap is {CLASSIFY_CAP} points"
-        )
+        raise CapExceeded(f"map classification capped at {CLASSIFY_CAP} points; domain has {n}")
     return f.domain.nbhd, ok_masks(f)
 
 
-def _sweep(
-    domain: FinSpace, ok: tuple[int, ...], stop: str | None = None
-) -> tuple[str, tuple[tuple[str, int], ...]]:
+def _bad_rows(domain: FinSpace, ok: tuple[int, ...]) -> list[int]:
+    """bad[x] = N(x) minus ok[x]: x is a continuity point of f|A iff A
+    misses bad[x]."""
+    return [m & ~o for m, o in zip(domain.nbhd, ok)]
+
+
+def _pruners(domain: FinSpace, bad: list[int]) -> dict:
+    """The pruning operators P of the restriction tiers (module docstring),
+    strongest first: P(S) is a subset of S, and S fails the tier iff
+    P(S) = S."""
+    nbhd = domain.nbhd
+
+    def unstable(s: int) -> int:  # B(s), the discontinuity set of f|s
+        out = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            if bad[low.bit_length() - 1] & s:
+                out |= low
+            rest ^= low
+        return out
+
+    def weak(s: int) -> int:
+        b = out = unstable(s)
+        rest = s & ~b
+        while rest:
+            low = rest & -rest
+            if nbhd[low.bit_length() - 1] & b:
+                out |= low
+            rest ^= low
+        return out
+
+    def theta(s: int) -> int:
+        out = s
+        for comp in theta_components(domain, s & ~unstable(s), s):
+            out &= ~comp
+        return out
+
+    return {
+        "theta_weakly_discontinuous": theta,
+        "weakly_discontinuous": weak,
+        "scatteredly_continuous": unstable,
+    }
+
+
+def _gfp(prune, s: int) -> int:
+    """The greatest fixpoint of prune below s: the largest failing subset."""
+    while True:
+        t = prune(s)
+        if t == s:
+            return s
+        s = t
+
+
+def _least_prefix(prune, top: int) -> int:
+    """The least fixpoint of prune in the sorted-index-tuple order, given
+    its largest one top.
+
+    Every fixpoint lies in top. A prefix of top's sorted points is less
+    than top, and any other subset of top is greater (it first differs from
+    top by a larger point), so the least fixpoint is the shortest prefix of
+    top that is one."""
+    p = 0
+    rest = top
+    while True:
+        low = rest & -rest
+        p |= low
+        rest ^= low
+        if prune(p) == p:
+            return p
+
+
+def _gray_least(prune, top: int) -> int:
+    """The fixpoint of prune, given its largest one top, that comes first
+    in the reflected Gray order x ^ (x >> 1) of the subsets of the domain.
+
+    Bit i of a mask's Gray rank is the parity of its bits at and above i,
+    so the rank's bits are fixed from the top. cur is the largest fixpoint
+    that agrees with the bits fixed so far: if it lacks i, no such fixpoint
+    holds i; if the preferred bit is 1, cur itself holds i; if it is 0,
+    the largest fixpoint without i decides whether one agrees."""
+    cur = top
+    odd = 0
+    for i in range(top.bit_length() - 1, -1, -1):
+        bit = 1 << i
+        if not cur & bit:
+            continue
+        if not odd:
+            u = _gfp(prune, cur & ~bit)
+            if u and not (u ^ cur) >> (i + 1):
+                cur = u
+                continue
+        odd ^= 1
+    return cur
+
+
+def _gray_rank(m: int) -> int:
+    r = 0
+    while m:
+        r ^= m
+        m >>= 1
+    return r
+
+
+def _classify(domain: FinSpace, ok: tuple[int, ...]) -> tuple[str, tuple[tuple[str, int], ...]]:
     """The tier and the (tier, least witness mask) pairs of any map out of
     domain with these ok masks.
 
-    Subsets run in Gray-code order so the per-point discontinuity counters
-    update by one flip per step; witnesses are still selected globally as the
-    least failing restriction under lex_less, independent of sweep order.
-    A restriction A fails the theta tier iff no component of the closure
-    relation on A lies inside the continuity set C(f|A), so the walk over
-    those components stops at the first one it finds.
-
-    With a restriction tier as stop, only the rungs down to stop are tested,
-    and the sweep returns at the first restriction that fails stop, with
-    the tier just below the failed rung and that restriction. The result
-    then tells only whether the map reaches stop, not its tier or least
-    witnesses.
-    """
-    n = len(domain)
-    if n == 0:
+    The pairs come in the order a walk over all subsets in the reflected
+    Gray order would first meet a failing restriction of each tier, with
+    "continuous" first and ties going scattered, weak, theta: the order of
+    fn classify --json. Every failing set of a rung fails the rungs above,
+    so each greatest fixpoint lies in the one above it, and a least
+    witness that fails the next rung too is that rung's least witness."""
+    bad = _bad_rows(domain, ok)
+    jumps = 0  # the discontinuity points of f
+    for x, row in enumerate(bad):
+        if row:
+            jumps |= 1 << x
+    if not jumps:
         return "continuous", ()
-    nbhd = domain.nbhd
-    full = domain.full_mask
+    failing = []  # (tier, operator, largest failing set), theta rung first
+    top = domain.full_mask
+    for tier, prune in _pruners(domain, bad).items():
+        top = _gfp(prune, top)
+        if not top:
+            break
+        failing.append((tier, prune, top))
 
-    # bad_src[p] = points x whose neighborhood gains a discontinuity witness
-    # when p enters the restriction.
-    bad_src = [0] * n
-    for x in range(n):
-        for p in bits(nbhd[x] & ~ok[x]):
-            bad_src[p] |= 1 << x
-    if not any(bad_src):  # N(x) lies in ok[x] for all x: every f|A is continuous
-        return "continuous", ()
+    def chain(search) -> list[int]:
+        out = []
+        w = 0
+        for _, prune, top in failing:
+            if not (w and prune(w) == w):
+                w = search(prune, top)
+            out.append(w)
+        return out
 
-    bad_count = [0] * n
-    calm = full  # points whose current restriction shows no bad neighbor
-    c_full = 0
-    fails: dict[str, int] = {}
-    # The rungs tested are those of TIER_RANK >= depth: all three restriction
-    # tiers, or stop and the weaker ones. failed is the TIER_RANK of the
-    # weakest tier A fails; A then fails every restriction tier above it too.
-    depth = TIER_RANK[stop] if stop is not None else 1
-
-    def note(tier: str, a: int) -> None:
-        cur = fails.get(tier)
-        if cur is None or lex_less(a, cur):
-            fails[tier] = a
-
-    for a, flipped in subsets_gray(full):
-        if flipped >= 0:
-            if (a >> flipped) & 1:
-                for x in bits(bad_src[flipped]):
-                    bad_count[x] += 1
-                    if bad_count[x] == 1:
-                        calm &= ~(1 << x)
-            else:
-                for x in bits(bad_src[flipped]):
-                    bad_count[x] -= 1
-                    if bad_count[x] == 0:
-                        calm |= 1 << x
-        if a == 0:
-            continue
-        c = a & calm
-        if a == full:
-            c_full = c
-        if c == 0:
-            failed = 3
-        elif depth <= 2 and interior_mask(domain, c, a) == 0:
-            failed = 2
-        elif depth <= 1 and next(theta_components(domain, c, a), 0) == 0:
-            failed = 1
-        else:
-            continue
-        if stop is not None:
-            return TIERS[failed + 1], ((TIERS[failed], a),)
-        for t in TIERS[failed:0:-1]:
-            note(t, a)
-
-    masks = fails
-    if c_full != full:
-        masks = {"continuous": full & ~c_full, **fails}
-
-    if "scatteredly_continuous" in masks:
-        tier = "none"
-    elif "weakly_discontinuous" in masks:
-        tier = "scatteredly_continuous"
-    elif "theta_weakly_discontinuous" in masks:
-        tier = "weakly_discontinuous"
-    elif "continuous" in masks:
-        tier = "theta_weakly_discontinuous"
-    else:
-        tier = "continuous"
-    return tier, tuple(masks.items())
+    least = chain(_least_prefix)
+    order = range(len(failing))
+    if len(failing) > 1:
+        ranks = [_gray_rank(w) for w in chain(_gray_least)]
+        order = sorted(order, key=lambda i: (ranks[i], -i))
+    masks = (("continuous", jumps),) + tuple((failing[i][0], least[i]) for i in order)
+    return TIERS[len(failing) + 1], masks
 
 
 def is_weak_homeomorphism(f: FinMap, theta: bool = False) -> bool:

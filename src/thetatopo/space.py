@@ -102,12 +102,16 @@ class FinSpace:
             if not (m >> i) & 1:
                 raise MissingSelf(f"point {names[i]!r} is missing from its own minimal neighborhood")
         for i, m in enumerate(nbhd):
-            for j in bits(m):
+            rest = m
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
                 if nbhd[j] & ~m:
                     raise CoherenceViolation(
                         f"{names[j]!r} lies in the minimal neighborhood of {names[i]!r} "
                         f"but its own minimal neighborhood is not contained there"
                     )
+                rest ^= low
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "nbhd", nbhd)
         object.__setattr__(self, "_pos", {a: i for i, a in enumerate(names)})

@@ -274,13 +274,6 @@ class DiagramReport:
         return "\n".join(lines)
 
 
-def _qualifies(h: FinMap) -> bool:
-    """h is theta-weakly discontinuous with a weakly discontinuous inverse."""
-    return reaches(h, "theta_weakly_discontinuous") and reaches(
-        h.inverse(), "weakly_discontinuous"
-    )
-
-
 def _sw_kept(mc: MapClass) -> bool:
     """The composite is still an sw-witness: scattered, not weakly discontinuous."""
     return mc.reaches("scatteredly_continuous") and not mc.reaches("weakly_discontinuous")
@@ -410,7 +403,13 @@ def verify_diagram(
             hits: list[tuple[tuple[int, ...], int, bool, str | None]] = []
             for y, vy in spaces:
                 scanned += len(perms)
-                if not _qualifies(FinMap(x, y, ident)):
+                # The identity X -> Y' qualifies when it is theta-weakly
+                # discontinuous, i.e. continuous (maps.reaches), which is
+                # N_X(i) inside N_Y'(i) for every i, and its inverse is
+                # weakly discontinuous.
+                if any(a & ~b for a, b in zip(x.nbhd, y.nbhd)):
+                    continue
+                if not reaches(FinMap(y, x, ident), "weakly_discontinuous"):
                     continue
                 qualifying += len(perms)
                 wtheta_bad = vy["w_theta_regular"] and not vx["w_theta_regular"]

@@ -5,8 +5,9 @@ materialized as the set of all unions of minimal neighborhoods, and every
 notion (closure, interior, theta-openness, continuity, the regularity
 variants) is decided by exhaustive quantification over that family. Nothing
 below calls the package's own closure/interior/classification code, except
-the labeled references for the per-class sweeps, which check only the
-symmetry reductions.
+the restriction sweep, which checks the map classifier's fixpoints against a
+walk over every restriction, and the labeled references for the per-class
+sweeps, which check only the symmetry reductions.
 """
 
 from __future__ import annotations
@@ -226,6 +227,121 @@ def map_witness_oracle(f) -> dict:
         "reaches": reaches,
         "witnesses": {t: [f.domain.names[i] for i in bits(a)] for t, a in least.items()},
     }
+
+
+# ---------------------------------------------------------------------------
+# The restriction sweep: the reference for maps' fixpoint classifier. It
+# reads continuity sets from ok_masks and tests the rungs with the
+# package's interior_mask and theta_components (gated against the
+# definitions above by test_space), so it checks the fixpoint algebra and
+# the witness order, at 2^n restrictions per map.
+# ---------------------------------------------------------------------------
+
+def lex_less(a: int, b: int) -> bool:
+    """tuple(bits(a)) < tuple(bits(b)): the sorted-index-tuple order that
+    defines the 'lexicographically least' subset in reports.
+
+    The tuples agree below low, the lowest bit where a and b differ. If a
+    holds low, a is less iff b goes on past it, i.e. has a bit above low;
+    if b holds low, a is less iff it ends there. A mask has a bit above low
+    iff it is at least 2 * low.
+    """
+    d = a ^ b
+    if not d:
+        return False
+    low = d & -d
+    return b >= low << 1 if a & low else a < low << 1
+
+
+def subsets_gray(full: int) -> Iterator[tuple[int, int]]:
+    """Yield (mask, flipped_position) over all subsets of full.
+
+    Masks follow the reflected Gray sequence x ^ (x >> 1), so consecutive
+    masks differ in exactly one bit and callers can update derived state
+    incrementally. The first pair is (0, -1).
+    """
+    positions = list(bits(full))
+    mask = 0
+    yield mask, -1
+    for k in range(1, 1 << len(positions)):
+        pos = positions[(k & -k).bit_length() - 1]
+        mask ^= 1 << pos
+        yield mask, pos
+
+
+def sweep_oracle(domain: FinSpace, ok: tuple[int, ...]) -> tuple[str, tuple[tuple[str, int], ...]]:
+    """The tier and the (tier, least witness mask) pairs of any map out of
+    domain with these ok masks, from every non-empty restriction.
+
+    Subsets run in Gray-code order so the per-point discontinuity counters
+    update by one flip per step; witnesses are still selected globally as the
+    least failing restriction under lex_less, independent of sweep order.
+    The pairs come in the order the walk first notes each tier, after
+    "continuous", and a restriction that fails several rungs notes them
+    scattered, weak, theta.
+    """
+    from thetatopo.space import interior_mask, theta_components
+
+    n = len(domain)
+    nbhd = domain.nbhd
+    full = domain.full_mask
+
+    # bad_src[p] = points x whose neighborhood gains a discontinuity witness
+    # when p enters the restriction.
+    bad_src = [0] * n
+    for x in range(n):
+        for p in bits(nbhd[x] & ~ok[x]):
+            bad_src[p] |= 1 << x
+
+    bad_count = [0] * n
+    calm = full  # points whose current restriction shows no bad neighbor
+    c_full = 0
+    fails: dict[str, int] = {}
+    rungs = ("scatteredly_continuous", "weakly_discontinuous", "theta_weakly_discontinuous")
+
+    for a, flipped in subsets_gray(full):
+        if flipped >= 0:
+            if (a >> flipped) & 1:
+                for x in bits(bad_src[flipped]):
+                    bad_count[x] += 1
+                    if bad_count[x] == 1:
+                        calm &= ~(1 << x)
+            else:
+                for x in bits(bad_src[flipped]):
+                    bad_count[x] -= 1
+                    if bad_count[x] == 0:
+                        calm |= 1 << x
+        if a == 0:
+            continue
+        c = a & calm
+        if a == full:
+            c_full = c
+        if c == 0:
+            failed = rungs
+        elif interior_mask(domain, c, a) == 0:
+            failed = rungs[1:]
+        elif next(theta_components(domain, c, a), 0) == 0:
+            failed = rungs[2:]
+        else:
+            continue
+        for t in failed:
+            if t not in fails or lex_less(a, fails[t]):
+                fails[t] = a
+
+    masks = fails
+    if c_full != full:
+        masks = {"continuous": full & ~c_full, **fails}
+    if "scatteredly_continuous" in masks:
+        tier = "none"
+    elif "weakly_discontinuous" in masks:
+        tier = "scatteredly_continuous"
+    elif "theta_weakly_discontinuous" in masks:
+        tier = "weakly_discontinuous"
+    elif "continuous" in masks:
+        tier = "theta_weakly_discontinuous"
+    else:
+        tier = "continuous"
+    return tier, tuple(masks.items())
 
 
 # ---------------------------------------------------------------------------

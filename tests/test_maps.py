@@ -1,6 +1,8 @@
 import json
 import pickle
+import random
 import re
+import time
 from itertools import permutations, product
 
 import pytest
@@ -14,13 +16,15 @@ from oracles import (
     map_witness_oracle,
     nonempty_subsets,
     reaches_oracle,
+    sweep_oracle,
     theta_part_oracle,
     tier_oracle,
 )
 from thetatopo import maps
-from thetatopo.generate import labeled_rows, space_from_rows
+from thetatopo.generate import labeled_rows, random_rows, space_from_rows
 from thetatopo.maps import (
     CLASSIFY_CAP,
+    TIER_RANK,
     TIERS,
     BijectivityError,
     DomainMismatch,
@@ -38,7 +42,14 @@ from thetatopo.maps import (
     ok_masks,
     reaches,
 )
-from thetatopo.space import CapExceeded, build_space
+from thetatopo.space import (
+    POINT_CAP,
+    CapExceeded,
+    FinSpace,
+    build_space,
+    interior_mask,
+    theta_components,
+)
 
 D_SPACE = build_space(["0", "1"], {"0": ["0"], "1": ["0", "1"]})
 DISCRETE2 = build_space(["0", "1"], {"0": ["0"], "1": ["1"]})
@@ -179,7 +190,7 @@ def test_memo_stays_within_cap():
             assert len(maps._memo) <= maps.MEMO_CAP
     assert len(keys) > maps.MEMO_CAP
     assert len(maps._memo) == maps.MEMO_CAP
-    # The first key was evicted; classifying it again sweeps afresh.
+    # The first key was evicted; it is classified afresh.
     assert (first[0].domain.nbhd, ok_masks(first[0])) not in maps._memo
     assert classify_map(first[0]) == first[1]
 
@@ -217,10 +228,92 @@ def test_failing_sets_nest():
 
 
 def test_classify_cap():
-    names = [str(i) for i in range(17)]
-    big = build_space(names, {a: [a] for a in names})
-    with pytest.raises(CapExceeded):
+    assert CLASSIFY_CAP == POINT_CAP
+    names = [str(i) for i in range(CLASSIFY_CAP + 1)]
+    big = FinSpace(names, [1 << i for i in range(len(names))])
+    with pytest.raises(CapExceeded, match="capped at 24 points; domain has 25"):
         classify_map(identity_map(big))
+
+
+def test_classifier_matches_sweep_oracle_small():
+    # Every map between labeled spaces of at most 3 points: the same tier,
+    # witnesses and witness order as the walk over all restrictions, and
+    # reaches agrees on every tier. All of it depends on the map only
+    # through its domain rows and ok_masks, so one map per key is checked.
+    small = spaces_up_to(3)
+    seen = set()
+    maps._memo.clear()
+    for x in small:
+        for y in small:
+            for img in product(range(len(y)), repeat=len(x)):
+                key = (x.nbhd, maps.image_ok_masks(y.nbhd, img))
+                if key not in seen:
+                    seen.add(key)
+                    _check_against_sweep(FinMap(x, y, img))
+    assert len(seen) == 858
+
+
+def test_classifier_matches_sweep_oracle_random():
+    rng = random.Random(16)
+    maps._memo.clear()
+    for _ in range(300):
+        x = _random_space(rng.randint(1, 10), rng)
+        y = _random_space(rng.randint(1, 4), rng)
+        _check_against_sweep(FinMap(x, y, tuple(rng.randrange(len(y)) for _ in x.names)))
+    # Keys of random maps whose Gray-first failing sets are found only
+    # while _gray_least keeps the rank bits already fixed.
+    for rows, ok in [
+        ((43, 2, 6, 43, 18, 43), (35, 35, 39, 24, 24, 35)),
+        (
+            (179, 179, 183, 187, 16, 160, 80, 160, 443),
+            (375, 375, 375, 511, 375, 375, 375, 511, 375),
+        ),
+    ]:
+        x = FinSpace([str(i) for i in range(len(rows))], rows)
+        assert maps._classify(x, ok) == sweep_oracle(x, ok)
+
+
+def _random_space(n, rng):
+    return FinSpace([str(i) for i in range(n)], random_rows(n, rng, rng.choice((0.1, 0.25, 0.4))))
+
+
+def _check_against_sweep(f):
+    tier, masks = sweep_oracle(f.domain, ok_masks(f))
+    mc = classify_map(f)
+    assert (mc.tier, mc.witness_masks) == (tier, masks), f
+    # json.dumps keeps the key order of the witnesses object.
+    assert json.dumps(mc.to_obj()) == json.dumps(MapClass(tier, masks, f.domain.names).to_obj())
+    for t in TIERS:
+        assert reaches(f, t) == (TIER_RANK[tier] <= TIER_RANK[t]), (f, t)
+
+
+def test_classify_on_the_cap_is_fast():
+    # A 24-point domain: its 2^24 restrictions are never walked. Each
+    # witness is checked to fail its rung from the definitions' bit form.
+    rng = random.Random(55)
+    x = _random_space(CLASSIFY_CAP, rng)
+    y = _random_space(4, rng)
+    f = FinMap(x, y, tuple(rng.randrange(4) for _ in x.names))
+    maps._memo.clear()
+    start = time.perf_counter()
+    mc = classify_map(f)
+    assert time.perf_counter() - start < 1.0
+    assert mc.tier == "none"
+    assert list(mc.witnesses) == [
+        "continuous",
+        "theta_weakly_discontinuous",
+        "scatteredly_continuous",
+        "weakly_discontinuous",
+    ]
+    ok = ok_masks(f)
+    for tier, a in mc.witness_masks[1:]:
+        c = continuity_set_mask(f, a, ok)
+        if tier == "scatteredly_continuous":
+            assert c == 0
+        elif tier == "weakly_discontinuous":
+            assert interior_mask(x, c, a) == 0
+        else:
+            assert next(theta_components(x, c, a), 0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +353,7 @@ def test_theta_tier_is_continuity(monkeypatch):
         raise AssertionError("swept restrictions for the theta tier")
 
     maps._memo.clear()
-    monkeypatch.setattr(maps, "_sweep", refuse)
+    monkeypatch.setattr(maps, "_gfp", refuse)
     theta = "theta_weakly_discontinuous"
     small = spaces_up_to(2)
     pairs = [(x, y) for x in small for y in small]
@@ -275,23 +368,23 @@ def test_theta_tier_is_continuity(monkeypatch):
 
 def test_sweep_skips_the_walk_for_continuous_keys(monkeypatch):
     def refuse(*args):
-        raise AssertionError("walked the restrictions of a continuous map")
+        raise AssertionError("computed a fixpoint for a continuous map")
 
-    monkeypatch.setattr(maps, "subsets_gray", refuse)
+    monkeypatch.setattr(maps, "_gfp", refuse)
     for x in spaces_up_to(2):
         for y in spaces_up_to(2):
             for img in product(range(len(y)), repeat=len(x)):
                 f = FinMap(x, y, img)
                 if reaches_oracle(f, "continuous"):
-                    assert maps._sweep(x, ok_masks(f)) == ("continuous", ())
+                    assert maps._classify(x, ok_masks(f)) == ("continuous", ())
 
 
-def test_identity_on_sixteen_points_is_continuous(monkeypatch):
+def test_identity_on_the_cap_is_continuous(monkeypatch):
     def refuse(*args):
-        raise AssertionError("walked 2^16 restrictions of a continuous map")
+        raise AssertionError("computed a fixpoint for a continuous map")
 
     maps._memo.clear()
-    monkeypatch.setattr(maps, "subsets_gray", refuse)
+    monkeypatch.setattr(maps, "_gfp", refuse)
     names = [str(i) for i in range(CLASSIFY_CAP)]
     chain = build_space(names, {a: names[: i + 1] for i, a in enumerate(names)})
     mc = classify_map(identity_map(chain))
@@ -310,9 +403,9 @@ def test_reaches_never_writes_the_memo(monkeypatch):
     before = list(maps._memo.items())
 
     def refuse(*args):
-        raise AssertionError("swept a key that the memo holds")
+        raise AssertionError("classified a key that the memo holds")
 
-    monkeypatch.setattr(maps, "_sweep", refuse)
+    monkeypatch.setattr(maps, "_classify", refuse)
     assert [reaches(D_TO_DISCRETE, t) for t in TIERS] == [
         classify_map(D_TO_DISCRETE).reaches(t) for t in TIERS
     ]
@@ -330,11 +423,11 @@ def test_reaches_skips_the_theta_walk_below_theta(monkeypatch):
 
 
 def test_reaches_cap_matches_classify():
-    # An indiscrete domain sent onto two discrete points: the restriction
-    # {0,1} has no continuity point, so a stop sweep returns at once.
+    # An indiscrete domain sent onto two discrete points: no restriction
+    # with both images has a continuity point, so every rung fails.
     for n in (CLASSIFY_CAP, CLASSIFY_CAP + 1):
         names = [str(i) for i in range(n)]
-        blob = build_space(names, {a: names for a in names})
+        blob = build_space(names, {a: names for a in names}, max_points=n)
         f = build_map(blob, DISCRETE2, {a: "0" if a == "0" else "1" for a in names})
         if n <= CLASSIFY_CAP:
             assert [reaches(f, t) for t in TIERS] == [t == "none" for t in TIERS]

@@ -10,13 +10,14 @@ from oracles import (
     all_opens,
     cl_oracle,
     int_oracle,
+    lex_less,
     submasks,
     t1_oracle,
     theta_open_oracle,
     theta_part_oracle,
     theta_step_oracle,
 )
-from thetatopo.bitset import bits, lex_less, subsets_lex
+from thetatopo.bitset import bits, subsets_lex
 from thetatopo.generate import labeled_rows, space_from_rows
 from thetatopo.regularity import is_t1
 from thetatopo.space import (

@@ -331,10 +331,10 @@ def test_diagram_sw_transfer_violations_match_labeled_reference(monkeypatch):
     # masks hold 4 bits in total to weakly discontinuous. The condition is
     # invariant under relabeling, so both paths see one consistent fake, and
     # composites h o f of 3-point witnesses f stop being sw-witnesses.
-    sweep = maps._sweep
+    classify = maps._classify
 
-    def fake_sweep(domain, ok, stop=None):
-        tier, masks = sweep(domain, ok)
+    def fake_classify(domain, ok):
+        tier, masks = classify(domain, ok)
         if len(domain) == 3 and sum(bin(m).count("1") for m in ok) == 4:
             if tier == "scatteredly_continuous":
                 tier = "weakly_discontinuous"
@@ -343,7 +343,9 @@ def test_diagram_sw_transfer_violations_match_labeled_reference(monkeypatch):
 
     # A fresh memo, so faked tiers never reach later tests.
     monkeypatch.setattr(maps, "_memo", OrderedDict())
-    monkeypatch.setattr(maps, "_sweep", fake_sweep)
+    monkeypatch.setattr(maps, "_classify", fake_classify)
+    # The transfer scan's single-tier decisions read the same fake.
+    monkeypatch.setattr(survey, "reaches", lambda f, tier: maps.classify_map(f).reaches(tier))
     got = verify_diagram(3).to_obj()
     assert got == labeled_verify_diagram(3).to_obj()
     assert got["verdict"] == "FAIL"
