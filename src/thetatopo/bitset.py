@@ -6,7 +6,7 @@ declared at position i. Everything here is pure integer arithmetic.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -17,19 +17,29 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def subsets_lex(mask: int) -> Iterator[int]:
-    """Non-empty subsets of mask in ascending sorted-index-tuple order,
-    e.g. {0} < {0,1} < {0,1,2} < {0,2} < {1} < {1,2} < {2}.
+def gfp(prune: Callable[[int], int], s: int) -> int:
+    """The greatest fixpoint of prune below s, for a monotone prune with
+    prune(t) inside t: the largest t inside s with prune(t) = t."""
+    while True:
+        t = prune(s)
+        if t == s:
+            return s
+        s = t
 
-    Scanning in this order makes the first witness the least one.
-    """
-    positions = list(bits(mask))
 
-    def rec(prefix: int, start: int) -> Iterator[int]:
-        for i in range(start, len(positions)):
-            cur = prefix | (1 << positions[i])
-            yield cur
-            yield from rec(cur, i + 1)
+def least_prefix(prune: Callable[[int], int], top: int) -> int:
+    """The least non-empty fixpoint of prune in the sorted-index-tuple
+    order, given its largest one top (non-empty).
 
-    yield from rec(0, 0)
-
+    Every fixpoint lies in top. A prefix of top's sorted points is less
+    than top, and any other subset of top is greater (it first differs from
+    top by a larger point), so the least fixpoint is the shortest prefix of
+    top that is one."""
+    p = 0
+    rest = top
+    while True:
+        low = rest & -rest
+        p |= low
+        rest ^= low
+        if prune(p) == p:
+            return p

@@ -45,7 +45,7 @@ from .maps import (
     map_from_obj,
     map_to_obj,
 )
-from .regularity import PROPERTY_CAP, classify_report
+from .regularity import classify_report
 from .space import (
     POINT_CAP,
     CapExceeded,
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("classify", help="full property report for a space")
     c.add_argument("space", help="space JSON file, or - for stdin")
     c.add_argument("--sw-bound", type=_int_at_least(1), default=3, help="sw witness search bound")
-    c.add_argument("--max-points", type=_int_at_least(1, POINT_CAP), default=PROPERTY_CAP)
+    c.add_argument("--max-points", type=_int_at_least(1, POINT_CAP), default=POINT_CAP)
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_classify)
 
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("space")
     d.add_argument("--mode", choices=("theta", "open"), default="theta")
     d.add_argument("--witness", action="store_true", help="emit the weak-homeomorphism map")
-    d.add_argument("--max-points", type=_int_at_least(1, POINT_CAP), default=PROPERTY_CAP)
+    d.add_argument("--max-points", type=_int_at_least(1, POINT_CAP), default=POINT_CAP)
     d.add_argument("--json", action="store_true")
     d.set_defaults(func=cmd_decompose)
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .maps import FinMap, reaches
-from .regularity import PROPERTY_CAP, open_kernel_mask, theta_kernel_mask
+from .regularity import open_kernel_mask, theta_kernel_mask
 from .space import (
+    POINT_CAP,
     CapExceeded,
     FinSpace,
     TopologyError,
@@ -75,7 +76,7 @@ def _decompose(space: FinSpace, mode: str, max_points: int) -> Decomposition:
     return Decomposition(space, mode, tuple(layers), cur)
 
 
-def theta_decomposition(space: FinSpace, max_points: int = PROPERTY_CAP) -> Decomposition:
+def theta_decomposition(space: FinSpace, max_points: int = POINT_CAP) -> Decomposition:
     """Iterate residue -> residue minus its theta-open regular kernel.
 
     The residue is empty iff the space is theta-weakly regular; each stage's
@@ -84,14 +85,14 @@ def theta_decomposition(space: FinSpace, max_points: int = PROPERTY_CAP) -> Deco
     return _decompose(space, "theta", max_points)
 
 
-def open_decomposition(space: FinSpace, max_points: int = PROPERTY_CAP) -> Decomposition:
+def open_decomposition(space: FinSpace, max_points: int = POINT_CAP) -> Decomposition:
     """Same iteration with open regular kernels; exhaustion is equivalent to
     weak regularity."""
     return _decompose(space, "open", max_points)
 
 
 def weak_homeo_witness(
-    space: FinSpace, theta: bool = False, max_points: int = PROPERTY_CAP
+    space: FinSpace, theta: bool = False, max_points: int = POINT_CAP
 ) -> tuple[FinSpace, FinMap]:
     """Build the regular sum of the decomposition layers and the identity-on-
     points map onto it.

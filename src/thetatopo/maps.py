@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .bitset import bits
+from .bitset import bits, gfp, least_prefix
 from .space import (
     POINT_CAP,
     CapExceeded,
@@ -292,7 +292,7 @@ def reaches(f: FinMap, tier: str) -> bool:
     bad = _bad_rows(f.domain, ok)
     if TIER_RANK[tier] <= TIER_RANK["theta_weakly_discontinuous"]:
         return not any(bad)
-    return not _gfp(_pruners(f.domain, bad)[tier], f.domain.full_mask)
+    return not gfp(_pruners(f.domain, bad)[tier], f.domain.full_mask)
 
 
 def _memo_key(f: FinMap) -> tuple:
@@ -347,33 +347,6 @@ def _pruners(domain: FinSpace, bad: list[int]) -> dict:
     }
 
 
-def _gfp(prune, s: int) -> int:
-    """The greatest fixpoint of prune below s: the largest failing subset."""
-    while True:
-        t = prune(s)
-        if t == s:
-            return s
-        s = t
-
-
-def _least_prefix(prune, top: int) -> int:
-    """The least fixpoint of prune in the sorted-index-tuple order, given
-    its largest one top.
-
-    Every fixpoint lies in top. A prefix of top's sorted points is less
-    than top, and any other subset of top is greater (it first differs from
-    top by a larger point), so the least fixpoint is the shortest prefix of
-    top that is one."""
-    p = 0
-    rest = top
-    while True:
-        low = rest & -rest
-        p |= low
-        rest ^= low
-        if prune(p) == p:
-            return p
-
-
 def _gray_least(prune, top: int) -> int:
     """The fixpoint of prune, given its largest one top, that comes first
     in the reflected Gray order x ^ (x >> 1) of the subsets of the domain.
@@ -390,7 +363,7 @@ def _gray_least(prune, top: int) -> int:
         if not cur & bit:
             continue
         if not odd:
-            u = _gfp(prune, cur & ~bit)
+            u = gfp(prune, cur & ~bit)
             if u and not (u ^ cur) >> (i + 1):
                 cur = u
                 continue
@@ -426,7 +399,7 @@ def _classify(domain: FinSpace, ok: tuple[int, ...]) -> tuple[str, tuple[tuple[s
     failing = []  # (tier, operator, largest failing set), theta rung first
     top = domain.full_mask
     for tier, prune in _pruners(domain, bad).items():
-        top = _gfp(prune, top)
+        top = gfp(prune, top)
         if not top:
             break
         failing.append((tier, prune, top))
@@ -440,7 +413,7 @@ def _classify(domain: FinSpace, ok: tuple[int, ...]) -> tuple[str, tuple[tuple[s
             out.append(w)
         return out
 
-    least = chain(_least_prefix)
+    least = chain(least_prefix)
     order = range(len(failing))
     if len(failing) > 1:
         ranks = [_gray_rank(w) for w in chain(_gray_least)]

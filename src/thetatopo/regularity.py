@@ -1,11 +1,17 @@
 """Regularity variants for finite spaces, with witnesses.
 
-Every decider reduces its quantifier to minimal neighborhoods where that is
-exact, and otherwise scans subsets in sorted-index-tuple order so the first
-failure found is the least witness. The four deciders that scan subspaces
-first test for a partition space, where their property holds outright (see
-is_partition_space). The kernel operations used by the decomposition module
-live here too: the union of all (theta-)open regular subspaces of a subset.
+Every decider reduces its quantifier to minimal neighborhoods, to a greatest
+fixpoint or to initial segments, so that no decider enumerates subsets and
+each returns the least witness in sorted-index-tuple order:
+  - a subspace is regular iff it holds no strict pair (is_regular_mask);
+  - the closed sets that fail weak regularity, and those that fail
+    theta-weak regularity, are closed under union, so the largest is the
+    greatest fixpoint of a monotone pruning operator (Tarski, Pacific J.
+    Math. 1955), and the least is a prefix of it;
+  - the subspaces that fail the w_theta_regular and the quasi-regular
+    condition are closed upward, so the least is an initial segment.
+The kernel operations used by the decomposition module live here too: the
+union of all (theta-)open regular subspaces of a subset.
 """
 
 from __future__ import annotations
@@ -15,10 +21,11 @@ from functools import cache
 from itertools import product
 from typing import Callable, NamedTuple
 
-from .bitset import bits, subsets_lex
+from .bitset import bits, gfp, least_prefix
 from .generate import homeo_rows, space_from_rows
 from .maps import FinMap, classify_map, image_ok_masks, map_to_obj
 from .space import (
+    POINT_CAP,
     CapExceeded,
     FinSpace,
     TopologyError,
@@ -63,7 +70,6 @@ ARROWS: tuple[tuple[tuple[str, ...], str], ...] = (
 # discontinuous map into the space can exist", at any search bound.
 SW_SAFE_PREMISES = ("regular", "theta_weakly_regular", "locally_regular")
 
-PROPERTY_CAP = 10
 SW_BOUND_CAP = 4
 
 
@@ -85,8 +91,32 @@ def regular_at_mask(space: FinSpace, x: int, within: int | None = None) -> bool:
     return closure_mask(space, nb, w) & ~nb == 0
 
 
+def _strict_tops(space: FinSpace, a: int) -> int:
+    """The x of a over a strict pair of a: some y in N(x) & a with x not in
+    N(y), i.e. outside up[x]."""
+    nbhd = space.nbhd
+    up = space.up
+    out = 0
+    rest = a
+    while rest:
+        low = rest & -rest
+        x = low.bit_length() - 1
+        if nbhd[x] & a & ~up[x]:
+            out |= low
+        rest ^= low
+    return out
+
+
 def is_regular_mask(space: FinSpace, a: int) -> bool:
-    return all(regular_at_mask(space, x, a) for x in bits(a))
+    """Whether the subspace on a is regular: iff a holds no strict pair.
+
+    A finite subspace is regular iff its minimal pieces partition it. If a
+    is regular at y, then N(y) & a is closed in a; so for x in a with y in
+    N(x), x not in N(y) would put N(x) & a inside the open complement of
+    N(y) & a, which misses y. Conversely, if y in N(x) & a always gives x
+    in N(y), two pieces that meet are equal, so each piece is clopen in a,
+    its own closure, and a is regular at each point."""
+    return _strict_tops(space, a) == 0
 
 
 def is_regular_at(space: FinSpace, x: str) -> bool:
@@ -164,22 +194,28 @@ def theta_kernel_mask(space: FinSpace, a: int) -> int:
     regular as subspaces: the union of the regular components of a (see the
     space module). A theta-open set is a union of components, which are
     regular if the set is, since regularity is hereditary; and a union of
-    clopen regular components is their topological sum, which is regular."""
+    clopen regular components is their topological sum, which is regular.
+    A component is clopen in a, so, as for a piece in open_kernel_mask, it
+    is regular iff it misses _strict_tops(a)."""
     out = 0
-    for comp in theta_components(space, a, a):
-        if is_regular_mask(space, comp):
-            out |= comp
+    for comp in theta_components(space, a & ~_strict_tops(space, a), a):
+        out |= comp
     return out
 
 
 def open_kernel_mask(space: FinSpace, a: int) -> int:
     """Union of all relatively open regular subspaces of a. A relatively open
-    regular set is a union of regular minimal pieces, so those suffice."""
+    regular set is a union of regular minimal pieces, so those suffice. For
+    y in a piece N(x) & a, N(y) & a lies in the piece, so the strict pairs of
+    the piece are those of a whose top lies in it: the piece is regular iff
+    it misses _strict_tops(a), and then so is the piece of each of its points.
+    Hence the union is the set of x in a whose piece misses them."""
+    tops = _strict_tops(space, a)
+    nbhd = space.nbhd
     out = 0
     for x in bits(a):
-        m = space.nbhd[x] & a
-        if is_regular_mask(space, m):
-            out |= m
+        if not nbhd[x] & tops:
+            out |= 1 << x
     if out:
         if not is_open_mask(space, out, a) or not is_regular_mask(space, out):
             raise TopologyError("internal: open kernel lost openness or regularity")
@@ -197,31 +233,66 @@ def is_partition_space(space: FinSpace) -> bool:
     return space.up == space.nbhd
 
 
-def _closed_nonempty_lex(space: FinSpace):
-    full = space.full_mask
-    for a in subsets_lex(full):
-        if is_open_mask(space, full & ~a):
-            yield a
+def _closed_part(space: FinSpace, s: int) -> int:
+    """The largest closed subset of s: the y of s with up[y] inside s. It is
+    closed, since z in up[y] has up[z] inside up[y]."""
+    up = space.up
+    out = 0
+    rest = s
+    while rest:
+        low = rest & -rest
+        if up[low.bit_length() - 1] & ~s == 0:
+            out |= low
+        rest ^= low
+    return out
+
+
+def _least_closed_failure(space: FinSpace, kernel: Callable[[FinSpace, int], int]) -> int | None:
+    """The least non-empty closed set a with kernel(space, a) empty, or None,
+    given that kernel(s) lies in s and that a point of s outside kernel(s)
+    stays outside kernel(t) for every t containing s.
+
+    Then P(s) = _closed_part(s minus kernel(s)) lies in s and is monotone.
+    Its fixpoints are the closed sets with an empty kernel (and the empty
+    set), so they are closed under union: P(s | t) contains P(s) | P(t).
+    The largest is the greatest fixpoint below the whole space (Tarski),
+    reached in at most n rounds, and the least non-empty one is a prefix
+    of it (bitset.least_prefix)."""
+
+    def prune(s: int) -> int:
+        return _closed_part(space, s & ~kernel(space, s))
+
+    top = gfp(prune, space.full_mask)
+    return least_prefix(prune, top) if top else None
 
 
 def weakly_regular_witness(space: FinSpace) -> int | None:
     """Least non-empty closed subset with no non-empty relatively open
-    regular subspace, or None."""
+    regular subspace, or None.
+
+    Such a subset a is one with no regular piece N(x) & a (open_kernel_mask).
+    If x lies in s and N(x) & s is not regular, then neither is N(x) & t
+    for t containing s, since it contains N(x) & s and regularity is
+    hereditary. So x stays outside the open kernel of t: see
+    _least_closed_failure."""
     if is_partition_space(space):
         return None
-    for a in _closed_nonempty_lex(space):
-        if open_kernel_mask(space, a) == 0:
-            return a
-    return None
+    return _least_closed_failure(space, open_kernel_mask)
 
 
 def theta_weakly_regular_witness(space: FinSpace) -> int | None:
+    """Least non-empty closed subset with no non-empty theta-open regular
+    subspace, or None.
+
+    Such a subset a is one with no regular component of the closure
+    relation on a (theta_kernel_mask). The relation on s is the relation on
+    t cut to s, for t containing s, so the component of x in s lies in its
+    component in t; if the first is not regular, neither is the second,
+    since regularity is hereditary. So x stays outside the theta kernel of
+    t: see _least_closed_failure."""
     if is_partition_space(space):
         return None
-    for a in _closed_nonempty_lex(space):
-        if theta_kernel_mask(space, a) == 0:
-            return a
-    return None
+    return _least_closed_failure(space, theta_kernel_mask)
 
 
 def w_theta_regular_witness(space: FinSpace) -> tuple[int, int] | None:
@@ -232,23 +303,53 @@ def w_theta_regular_witness(space: FinSpace) -> tuple[int, int] | None:
     A piece u = N(x) & a lies inside the component of x in a, since each
     y in u lies in N(y) & N(x) & a. Its theta-open part is the union
     of the components inside u, so it is non-empty iff u is that component,
-    iff u is theta-open: one step over the closure_rows table of a."""
-    if is_partition_space(space):
-        return None
+    iff u is theta-open: one step over the closure_rows table of a.
+
+    So a fails iff it holds a strict pair: y in N(z) with z not in N(y).
+    Such a pair relates z to y, so z lies in the component of y but not in
+    the piece N(y) & a. Conversely, if z in a outside u = N(x) & a is
+    related to y in u, some p in N(z) & N(y) & a lies in u; without strict
+    pairs x and z would both lie in N(p), which equals N(x) & a there, so z
+    would lie in u. Holding a strict pair is closed upward, so the least
+    failing subspace is the shortest failing initial segment {0..k}: any
+    other failing set has a point missing from {0..k} below its largest
+    point, or contains {0..k} as a prefix. The segment gains the pairs of
+    its new point k, in which k is either end. u is its first failing
+    piece."""
     nbhd = space.nbhd
-    for a in subsets_lex(space.full_mask):
-        rows = closure_rows(space, a)
-        for x in bits(a):
-            u = nbhd[x] & a
-            if theta_step(rows, u) != u:
-                return a, u
+    up = space.up
+    a = 0
+    for k in range(len(space)):
+        a |= 1 << k
+        if nbhd[k] & a & ~up[k] or up[k] & a & ~nbhd[k]:
+            rows = closure_rows(space, a)
+            for x in bits(a):
+                u = nbhd[x] & a
+                if theta_step(rows, u) != u:
+                    return a, u
+            raise TopologyError("internal: a strict pair left every piece theta-open")
     return None
 
 
 def hereditarily_quasi_regular_witness(space: FinSpace) -> int | None:
+    """Least subspace that is not quasi-regular, or None.
+
+    A subspace a fails quasi-regularity iff some minimal open set M =
+    N(m) & a of a is not closed in a. If each is closed, every non-empty
+    open set contains one, which is its own closure; if M is not closed, the
+    only non-empty open set inside M is M, whose closure leaves M.
+
+    The failing subspaces are closed upward. Let a fail at M = N(m) & a,
+    take b containing a and any minimal open M' of b inside N(m) & b. Then
+    m lies in cl_b M', since M' holds a point of N(m). If M' were closed,
+    it would hold m, so M' = N(m) & b, and its trace M = N(m) & a would be
+    closed in a. So b fails at M', and, as in w_theta_regular_witness, the
+    least failing subspace is the shortest failing initial segment."""
     if is_partition_space(space):
         return None
-    for a in subsets_lex(space.full_mask):
+    a = 0
+    for k in range(len(space)):
+        a |= 1 << k
         if quasi_regular_witness(space, a) is not None:
             return a
     return None
@@ -443,12 +544,12 @@ def _sw_text(sw: dict) -> str:
 
 
 def property_verdicts(
-    space: FinSpace, max_points: int = PROPERTY_CAP
+    space: FinSpace, max_points: int = POINT_CAP
 ) -> tuple[dict[str, bool], dict[str, dict]]:
     """All decidable verdicts plus witnesses for the false ones."""
     if len(space) > max_points:
         raise CapExceeded(
-            f"property sweeps scan 2^{len(space)} subsets; cap is {max_points} points"
+            f"property verdicts capped at {max_points} points; space has {len(space)}"
         )
     verdicts: dict[str, bool] = {}
     witnesses: dict[str, dict] = {}
@@ -474,7 +575,7 @@ def check_arrows(verdicts: dict[str, bool]) -> list[str]:
 
 
 def classify_report(
-    space: FinSpace, sw_bound: int = 3, max_points: int = PROPERTY_CAP
+    space: FinSpace, sw_bound: int = 3, max_points: int = POINT_CAP
 ) -> PropertyReport:
     # Checked up front: the report of a regular space never runs the search.
     if sw_bound > SW_BOUND_CAP:

@@ -6,8 +6,10 @@ notion (closure, interior, theta-openness, continuity, the regularity
 variants) is decided by exhaustive quantification over that family. Nothing
 below calls the package's own closure/interior/classification code, except
 the restriction sweep, which checks the map classifier's fixpoints against a
-walk over every restriction, and the labeled references for the per-class
-sweeps, which check only the symmetry reductions.
+walk over every restriction, the subspace scans, which check the regularity
+deciders' fixpoints and initial segments against a walk over every subset,
+and the labeled references for the per-class sweeps, which check only the
+symmetry reductions.
 """
 
 from __future__ import annotations
@@ -16,7 +18,15 @@ from itertools import product
 from typing import Iterator
 
 from thetatopo.hedgehog import MalformedToken
-from thetatopo.space import CapExceeded, FinSpace
+from thetatopo.regularity import quasi_regular_witness, regular_at_mask
+from thetatopo.space import (
+    CapExceeded,
+    FinSpace,
+    closure_rows,
+    is_open_mask,
+    theta_components,
+    theta_step,
+)
 
 
 def bits(mask: int):
@@ -467,6 +477,82 @@ PROPERTY_ORACLES = {
     "scattered": scattered_oracle,
     "t1": t1_oracle,
     "nowhere_regular": nowhere_regular_oracle,
+}
+
+
+# ---------------------------------------------------------------------------
+# Least-witness scans of the four subspace deciders: every subset in
+# sorted-index-tuple order, so the first failure found is the least witness.
+# Regularity is the per-point closure test (regular_at_mask); the closure
+# tables and theta-components are the package's.
+# ---------------------------------------------------------------------------
+
+def subsets_lex(mask: int) -> Iterator[int]:
+    """Non-empty subsets of mask in ascending sorted-index-tuple order,
+    e.g. {0} < {0,1} < {0,1,2} < {0,2} < {1} < {1,2} < {2}."""
+    positions = list(bits(mask))
+
+    def rec(prefix: int, start: int) -> Iterator[int]:
+        for i in range(start, len(positions)):
+            cur = prefix | (1 << positions[i])
+            yield cur
+            yield from rec(cur, i + 1)
+
+    yield from rec(0, 0)
+
+
+def _closed_nonempty_lex(space: FinSpace) -> Iterator[int]:
+    full = space.full_mask
+    for a in subsets_lex(full):
+        if is_open_mask(space, full & ~a):
+            yield a
+
+
+def _is_regular_scan(space: FinSpace, a: int) -> bool:
+    return all(regular_at_mask(space, x, a) for x in bits(a))
+
+
+def weakly_regular_scan(space: FinSpace) -> int | None:
+    """Least non-empty closed set with no regular piece N(x) & a."""
+    for a in _closed_nonempty_lex(space):
+        if not any(_is_regular_scan(space, space.nbhd[x] & a) for x in bits(a)):
+            return a
+    return None
+
+
+def theta_weakly_regular_scan(space: FinSpace) -> int | None:
+    """Least non-empty closed set with no regular theta-component."""
+    for a in _closed_nonempty_lex(space):
+        if not any(_is_regular_scan(space, c) for c in theta_components(space, a, a)):
+            return a
+    return None
+
+
+def w_theta_regular_scan(space: FinSpace) -> tuple[int, int] | None:
+    """Least subspace with a piece that is not theta-open, and its first
+    such piece."""
+    for a in subsets_lex(space.full_mask):
+        rows = closure_rows(space, a)
+        for x in bits(a):
+            u = space.nbhd[x] & a
+            if theta_step(rows, u) != u:
+                return a, u
+    return None
+
+
+def hereditarily_quasi_regular_scan(space: FinSpace) -> int | None:
+    """Least subspace that is not quasi-regular."""
+    for a in subsets_lex(space.full_mask):
+        if quasi_regular_witness(space, a) is not None:
+            return a
+    return None
+
+
+SUBSPACE_SCANS = {
+    "hereditarily_quasi_regular": hereditarily_quasi_regular_scan,
+    "weakly_regular": weakly_regular_scan,
+    "theta_weakly_regular": theta_weakly_regular_scan,
+    "w_theta_regular": w_theta_regular_scan,
 }
 
 

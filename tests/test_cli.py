@@ -356,7 +356,7 @@ def test_exit_two_on_caps(tmp_path):
     assert run_cli("fn", "compositions", "--sizes", "9,2,2")[0] == 2
     assert run_cli("verify-diagram", "--max-n", "7")[0] == 2
 
-    names = [str(i) for i in range(11)]
+    names = [str(i) for i in range(25)]
     big = tmp_path / "big.json"
     big.write_text(
         json.dumps({"points": names, "min_nbhds": {a: [a] for a in names}}),

@@ -100,9 +100,9 @@ def test_text_and_obj_forms():
 
 
 def test_cap():
-    names = [str(i) for i in range(11)]
-    big = build_space(names, {a: [a] for a in names})
-    with pytest.raises(CapExceeded, match="^decomposition capped at 10 points$"):
+    names = [str(i) for i in range(25)]
+    big = build_space(names, {a: [a] for a in names}, max_points=25)
+    with pytest.raises(CapExceeded, match="^decomposition capped at 24 points$"):
         theta_decomposition(big)
 
 

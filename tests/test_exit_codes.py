@@ -6,7 +6,8 @@ Argv is drawn over every subcommand and flag, in-process through cli.main.
 Each numeric flag takes a value small enough to finish in milliseconds,
 one above its cap, one below its bound, or text that is not an int; file
 arguments name a fixture, a missing file, malformed JSON, or a drawn
-document of the right overall shape with wrong parts. No draw may start
+document of the right overall shape with wrong parts; classify and
+decompose also read valid spaces of 11 to 24 points. No draw may start
 work that a cap does not stop first, so the test stays fast.
 """
 
@@ -78,6 +79,25 @@ def file_arg(draw, tmp_dir: Path, fixtures: tuple[str, ...], docs):
     return str(path)
 
 
+@st.composite
+def large_space_arg(draw, tmp_dir: Path):
+    """A valid space of 11 to 24 points, as a file: the minimal
+    neighborhood of each point is the point and those of up to two earlier
+    points."""
+    n = draw(st.integers(11, 24))
+    names = [f"p{i}" for i in range(n)]
+    rows: list[set[str]] = []
+    for i in range(n):
+        row = {names[i]}
+        for j in draw(st.lists(st.integers(0, i - 1), max_size=2)) if i else ():
+            row |= rows[j]
+        rows.append(row)
+    path = tmp_dir / "large.json"
+    doc = {"points": names, "min_nbhds": {a: sorted(row) for a, row in zip(names, rows)}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
 PREDICATES = st.sampled_from(
     [
         "regular",
@@ -102,7 +122,7 @@ def commands(tmp_dir: Path):
     """(command words, positional strategy or None, {flag: value strategy
     or None for a switch}). The first flag of the commands in ALWAYS_FIRST
     is always drawn: their defaults run for a tenth of a second or more."""
-    spaces = file_arg(tmp_dir, SPACE_FIXTURES, SPACE_DOCS)
+    spaces = file_arg(tmp_dir, SPACE_FIXTURES, SPACE_DOCS) | large_space_arg(tmp_dir)
     maps = file_arg(tmp_dir, MAP_FIXTURES, MAP_DOCS)
     max_points = knob(1, 24, 25)
     return [

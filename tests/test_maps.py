@@ -353,7 +353,7 @@ def test_theta_tier_is_continuity(monkeypatch):
         raise AssertionError("swept restrictions for the theta tier")
 
     maps._memo.clear()
-    monkeypatch.setattr(maps, "_gfp", refuse)
+    monkeypatch.setattr(maps, "gfp", refuse)
     theta = "theta_weakly_discontinuous"
     small = spaces_up_to(2)
     pairs = [(x, y) for x in small for y in small]
@@ -370,7 +370,7 @@ def test_sweep_skips_the_walk_for_continuous_keys(monkeypatch):
     def refuse(*args):
         raise AssertionError("computed a fixpoint for a continuous map")
 
-    monkeypatch.setattr(maps, "_gfp", refuse)
+    monkeypatch.setattr(maps, "gfp", refuse)
     for x in spaces_up_to(2):
         for y in spaces_up_to(2):
             for img in product(range(len(y)), repeat=len(x)):
@@ -384,7 +384,7 @@ def test_identity_on_the_cap_is_continuous(monkeypatch):
         raise AssertionError("computed a fixpoint for a continuous map")
 
     maps._memo.clear()
-    monkeypatch.setattr(maps, "_gfp", refuse)
+    monkeypatch.setattr(maps, "gfp", refuse)
     names = [str(i) for i in range(CLASSIFY_CAP)]
     chain = build_space(names, {a: names[: i + 1] for i, a in enumerate(names)})
     mc = classify_map(identity_map(chain))

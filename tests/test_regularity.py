@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from hypothesis import given
 from conftest import spaces
 from oracles import (
     PROPERTY_ORACLES,
+    SUBSPACE_SCANS,
     all_opens,
     bits,
     labeled_sw_witness_search,
@@ -23,7 +25,7 @@ from oracles import (
 )
 import thetatopo
 from thetatopo.decomposition import open_decomposition, theta_decomposition
-from thetatopo.generate import homeo_rows, labeled_rows, space_from_rows
+from thetatopo.generate import homeo_rows, labeled_rows, random_rows, space_from_rows
 from thetatopo.maps import classify_map
 from thetatopo import regularity
 from thetatopo.regularity import (
@@ -93,6 +95,44 @@ def test_deciders_pinned_on_six_point_classes():
         h.update(theta_decomposition(sp).to_text().encode() + b"\n")
         h.update(open_decomposition(sp).to_text().encode() + b"\n")
     assert h.hexdigest() == "f002f7f8c55ee072e6b8e82a4a7cfe6303d1e0dab364515fa4510d30fb5489c3"
+
+
+def test_deciders_pinned_on_labeled_spaces():
+    # property_verdicts (verdicts and witnesses, as JSON) and both kernel
+    # decompositions on all 7,331 labeled spaces with at most five points,
+    # pinned byte for byte.
+    h = hashlib.sha256()
+    for sp in all_labeled(5):
+        verdicts, witnesses = property_verdicts(sp)
+        h.update(json.dumps({"verdicts": verdicts, "witnesses": witnesses}).encode() + b"\n")
+        h.update(theta_decomposition(sp).to_text().encode() + b"\n")
+        h.update(open_decomposition(sp).to_text().encode() + b"\n")
+    assert h.hexdigest() == "b41a43960a72e92a15a6eefe3c6f740d92bbdcc116d363be68e90e1e19513296"
+
+
+def test_subspace_deciders_match_scans_exhaustively():
+    # Each fixpoint or initial-segment decider gives the least witness of
+    # the walk over every subset, on every labeled space with n <= 5.
+    for sp in all_labeled(5):
+        for prop, scan in SUBSPACE_SCANS.items():
+            assert DECIDERS[prop].find(sp) == scan(sp), (sp.nbhd, prop)
+
+
+def test_subspace_deciders_match_scans_random():
+    # Seeded random spaces of 6-10 points, sparse to dense. On finite spaces
+    # weakly_regular always holds (a minimal open set of a closed subspace
+    # is indiscrete), but each other property both holds and fails here.
+    rng = random.Random(1717)
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(6, 10)
+        sp = space_from_rows(random_rows(n, rng, rng.choice((0.05, 0.1, 0.2, 0.35))))
+        for prop, scan in SUBSPACE_SCANS.items():
+            w = scan(sp)
+            assert DECIDERS[prop].find(sp) == w, (sp.nbhd, prop)
+            seen.add((prop, w is None))
+    both = {(prop, holds) for prop in SUBSPACE_SCANS for holds in (True, False)}
+    assert seen == both - {("weakly_regular", False)}
 
 
 def test_one_decider_per_property():
@@ -285,8 +325,8 @@ def test_partition_spaces_skip_the_subspace_scans(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("scanned the subspaces of a partition space")
 
-    monkeypatch.setattr(regularity, "subsets_lex", refuse)
-    monkeypatch.setattr(regularity, "_closed_nonempty_lex", refuse)
+    monkeypatch.setattr(regularity, "gfp", refuse)
+    monkeypatch.setattr(regularity, "least_prefix", refuse)
     real_closure_rows = regularity.closure_rows
     monkeypatch.setattr(regularity, "closure_rows", refuse)
     for sp in spaces:
@@ -438,9 +478,9 @@ def test_unsafe_but_unwitnessed_reports_bound():
 
 
 def test_property_cap():
-    names = [str(i) for i in range(11)]
-    big = build_space(names, {a: [a] for a in names})
-    with pytest.raises(CapExceeded):
+    names = [str(i) for i in range(25)]
+    big = build_space(names, {a: [a] for a in names}, max_points=25)
+    with pytest.raises(CapExceeded, match="^property verdicts capped at 24 points; space has 25$"):
         property_verdicts(big)
 
 

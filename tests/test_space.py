@@ -12,12 +12,13 @@ from oracles import (
     int_oracle,
     lex_less,
     submasks,
+    subsets_lex,
     t1_oracle,
     theta_open_oracle,
     theta_part_oracle,
     theta_step_oracle,
 )
-from thetatopo.bitset import bits, subsets_lex
+from thetatopo.bitset import bits
 from thetatopo.generate import labeled_rows, space_from_rows
 from thetatopo.regularity import is_t1
 from thetatopo.space import (
