@@ -4,12 +4,16 @@ Every decider reduces its quantifier to minimal neighborhoods, to a greatest
 fixpoint or to initial segments, so that no decider enumerates subsets and
 each returns the least witness in sorted-index-tuple order:
   - a subspace is regular iff it holds no strict pair (is_regular_mask);
+  - the closure of a smallest piece N(m) & a of a subspace is the up-row
+    up[m] & a, so quasi-regularity needs no closure computation;
   - the closed sets that fail weak regularity, and those that fail
     theta-weak regularity, are closed under union, so the largest is the
     greatest fixpoint of a monotone pruning operator (Tarski, Pacific J.
     Math. 1955), and the least is a prefix of it;
   - the subspaces that fail the w_theta_regular and the quasi-regular
     condition are closed upward, so the least is an initial segment.
+No decider special-cases regular spaces, so the implications out of
+"regular" are tested, not assumed, on every regular space.
 The kernel operations used by the decomposition module live here too: the
 union of all (theta-)open regular subspaces of a subset.
 """
@@ -23,18 +27,17 @@ from typing import Callable, NamedTuple
 
 from .bitset import bits, gfp, least_prefix
 from .generate import homeo_rows, space_from_rows
-from .maps import FinMap, classify_map, image_ok_masks, map_to_obj
+from .maps import FinMap, MapClass, classify_map, image_ok_masks, map_to_obj
 from .space import (
     POINT_CAP,
     CapExceeded,
     FinSpace,
     TopologyError,
     closure_mask,
-    closure_rows,
     format_names,
     is_open_mask,
+    is_theta_open_mask,
     theta_components,
-    theta_step,
 )
 
 # Properties a finite space either has or lacks, in report order. The search
@@ -146,13 +149,21 @@ def quasi_regular_witness(space: FinSpace, within: int | None = None) -> int | N
     """Least relatively open set (in the subspace on `within`) that contains
     the relative closure of no non-empty relatively open set. Minimal
     neighborhoods suffice on both sides (shrinking the inner set and the
-    outer set only helps), so the witness is a minimal piece."""
+    outer set only helps), so the witness is a minimal piece.
+
+    Every piece of a holds a smallest piece N(m) & a, and that m lies
+    outside _strict_tops(a): each y of N(m) & a has N(y) & a = N(m) & a,
+    so m lies in N(y). Hence m lies in N(z) for each z of the piece, which
+    makes its closure in a the up-row up[m] & a. A smaller piece has a
+    smaller closure, so a piece `target` is the witness iff no m in
+    target outside _strict_tops(a) has up[m] & a inside target."""
     a = space.full_mask if within is None else within
-    rows = closure_rows(space, a)
-    pieces = [rows[x] for x in bits(a)]
+    nbhd = space.nbhd
+    up = space.up
+    tops = _strict_tops(space, a)
     for x in bits(a):
-        target = space.nbhd[x] & a
-        if not any(cl & ~target == 0 for cl in pieces):
+        target = nbhd[x] & a
+        if not any(up[m] & a & ~target == 0 for m in bits(target & ~tops)):
             return target
     return None
 
@@ -222,17 +233,6 @@ def open_kernel_mask(space: FinSpace, a: int) -> int:
     return out
 
 
-def is_partition_space(space: FinSpace) -> bool:
-    """Whether the minimal neighborhoods partition the points (y in N(x)
-    implies x in N(y)). Then so do those of each subspace a: its pieces
-    N(x) & a are clopen in a, so each is its own closure and a component of
-    the closure relation on a, and a closed a is open, regular and the union
-    of its regular components, so both kernels of a are a. Hence
-    hereditarily_quasi_regular, weakly_regular, theta_weakly_regular and
-    w_theta_regular all hold."""
-    return space.up == space.nbhd
-
-
 def _closed_part(space: FinSpace, s: int) -> int:
     """The largest closed subset of s: the y of s with up[y] inside s. It is
     closed, since z in up[y] has up[z] inside up[y]."""
@@ -275,8 +275,6 @@ def weakly_regular_witness(space: FinSpace) -> int | None:
     for t containing s, since it contains N(x) & s and regularity is
     hereditary. So x stays outside the open kernel of t: see
     _least_closed_failure."""
-    if is_partition_space(space):
-        return None
     return _least_closed_failure(space, open_kernel_mask)
 
 
@@ -290,8 +288,6 @@ def theta_weakly_regular_witness(space: FinSpace) -> int | None:
     component in t; if the first is not regular, neither is the second,
     since regularity is hereditary. So x stays outside the theta kernel of
     t: see _least_closed_failure."""
-    if is_partition_space(space):
-        return None
     return _least_closed_failure(space, theta_kernel_mask)
 
 
@@ -303,7 +299,7 @@ def w_theta_regular_witness(space: FinSpace) -> tuple[int, int] | None:
     A piece u = N(x) & a lies inside the component of x in a, since each
     y in u lies in N(y) & N(x) & a. Its theta-open part is the union
     of the components inside u, so it is non-empty iff u is that component,
-    iff u is theta-open: one step over the closure_rows table of a.
+    iff u is theta-open (is_theta_open_mask).
 
     So a fails iff it holds a strict pair: y in N(z) with z not in N(y).
     Such a pair relates z to y, so z lies in the component of y but not in
@@ -322,10 +318,9 @@ def w_theta_regular_witness(space: FinSpace) -> tuple[int, int] | None:
     for k in range(len(space)):
         a |= 1 << k
         if nbhd[k] & a & ~up[k] or up[k] & a & ~nbhd[k]:
-            rows = closure_rows(space, a)
             for x in bits(a):
                 u = nbhd[x] & a
-                if theta_step(rows, u) != u:
+                if not is_theta_open_mask(space, u, a):
                     return a, u
             raise TopologyError("internal: a strict pair left every piece theta-open")
     return None
@@ -345,8 +340,6 @@ def hereditarily_quasi_regular_witness(space: FinSpace) -> int | None:
     it would hold m, so M' = N(m) & b, and its trace M = N(m) & a would be
     closed in a. So b fails at M', and, as in w_theta_regular_witness, the
     least failing subspace is the shortest failing initial segment."""
-    if is_partition_space(space):
-        return None
     a = 0
     for k in range(len(space)):
         a |= 1 << k
@@ -439,6 +432,12 @@ def _sw_domains(n: int) -> tuple[FinSpace, ...]:
     return tuple(map(space_from_rows, homeo_rows(n)))
 
 
+def is_sw_witness(mc: MapClass) -> bool:
+    """Whether a classified map is scatteredly continuous but not weakly
+    discontinuous, the kind of map sw_witness_search looks for."""
+    return mc.reaches("scatteredly_continuous") and not mc.reaches("weakly_discontinuous")
+
+
 def sw_witness_search(
     space: FinSpace, max_domain_size: int = 3
 ) -> tuple[FinSpace, FinMap] | None:
@@ -476,10 +475,7 @@ def sw_witness_search(
                     continue
                 seen.add(key)
                 f = FinMap(z, space, img)
-                mc = classify_map(f)
-                if mc.reaches("scatteredly_continuous") and not mc.reaches(
-                    "weakly_discontinuous"
-                ):
+                if is_sw_witness(classify_map(f)):
                     return z, f
     return None
 

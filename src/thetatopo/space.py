@@ -6,15 +6,8 @@ of its points, so closure, interior and the theta variants are short bit
 sweeps. Spaces and point sets are immutable after construction; every
 operation here is pure.
 
-Two tables carry the closures. A space builds its up-rows on first use,
-up[y] = {x : y in N(x)}, the closure of {y}; a closure is then the OR of the
-up-rows of the points of s. For a subspace w, closure_rows(space, w) holds
-cl_w(N(x) & w) for each x in w, the relative closure of x's minimal piece,
-and one theta-interior step over w reads only that table. No closure_rows
-table outlives the call that built it.
-
-Theta-openness itself needs no table. Relate z ~ x in w iff z lies in
-cl_w(N(x) & w), that is iff N(z) & N(x) & w is non-empty:
+Relate z ~ x in a subspace w iff z lies in cl_w(N(x) & w), that is iff
+N(z) & N(x) & w is non-empty:
   - the relation is reflexive and symmetric, so its connected components
     partition w;
   - s inside w is theta-open iff cl_w(N(x) & w) lies in s for each x in s,
@@ -317,35 +310,6 @@ def closure_mask(space: FinSpace, s: int, within: int | None = None) -> int:
     return out & w
 
 
-def closure_rows(
-    space: FinSpace, within: int | None = None, points: int | None = None
-) -> list[int]:
-    """rows[x] = cl_w(N(x) & w) for each x in `points` (default: all of w),
-    and 0 elsewhere.
-
-    x is regular in the subspace on w iff rows[x] == N(x) & w, and one
-    theta-interior step over w keeps the x of s with rows[x] inside s, so
-    steps inside s need only the rows of the points of s.
-    """
-    w = space.full_mask if within is None else within
-    nbhd = space.nbhd
-    up = space.up
-    rows = [0] * len(nbhd)
-    rest = w if points is None else points & w
-    while rest:
-        low = rest & -rest
-        x = low.bit_length() - 1
-        rest ^= low
-        m = nbhd[x] & w
-        cl = 0
-        while m:
-            b = m & -m
-            cl |= up[b.bit_length() - 1]
-            m ^= b
-        rows[x] = cl & w
-    return rows
-
-
 def interior_mask(space: FinSpace, s: int, within: int | None = None) -> int:
     w = space.full_mask if within is None else within
     s &= w
@@ -374,19 +338,6 @@ def is_open_mask(space: FinSpace, s: int, within: int | None = None) -> bool:
             return False
         rest ^= low
     return True
-
-
-def theta_step(rows: Sequence[int], s: int) -> int:
-    """One theta-interior step over the table closure_rows(space, w), for
-    s inside w: the points of s whose row lies inside s."""
-    out = 0
-    rest = s
-    while rest:
-        low = rest & -rest
-        if rows[low.bit_length() - 1] & ~s == 0:
-            out |= low
-        rest ^= low
-    return out
 
 
 def theta_components(space: FinSpace, s: int, within: int | None = None) -> Iterator[int]:
@@ -435,7 +386,16 @@ def theta_interior_mask(space: FinSpace, s: int, within: int | None = None) -> i
     """One refinement step: the points of s whose minimal relative
     neighborhood has relative closure inside s."""
     w = space.full_mask if within is None else within
-    return theta_step(closure_rows(space, w, s), s & w)
+    s &= w
+    nbhd = space.nbhd
+    out = 0
+    rest = s
+    while rest:
+        low = rest & -rest
+        if closure_mask(space, nbhd[low.bit_length() - 1] & w, w) & ~s == 0:
+            out |= low
+        rest ^= low
+    return out
 
 
 def theta_open_part_mask(space: FinSpace, s: int, within: int | None = None) -> int:

@@ -37,6 +37,7 @@ from .regularity import (
     SW_BOUND_CAP,
     SW_SAFE_PREMISES,
     check_arrows,
+    is_sw_witness,
     property_verdicts,
     sw_witness_search,
 )
@@ -274,11 +275,6 @@ class DiagramReport:
         return "\n".join(lines)
 
 
-def _sw_kept(mc: MapClass) -> bool:
-    """The composite is still an sw-witness: scattered, not weakly discontinuous."""
-    return mc.reaches("scatteredly_continuous") and not mc.reaches("weakly_discontinuous")
-
-
 def verify_diagram(
     n_max: int = 4,
     sw_bound: int = 3,
@@ -417,7 +413,7 @@ def verify_diagram(
                 if f is not None:
                     sw_checks += len(perms)
                     mcc = classify_map(FinMap(f.domain, y, f.img))
-                    if not _sw_kept(mcc):
+                    if not is_sw_witness(mcc):
                         tier = mcc.tier
                 if wtheta_bad or tier is not None:
                     hits.extend(

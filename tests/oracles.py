@@ -7,9 +7,11 @@ variants) is decided by exhaustive quantification over that family. Nothing
 below calls the package's own closure/interior/classification code, except
 the restriction sweep, which checks the map classifier's fixpoints against a
 walk over every restriction, the subspace scans, which check the regularity
-deciders' fixpoints and initial segments against a walk over every subset,
-and the labeled references for the per-class sweeps, which check only the
-symmetry reductions.
+deciders' fixpoints, initial segments and up-row closures against a walk
+over every subset with the package's closure_mask, regular_at_mask,
+theta_interior_mask and theta_components (each gated against the oracles
+above it), and the labeled references for the per-class sweeps, which check
+only the symmetry reductions.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ from itertools import product
 from typing import Iterator
 
 from thetatopo.hedgehog import MalformedToken
-from thetatopo.regularity import quasi_regular_witness, regular_at_mask
+from thetatopo.regularity import regular_at_mask
 from thetatopo.space import (
     CapExceeded,
     FinSpace,
-    closure_rows,
+    closure_mask,
     is_open_mask,
     theta_components,
-    theta_step,
+    theta_interior_mask,
 )
 
 
@@ -483,8 +485,8 @@ PROPERTY_ORACLES = {
 # ---------------------------------------------------------------------------
 # Least-witness scans of the four subspace deciders: every subset in
 # sorted-index-tuple order, so the first failure found is the least witness.
-# Regularity is the per-point closure test (regular_at_mask); the closure
-# tables and theta-components are the package's.
+# Regularity is the per-point closure test (regular_at_mask); closures,
+# theta-interiors and theta-components are the package's.
 # ---------------------------------------------------------------------------
 
 def subsets_lex(mask: int) -> Iterator[int]:
@@ -532,18 +534,27 @@ def w_theta_regular_scan(space: FinSpace) -> tuple[int, int] | None:
     """Least subspace with a piece that is not theta-open, and its first
     such piece."""
     for a in subsets_lex(space.full_mask):
-        rows = closure_rows(space, a)
         for x in bits(a):
             u = space.nbhd[x] & a
-            if theta_step(rows, u) != u:
+            if theta_interior_mask(space, u, a) != u:
                 return a, u
+    return None
+
+
+def quasi_regular_scan(space: FinSpace, a: int) -> int | None:
+    """Least piece N(x) & a that contains the closure in a of no piece."""
+    pieces = [closure_mask(space, space.nbhd[x] & a, a) for x in bits(a)]
+    for x in bits(a):
+        target = space.nbhd[x] & a
+        if not any(cl & ~target == 0 for cl in pieces):
+            return target
     return None
 
 
 def hereditarily_quasi_regular_scan(space: FinSpace) -> int | None:
     """Least subspace that is not quasi-regular."""
     for a in subsets_lex(space.full_mask):
-        if quasi_regular_witness(space, a) is not None:
+        if quasi_regular_scan(space, a) is not None:
             return a
     return None
 

@@ -14,6 +14,7 @@ from oracles import (
     labeled_sw_witness_search,
     nonempty_subsets,
     quasi_regular_oracle,
+    quasi_regular_scan,
     regular_at_oracle,
     regular_oracle,
     submasks,
@@ -40,7 +41,6 @@ from thetatopo.regularity import (
     hereditarily_quasi_regular_witness,
     is_locally_regular,
     is_nowhere_regular,
-    is_partition_space,
     is_regular,
     is_regular_at,
     is_scattered,
@@ -118,15 +118,20 @@ def test_subspace_deciders_match_scans_exhaustively():
             assert DECIDERS[prop].find(sp) == scan(sp), (sp.nbhd, prop)
 
 
-def test_subspace_deciders_match_scans_random():
-    # Seeded random spaces of 6-10 points, sparse to dense. On finite spaces
-    # weakly_regular always holds (a minimal open set of a closed subspace
-    # is indiscrete), but each other property both holds and fails here.
+def random_spaces():
+    """150 seeded random spaces of 6-10 points, sparse to dense."""
     rng = random.Random(1717)
-    seen = set()
     for _ in range(150):
         n = rng.randint(6, 10)
-        sp = space_from_rows(random_rows(n, rng, rng.choice((0.05, 0.1, 0.2, 0.35))))
+        yield space_from_rows(random_rows(n, rng, rng.choice((0.05, 0.1, 0.2, 0.35))))
+
+
+def test_subspace_deciders_match_scans_random():
+    # On finite spaces weakly_regular always holds (a minimal open set of a
+    # closed subspace is indiscrete), but each other property both holds and
+    # fails among the random spaces.
+    seen = set()
+    for sp in random_spaces():
         for prop, scan in SUBSPACE_SCANS.items():
             w = scan(sp)
             assert DECIDERS[prop].find(sp) == w, (sp.nbhd, prop)
@@ -285,17 +290,24 @@ def test_quasi_regular_witness_on_every_subspace(memo_oracles):
             assert (not failing) == oracles.quasi_regular_oracle(sp, a)
 
 
-# ---------------------------------------------------------------------------
-# Partition spaces: the subspace scans are skipped.
-# ---------------------------------------------------------------------------
+def test_quasi_regular_witness_matches_scan():
+    # The up-row test against the closure of every piece: every subspace of
+    # every labeled space with n <= 4, and every initial segment (the
+    # subspaces the hereditarily_quasi_regular walk reads) of the random
+    # spaces.
+    for sp in all_labeled(4):
+        for a in nonempty_subsets(sp.full_mask):
+            assert quasi_regular_witness(sp, a) == quasi_regular_scan(sp, a), (sp.nbhd, a)
+    for sp in random_spaces():
+        for k in range(1, len(sp) + 1):
+            a = (1 << k) - 1
+            assert quasi_regular_witness(sp, a) == quasi_regular_scan(sp, a), (sp.nbhd, a)
 
-SUBSPACE_SCANNING = (
-    "hereditarily_quasi_regular",
-    "weakly_regular",
-    "theta_weakly_regular",
-    "w_theta_regular",
-)
 
+# ---------------------------------------------------------------------------
+# Regular spaces take the same path through the subspace deciders as any
+# other space, so the arrows out of "regular" are tested on them.
+# ---------------------------------------------------------------------------
 
 def block_space(sizes):
     """The partition space whose minimal neighborhoods are consecutive
@@ -307,44 +319,36 @@ def block_space(sizes):
     return space_from_rows(tuple(rows))
 
 
-def test_partition_space_matches_definition():
-    # The minimal neighborhoods partition the points iff any two of them
-    # are equal or disjoint.
-    for sp in all_labeled(4):
-        rows = sp.nbhd
-        expected = all(r == s or r & s == 0 for r in rows for s in rows)
-        assert is_partition_space(sp) == expected, rows
-    assert is_partition_space(block_space((1, 2, 3, 4)))
-    assert not is_partition_space(SIERPINSKI)
-
-
-def test_partition_spaces_skip_the_subspace_scans(monkeypatch):
+def test_regular_spaces_run_the_subspace_deciders(monkeypatch):
+    # The weak and theta-weak deciders reach their greatest fixpoint, which
+    # is empty, and the hereditarily_quasi_regular decider walks every
+    # initial segment.
     spaces = [block_space(sizes) for sizes in ((1, 2, 3, 4), (10,), (1,) * 10)]
-    spaces += [sp for sp in all_labeled(4) if is_partition_space(sp)]
+    assert all(is_regular(sp) for sp in spaces)
+    spaces += [sp for sp in all_labeled(5) if is_regular(sp)]
+    tops = []
+    segments = []
+    real_gfp = regularity.gfp
+    real_quasi = regularity.quasi_regular_witness
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("scanned the subspaces of a partition space")
+    def spy_gfp(prune, s):
+        tops.append(s)
+        return real_gfp(prune, s)
 
-    monkeypatch.setattr(regularity, "gfp", refuse)
-    monkeypatch.setattr(regularity, "least_prefix", refuse)
-    real_closure_rows = regularity.closure_rows
-    monkeypatch.setattr(regularity, "closure_rows", refuse)
+    def spy_quasi(space, within=None):
+        segments.append(within)
+        return real_quasi(space, within)
+
+    monkeypatch.setattr(regularity, "gfp", spy_gfp)
+    monkeypatch.setattr(regularity, "quasi_regular_witness", spy_quasi)
     for sp in spaces:
-        for prop in SUBSPACE_SCANNING:
-            assert DECIDERS[prop].find(sp) is None, (sp.nbhd, prop)
-
-    def whole_space_rows(space, within=None, points=None):
-        # quasi_regular_witness reads the table of the whole space, which
-        # is not a subspace scan.
-        if within not in (None, space.full_mask):
-            refuse()
-        return real_closure_rows(space, within, points)
-
-    monkeypatch.setattr(regularity, "closure_rows", whole_space_rows)
-    for sp in spaces:
-        verdicts, witnesses = property_verdicts(sp)
-        assert all(verdicts[prop] for prop in SUBSPACE_SCANNING), sp.nbhd
-        assert not set(SUBSPACE_SCANNING) & set(witnesses)
+        for decider in (weakly_regular_witness, theta_weakly_regular_witness):
+            tops.clear()
+            assert decider(sp) is None, (sp.nbhd, decider.__name__)
+            assert tops == [sp.full_mask], (sp.nbhd, decider.__name__)
+        segments.clear()
+        assert hereditarily_quasi_regular_witness(sp) is None, sp.nbhd
+        assert segments == [(1 << k) - 1 for k in range(1, len(sp) + 1)], sp.nbhd
 
 
 # ---------------------------------------------------------------------------
