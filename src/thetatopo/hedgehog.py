@@ -131,10 +131,11 @@ def _check_token(t, allow_fin: bool = False) -> Token:
 
 
 # Each basic set of the hedgehog answers membership and adherence itself,
-# for a token that is already validated and is not a finite-summand token.
-# Tips are closed and stalk bases clopen, so closure adds only the stalks
-# (k), k >= n, to a root base U(n); U(k,m) always meets the tips of U(n) on
-# stalk k in a tail.
+# for a token that is already validated. Tips are closed and stalk bases
+# clopen, so closure adds only the stalks (k), k >= n, to a root base U(n);
+# U(k,m) always meets the tips of U(n) on stalk k in a tail. No basic set
+# holds or adheres to a finite-summand token ("fin", name): each test
+# compares t[0] with a stalk index, a root base only once t[0] != "fin".
 
 
 @dataclass(frozen=True)
@@ -179,10 +180,10 @@ class RootBase:
         return f"U({self.n})"
 
     def member(self, t: Token) -> bool:
-        return not t or (len(t) == 2 and t[0] >= self.n)
+        return not t or (len(t) == 2 and t[0] != "fin" and t[0] >= self.n)
 
     def adheres(self, t: Token) -> bool:
-        return not t or t[0] >= self.n
+        return not t or (t[0] != "fin" and t[0] >= self.n)
 
 
 @dataclass(frozen=True)
@@ -205,22 +206,11 @@ class MappedSet:
         return f"mapped:{self.base}"
 
 
-def _member(b, t: Token) -> bool:
-    """t in b, for a validated token t and a basic set b of the hedgehog."""
-    try:
-        member = b.member
-    except AttributeError:
-        raise OracleError(f"foreign basic set {b!r}") from None
-    return member(t)
-
-
-def _adheres(b, t: Token) -> bool:
-    """t in cl(b), for a validated token t and a basic set b of the hedgehog."""
-    try:
-        adheres = b.adheres
-    except AttributeError:
-        raise OracleError(f"foreign basic set {b!r}") from None
-    return adheres(t)
+def _hedgehog_set(b):
+    """b itself, once it is known to be a basic set of the hedgehog."""
+    if not isinstance(b, (Singleton, StalkBase, RootBase)):
+        raise OracleError(f"foreign basic set {b!r}")
+    return b
 
 
 # The hedgehog's answers on tokens the caller has already validated: every
@@ -265,7 +255,8 @@ def _pick_in_closure_minus(a, b) -> Token | None:
         candidates = (ROOT, (a.n,), (a.n + 1,))
     else:
         raise OracleError(f"foreign basic set {a!r}")
-    return next((t for t in candidates if b is None or not _member(b, t)), None)
+    inside = (lambda t: False) if b is None else _hedgehog_set(b).member
+    return next((t for t in candidates if not inside(t)), None)
 
 
 def _approach_within(
@@ -309,9 +300,11 @@ class HedgehogOracle:
     approach_within, all deterministically; refusals are returned as None,
     never guessed.
 
-    contains_valid and closure_contains_valid answer contains and
-    closure_contains for a token that validate has already returned; the
-    public queries validate, then call them."""
+    members(b) and adherents(b) resolve the basic set b once, raising on a
+    set of another space, and return the tests t in b and t in cl(b) for
+    tokens that validate has already returned. contains and
+    closure_contains validate the token, then ask those tests; a caller
+    with many questions about one set builds its test once."""
 
     def validate(self, t) -> Token:
         return _check_token(t)
@@ -319,14 +312,17 @@ class HedgehogOracle:
     def nbhd_base(self, x: Token, k: int):
         return _nbhd_base(_check_token(x), k)
 
-    contains_valid = staticmethod(_member)
-    closure_contains_valid = staticmethod(_adheres)
+    def members(self, b):
+        return _hedgehog_set(b).member
+
+    def adherents(self, b):
+        return _hedgehog_set(b).adheres
 
     def contains(self, b, t: Token) -> bool:
-        return self.contains_valid(b, _check_token(t))
+        return self.members(b)(_check_token(t))
 
     def closure_contains(self, b, t: Token) -> bool:
-        return self.closure_contains_valid(b, _check_token(t))
+        return self.adherents(b)(_check_token(t))
 
     def separate(self, a: Token, b: Token) -> tuple[int, int]:
         """Base indices (ia, ib) with nbhd_base(a, ia) and nbhd_base(b, ib)
@@ -370,24 +366,27 @@ class SumOracle:
             return FinBase(x[1])
         return _nbhd_base(x, k)
 
-    def contains_valid(self, b, t: Token) -> bool:
-        if isinstance(b, FinBase):
-            return is_fin(t) and bool(self._fin_mask(b) >> self.summand.index(t[1]) & 1)
-        return not is_fin(t) and _member(b, t)
+    # The summands are clopen: a finite basic set holds and adheres to
+    # finite tokens only, and a basic set of the hedgehog to none.
+    def _fin_test(self, mask: int):
+        index = self.summand.index
+        return lambda t: is_fin(t) and bool(mask >> index(t[1]) & 1)
 
-    def closure_contains_valid(self, b, t: Token) -> bool:
+    def members(self, b):
         if isinstance(b, FinBase):
-            if not is_fin(t):
-                return False
-            cl = closure_mask(self.summand, self._fin_mask(b))
-            return bool(cl >> self.summand.index(t[1]) & 1)
-        return not is_fin(t) and _adheres(b, t)
+            return self._fin_test(self._fin_mask(b))
+        return _hedgehog_set(b).member
+
+    def adherents(self, b):
+        if isinstance(b, FinBase):
+            return self._fin_test(closure_mask(self.summand, self._fin_mask(b)))
+        return _hedgehog_set(b).adheres
 
     def contains(self, b, t: Token) -> bool:
-        return self.contains_valid(b, self.validate(t))
+        return self.members(b)(self.validate(t))
 
     def closure_contains(self, b, t: Token) -> bool:
-        return self.closure_contains_valid(b, self.validate(t))
+        return self.adherents(b)(self.validate(t))
 
     def separate(self, a: Token, b: Token) -> tuple[int, int]:
         a = self.validate(a)
@@ -412,6 +411,8 @@ class SumOracle:
             free = closure_mask(self.summand, self._fin_mask(a))
             if isinstance(b, FinBase):
                 free &= ~self._fin_mask(b)
+            elif b is not None:
+                _hedgehog_set(b)
             return ("fin", self.summand.names[(free & -free).bit_length() - 1]) if free else None
         return _pick_in_closure_minus(a, None if isinstance(b, FinBase) else b)
 
@@ -454,17 +455,34 @@ class PermutedOracle:
     def nbhd_base(self, x: Token, k: int):
         return MappedSet(_nbhd_base(self._inv_token(_check_token(x)), k))
 
-    def contains_valid(self, b, t: Token) -> bool:
-        return _member(self._unwrap(b), self._inv_token(t))
+    def _visible(self, b, test: str):
+        """The test ("member" or "adheres") of the hidden set behind b, on
+        visible tokens. A stalk base or tip singleton is the same set on the
+        visible name of its stalk. A root base U(n) tests t[0] >= n, which
+        the relabeling changes only on the moved stalks it carries across n;
+        only those are renamed back before the test."""
+        inner = _hedgehog_set(self._unwrap(b))
+        if not isinstance(inner, RootBase):
+            if inner.n in self.fwd:
+                inner = type(inner)(self.fwd[inner.n], inner.m)
+            return getattr(inner, test)
+        hidden, inv = getattr(inner, test), self.inv
+        flip = {v for v, h in inv.items() if (v >= inner.n) != (h >= inner.n)}
+        if not flip:
+            return hidden
+        return lambda t: hidden((inv[t[0]], *t[1:]) if t and t[0] in flip else t)
 
-    def closure_contains_valid(self, b, t: Token) -> bool:
-        return _adheres(self._unwrap(b), self._inv_token(t))
+    def members(self, b):
+        return self._visible(b, "member")
+
+    def adherents(self, b):
+        return self._visible(b, "adheres")
 
     def contains(self, b, t: Token) -> bool:
-        return self.contains_valid(b, _check_token(t))
+        return self.members(b)(_check_token(t))
 
     def closure_contains(self, b, t: Token) -> bool:
-        return self.closure_contains_valid(b, _check_token(t))
+        return self.adherents(b)(_check_token(t))
 
     def separate(self, a: Token, b: Token) -> tuple[int, int]:
         return _separate(self._inv_token(_check_token(a)), self._inv_token(_check_token(b)))
@@ -481,7 +499,7 @@ class PermutedOracle:
         # two least unmoved names >= n.
         def admissible(v: int) -> bool:
             s = (self.inv.get(v, v),)
-            return _adheres(inner_a, s) and (inner_b is None or not _member(inner_b, s))
+            return inner_a.adheres(s) and (inner_b is None or not inner_b.member(s))
 
         unmoved = (v for v in itertools.count(inner_a.n) if v not in self.inv)
         return (min(filter(admissible, (*self.inv, *itertools.islice(unmoved, 2)))),)
@@ -562,12 +580,14 @@ def _basic_subset(a, b) -> bool:
 
 
 # Largest `hedgehog profile --depth`: the profile makes about 16 depth^2
-# closure checks, 0.8 s at depth 200 on a 2-vCPU box (Python 3.11).
+# closure checks, 0.6 s at depth 200 and 1.9 s at 400 on a 2-vCPU box
+# (Python 3.11, process start included).
 DEPTH_CAP = 400
 # Largest `hedgehog embed --depth`: verification makes about 3.5 depth^3
-# membership checks. On the same box the built-in hedgehog embeds in 0.3,
-# 2.1 and 7.0 s at depths 40, 120 and 200, the sum and permuted targets in
-# up to 15 s at 200, and depth 400 would take over a minute.
+# membership checks, each through a test built once per basic set. On the
+# same box the built-in hedgehog embeds in 0.2, 1.1 and 4.9 s at depths 40,
+# 120 and 200, the sum and permuted targets in up to 5.8 s at 200, and
+# depth 400 takes 41-51 s.
 EMBED_DEPTH_CAP = 200
 
 
@@ -576,9 +596,9 @@ def certify_hedgehog_profile(depth: int) -> ProfileReport:
     bases, scattered in three layers, locally regular via clopen basic sets,
     and not regular at the root with explicit witnesses."""
     o = HedgehogOracle()
-    # Every token below is built here well-formed, so membership goes
-    # through the unchecked entries.
-    contains, adheres = o.contains_valid, o.closure_contains_valid
+    # Every token below is built here well-formed, so each basic set is
+    # resolved once into its membership and adherence tests.
+    members, adherents = o.members, o.adherents
     failures: list[str] = []
     if depth <= 0:
         return ProfileReport(depth, 0, (), 0, (), ())
@@ -597,13 +617,13 @@ def certify_hedgehog_profile(depth: int) -> ProfileReport:
     for n in range(1, depth + 1):
         if o.nbhd_base((n, 1), 0) != Singleton(n, 1):
             failures.append(f"tip ({n},1) not isolated")
-        b = o.nbhd_base((n,), 0)
+        in_b = members(o.nbhd_base((n,), 0))
         for k in range(1, depth + 1):
-            if k != n and contains(b, (k,)):
+            if k != n and in_b((k,)):
                 failures.append(f"stalk ({n}) not isolated among stalks")
-        if contains(b, ROOT):
+        if in_b(ROOT):
             failures.append(f"stalk base U({n},1) contains the root")
-    if contains(o.nbhd_base(ROOT, 0), (1,)):
+    if members(o.nbhd_base(ROOT, 0))((1,)):
         failures.append("root base U(1) contains a stalk")
 
     # Local regularity: stalk bases and tip singletons are clopen, and root
@@ -625,18 +645,19 @@ def certify_hedgehog_profile(depth: int) -> ProfileReport:
     for n in range(1, depth + 1):
         for m in range(1, depth + 1):
             b = StalkBase(n, m)
-            s = Singleton(n, m)
+            in_b, cl_b, cl_s = members(b), adherents(b), adherents(Singleton(n, m))
             for t in sample(n, m):
-                if adheres(b, t) != contains(b, t):
+                if cl_b(t) != in_b(t):
                     failures.append(f"U({n},{m}) not clopen at {token_str(t)}")
-                if adheres(s, t) != (t == (n, m)):
+                if cl_s(t) != (t == (n, m)):
                     failures.append(f"singleton ({n},{m}) not closed at {token_str(t)}")
                 clopen += 2
-    u1 = RootBase(1)
+    in_u1 = members(RootBase(1))
     for k in range(1, depth + 1):
         b = RootBase(k)
+        in_b, cl_b = members(b), adherents(b)
         for t in [ROOT, (k, 1), (max(1, k - 1), 1), (k + 1, 1), (k, k)]:
-            if contains(u1, t) and adheres(b, t) != contains(b, t):
+            if in_u1(t) and cl_b(t) != in_b(t):
                 failures.append(f"U({k}) not relatively clopen in U(1) at {token_str(t)}")
             clopen += 1
 
@@ -644,7 +665,7 @@ def certify_hedgehog_profile(depth: int) -> ProfileReport:
     witnesses = []
     for k in range(1, depth + 1):
         t = (k,)
-        if adheres(RootBase(k), t) and not contains(u1, t):
+        if adherents(RootBase(k))(t) and not in_u1(t):
             witnesses.append(token_str(t))
         else:
             failures.append(f"missing non-regularity witness at index {k}")
@@ -740,15 +761,18 @@ def embed_hedgehog(
         x_n = o.pick_in_closure_minus(u_kn, u0)
         if x_n is None:
             raise OracleRefusal(f"step {n}: no point in cl(base {k_n}) outside base {u0_index}")
+        x_n = o.validate(x_n)
         vi, ri = o.separate(x_n, x)
         ks.append(max(k_n + 1, ri))
-        # Shrink V_n until its closure avoids x_1 .. x_{n-1}.
+        # Shrink V_n until its closure avoids x_1 .. x_{n-1}, each validated
+        # when it was picked: one adherence test per candidate V_n.
         base_vi = vi
-        while any(o.closure_contains(o.nbhd_base(x_n, vi), s) for s in stalks):
+        v_n = o.nbhd_base(x_n, vi)
+        while any(map(o.adherents(v_n), stalks)):
             vi += 1
             if vi - base_vi > SHRINK_BOUND:
                 raise OracleRefusal(f"step {n}: could not shrink V past earlier picks")
-        v_n = o.nbhd_base(x_n, vi)
+            v_n = o.nbhd_base(x_n, vi)
         row = o.approach_within(x_n, (v_n, u_kn), depth)
         if row is None:
             raise OracleRefusal(f"step {n}: no approach sequence inside V and base {k_n}")
@@ -793,17 +817,16 @@ def verify_embedding(o: OracleSpace, e: Embedding, depth: int) -> dict:
             )
         seen[t] = i
     # Validate each image once; every membership question below is then
-    # asked through the oracle's unchecked entries.
+    # asked through one test per basic set.
     for t in images:
         o.validate(t)
-    contains, adheres = o.contains_valid, o.closure_contains_valid
+    members, adherents = o.members, o.adherents
 
     for n in range(1, depth + 1):
         xn = e.stalk_images[n - 1]
         row = e.tips[n - 1]
         for k in range(depth):
-            b = o.nbhd_base(xn, k)
-            inside = [contains(b, t) for t in row[:depth]]
+            inside = list(map(members(o.nbhd_base(xn, k)), row[:depth]))
             checks["stalk_convergence"] += len(inside)
             if not inside[-1]:
                 raise VerificationFailure(
@@ -813,10 +836,10 @@ def verify_embedding(o: OracleSpace, e: Embedding, depth: int) -> dict:
                 )
 
     for k in range(depth):
-        b = o.nbhd_base(e.root_image, k)
+        in_b = members(o.nbhd_base(e.root_image, k))
         stalk_ok = []
         for n in range(1, depth + 1):
-            inside = [contains(b, t) for t in e.tips[n - 1][:depth]]
+            inside = list(map(in_b, e.tips[n - 1][:depth]))
             checks["root_pattern"] += len(inside)
             stalk_ok.append(all(inside))
         if not stalk_ok[-1]:
@@ -827,13 +850,13 @@ def verify_embedding(o: OracleSpace, e: Embedding, depth: int) -> dict:
 
     for n in range(1, depth + 1):
         xn = e.stalk_images[n - 1]
-        v_n = o.nbhd_base(xn, e.v_indices[n - 1])
-        if not contains(v_n, xn):
+        in_v = members(o.nbhd_base(xn, e.v_indices[n - 1]))
+        if not in_v(xn):
             raise VerificationFailure("separation", f"V_{n} misses its own stalk image")
         checks["separation"] += 1
         for t in e.tips[n - 1][:depth]:
             checks["separation"] += 1
-            if not contains(v_n, t):
+            if not in_v(t):
                 raise VerificationFailure(
                     "separation", f"V_{n} misses its own tip image {token_str(t)}"
                 )
@@ -841,26 +864,27 @@ def verify_embedding(o: OracleSpace, e: Embedding, depth: int) -> dict:
             if m == n:
                 continue
             checks["separation"] += 1
-            if contains(v_n, e.stalk_images[m - 1]):
+            if in_v(e.stalk_images[m - 1]):
                 raise VerificationFailure(
                     "separation", f"V_{n} captures the stalk image of {m}"
                 )
             for t in e.tips[m - 1][:depth]:
                 checks["separation"] += 1
-                if contains(v_n, t):
+                if in_v(t):
                     raise VerificationFailure(
                         "separation", f"V_{n} captures a tip image of stalk {m}"
                     )
         w_n = o.nbhd_base(e.root_image, e.ks[n])
         checks["separation"] += 1
-        if adheres(w_n, xn):
+        if adherents(w_n)(xn):
             raise VerificationFailure(
                 "separation", f"tail base at k_{n + 1} still adheres to stalk image {n}"
             )
+        in_w = members(w_n)
         for m in range(n + 1, depth + 1):
             for t in e.tips[m - 1][:depth]:
                 checks["separation"] += 1
-                if not contains(w_n, t):
+                if not in_w(t):
                     raise VerificationFailure(
                         "separation",
                         f"tail base at k_{n + 1} misses tip image {token_str(t)} "

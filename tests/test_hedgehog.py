@@ -227,6 +227,90 @@ def test_one_token_check_per_query(monkeypatch):
                     assert len(calls) == 2
 
 
+# ---------------------------------------------------------------------------
+# Membership tests built once per basic set.
+# ---------------------------------------------------------------------------
+
+def own_sets(o, limit):
+    """Every basic set of the depth-limit catalog, as o names it, plus the
+    finite basic sets of a sum."""
+    if isinstance(o, PermutedOracle):
+        return [MappedSet(b) for b in catalog(limit)]
+    if isinstance(o, SumOracle):
+        return [*catalog(limit), *(FinBase(name) for name in o.summand.names)]
+    return list(catalog(limit))
+
+
+def test_predicates_match_public_queries():
+    depth = 8
+    for o in TAMPER_ORACLES:
+        tokens = hh_universe(depth)
+        if isinstance(o, SumOracle):
+            tokens += tuple(("fin", name) for name in o.summand.names)
+        for b in own_sets(o, depth):
+            members, adherents = o.members(b), o.adherents(b)
+            for t in tokens:
+                assert members(t) == o.contains(b, t)
+                assert adherents(t) == o.closure_contains(b, t)
+
+
+@pytest.mark.parametrize("images", [{1: 3, 2: 1, 3: 2}, {1: 5, 5: 1}, {2: 7, 7: 4, 4: 2}])
+def test_permuted_predicates_match_relabeled_sets(images):
+    # Visible token t lies in (the closure of) MappedSet(b) iff its hidden
+    # name does in b. Root bases U(n) with n between a moved stalk's two
+    # names are the ones whose test renames tokens back.
+    o = PermutedOracle(images)
+    depth = 8
+    for b in catalog(depth):
+        members, adherents = o.members(MappedSet(b)), o.adherents(MappedSet(b))
+        inside = hh_members(b, depth)
+        for t in hh_universe(depth):
+            hidden = (o.inv.get(t[0], t[0]),) + t[1:] if t else t
+            assert members(t) == (hidden in inside)
+            assert adherents(t) == hh_brute_closure_contains(b, hidden, depth)
+
+
+# Basic sets each oracle does not know: an arbitrary object and the sets of
+# the other two oracles.
+FOREIGN_SETS = {
+    HedgehogOracle: (object(), FinBase("a"), MappedSet(RootBase(1)), MappedSet(Singleton(1, 1))),
+    SumOracle: (object(), MappedSet(RootBase(1)), MappedSet(StalkBase(1, 1))),
+    PermutedOracle: (
+        object(),
+        RootBase(1),
+        StalkBase(1, 1),
+        Singleton(1, 1),
+        FinBase("a"),
+        MappedSet(FinBase("a")),
+        MappedSet(object()),
+    ),
+}
+
+
+def test_foreign_basic_sets_raise():
+    # The foreign-set check runs when the test is built, so it does not
+    # depend on the kind of token asked about.
+    for o in TAMPER_ORACLES:
+        tokens = [ROOT, (1,), (1, 1)]
+        own = [o.nbhd_base(ROOT, 0)]
+        if isinstance(o, SumOracle):
+            tokens.append(("fin", "a"))
+            own.append(FinBase("a"))
+        for b in FOREIGN_SETS[type(o)]:
+            queries = [lambda: o.members(b), lambda: o.adherents(b)]
+            for t in tokens:
+                queries += [lambda t=t: o.contains(b, t), lambda t=t: o.closure_contains(b, t)]
+            queries.append(lambda: o.pick_in_closure_minus(b))
+            for a in own:
+                queries += [
+                    lambda a=a: o.pick_in_closure_minus(a, b),
+                    lambda a=a: o.pick_in_closure_minus(b, a),
+                ]
+            for query in queries:
+                with pytest.raises(OracleError, match="foreign basic set"):
+                    query()
+
+
 def test_decreasing_bases():
     limit = 9
     o = HedgehogOracle()
@@ -451,7 +535,7 @@ def tamper(e, **kw):
 
 
 # Each oracle answers the verifier's membership questions through its own
-# unchecked entries, so every tampered embedding is checked on all three.
+# membership tests, so every tampered embedding is checked on all three.
 TAMPER_ORACLES = (HedgehogOracle(), SumOracle(SIERPINSKI), PermutedOracle({1: 3, 2: 1, 3: 2}))
 
 
@@ -565,7 +649,7 @@ def test_verify_rejects_malformed_images():
 
 def test_verify_checks_each_token_once(monkeypatch):
     # The verifier validates its images once and asks every membership
-    # question through the unchecked entries: at most three token checks
+    # question through one test per basic set: at most three token checks
     # per image, against 3,690 when every query re-validated.
     import thetatopo.hedgehog as m
 
@@ -578,6 +662,38 @@ def test_verify_checks_each_token_once(monkeypatch):
         calls.clear()
         assert verify_embedding(o, e, d)["verdict"] == "pass"
         assert len(calls) <= 3 * (1 + d + d * d)
+
+
+def test_verify_builds_one_test_per_basic_set(monkeypatch):
+    # d^2 bases at the stalk images, d at the root image, and per stalk V_n
+    # plus the tail base asked for membership and adherence: d^2 + 4d
+    # builds, against about 3.5 d^3 queries.
+    d = 10
+    for o in TAMPER_ORACLES:
+        e = embed_hedgehog(o, depth=d)
+        builds = []
+        for name in ("members", "adherents"):
+            build = getattr(o, name)
+            monkeypatch.setattr(o, name, lambda b, build=build: builds.append(b) or build(b))
+        assert verify_embedding(o, e, d)["verdict"] == "pass"
+        assert len(builds) <= d * d + 4 * d
+
+
+def test_embed_checks_tokens_linearly(monkeypatch):
+    # d + 3 checks before the steps: the root image, U0 and the d + 1
+    # pre-checked bases. Six per step: the base at the root image, the
+    # pick, the two points separated, each candidate V_n (one here) and the
+    # approach. Earlier picks are not re-validated while V_n shrinks.
+    import thetatopo.hedgehog as m
+
+    calls = []
+    check = m._check_token
+    monkeypatch.setattr(m, "_check_token", lambda *a, **k: calls.append(a) or check(*a, **k))
+    for o in TAMPER_ORACLES:
+        for d in (10, 20, 40):
+            calls.clear()
+            embed_hedgehog(o, depth=d)
+            assert len(calls) <= 7 * d + 3
 
 
 # ---------------------------------------------------------------------------
