@@ -20,7 +20,7 @@ from .decomposition import (
     theta_decomposition,
     weak_homeo_witness,
 )
-from .generate import space_from_rows, space_rows
+from .generate import count_spaces, space_from_rows, space_rows
 from .hedgehog import (
     DEPTH_CAP,
     EMBED_DEPTH_CAP,
@@ -200,14 +200,14 @@ def cmd_decompose(args) -> int:
 def cmd_enumerate(args) -> int:
     n = args.n
     mode = "homeo" if args.homeo else "labeled"
-    stream = space_rows(n, mode)
     if args.count:
-        count = sum(1 for _ in stream)
+        count = count_spaces(n, mode)
         if args.json:
             _print_json({"n": n, "mode": mode, "count": count})
         else:
             print(count)
         return 0
+    stream = space_rows(n, mode)
     if args.json:
         spaces = [space_to_obj(space_from_rows(rows)) for rows in stream]
         _print_json({"n": n, "mode": mode, "count": len(spaces), "spaces": spaces})

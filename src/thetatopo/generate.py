@@ -3,13 +3,18 @@
 Spaces on n points are streamed as minimal-neighborhood row tuples in
 ascending lexicographic order (rows compared as integers, first row first),
 by one backtracking generator over coherent rows (_walk), run in the calling
-process. labeled_rows keeps every leaf; homeo_rows runs the same walk as an
-orderly generation that keeps only the least labeling of each class, pruning
-by transpositions on the way down and checking every relabeling at the
-leaves, so it holds no set of classes seen. The tests cross-check the
-labeled stream against an independent walk over open-set families, the
-homeo stream against an orbit-marking reference, and the relabeling tables
-against the direct relabeling in tests/oracles.py.
+process. labeled_rows keeps every leaf; homeo_classes runs the same walk as
+an orderly generation that keeps only the least labeling of each class,
+pruning by transpositions on the way down and checking every relabeling at
+the leaves, so it holds no set of classes seen. The relabelings that tie at
+a kept leaf are its automorphisms, so each class comes with its orbit size
+n!/|Aut| (orbit-stabilizer) at no extra cost: count_spaces counts labeled
+spaces as the sum of the orbit sizes and never walks or builds them, and
+homeo_rows is the stream of representatives alone. The tests cross-check
+the labeled stream against an independent walk over open-set families, the
+homeo stream against an orbit-marking reference, the orbit sizes against
+the orbit sets, and the relabeling tables against the direct relabeling in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import random
 from functools import cache
 from itertools import permutations
+from math import factorial
 from typing import Iterator
 
 from .bitset import bits
@@ -41,7 +47,7 @@ def labeled_rows(n: int) -> Iterator[tuple[int, ...]]:
     return _walk(n, False)
 
 
-def _walk(n: int, orderly: bool) -> Iterator[tuple[int, ...]]:
+def _walk(n: int, orderly: bool) -> Iterator[tuple]:
     """The coherent-row backtracking walk behind both streams, ascending.
 
     Point i's row must lie inside N(j) for each decided j with i ∈ N(j), so
@@ -51,17 +57,19 @@ def _walk(n: int, orderly: bool) -> Iterator[tuple[int, ...]]:
     over each set of decided points). Every point pair is checked when its
     later member is placed, so leaves are exactly the valid topologies.
 
-    When orderly, only the least labeling of each class is kept: subtrees
-    that _swap_lowers rejects are skipped and leaves must pass _is_least.
+    When orderly, only the least labeling of each class is kept, paired
+    with its orbit size: subtrees that _swap_lowers rejects are skipped and
+    leaves must pass _is_least.
     """
     if n == 0:
-        yield ()
+        yield ((), 1) if orderly else ()
         return
     full = (1 << n) - 1
     tables = _relabelings(n) if orderly else []
+    n_perms = factorial(n)
     rows: list[int] = []
 
-    def place(i: int, unions: list[int]) -> Iterator[tuple[int, ...]]:
+    def place(i: int, unions: list[int]) -> Iterator[tuple]:
         own = 1 << i
         upper = full
         for r in rows:
@@ -76,8 +84,12 @@ def _walk(n: int, orderly: bool) -> Iterator[tuple[int, ...]]:
                 if not (orderly and _swap_lowers(rows)):
                     if i + 1 < n:
                         yield from place(i + 1, unions + [u | m for u in unions])
-                    elif not orderly or _is_least(rows, tables):
+                    elif not orderly:
                         yield tuple(rows)
+                    else:
+                        aut = _is_least(rows, tables)
+                        if aut:
+                            yield tuple(rows), n_perms // aut
                 rows.pop()
             if t == free:
                 return
@@ -104,20 +116,24 @@ def _swap_lowers(rows: list[int]) -> bool:
     return False
 
 
-def _is_least(rows: list[int], tables: list[tuple[list[int], list[int]]]) -> bool:
-    """Whether no relabeling gives a smaller row tuple, i.e. whether rows is
-    its own canonical form; each relabeling is compared row by row up to
-    its first difference."""
+def _is_least(rows: list[int], tables: list[tuple[list[int], list[int]]]) -> int:
+    """0 when some relabeling gives a smaller row tuple; otherwise rows is
+    its own canonical form and the result is the number of relabelings that
+    reproduce it, |Aut(rows)| (at least 1, the identity). Each relabeling is
+    compared row by row up to its first difference."""
     last = len(rows) - 1
+    aut = 0
     for t, inv in tables:
         k = 0
         r = t[rows[inv[0]]]
         while r == rows[k] and k < last:
             k += 1
             r = t[rows[inv[k]]]
-        if r < rows[k]:
-            return False
-    return True
+        if r <= rows[k]:
+            if r < rows[k]:
+                return 0
+            aut += 1
+    return aut
 
 
 @cache
@@ -155,7 +171,14 @@ def canonicalize(space: FinSpace) -> FinSpace:
 
 def homeo_rows(n: int) -> Iterator[tuple[int, ...]]:
     """One representative per homeomorphism class, in ascending order: the
-    orderly walk keeps exactly the labelings equal to their canonical form.
+    rows of homeo_classes."""
+    return (rows for rows, _ in homeo_classes(n))
+
+
+def homeo_classes(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(representative, orbit size) per homeomorphism class, in ascending
+    order: the orderly walk keeps exactly the labelings equal to their
+    canonical form.
 
     After row j is placed, a transposition (i j) with i < j fixes every point
     above j, so rows 0..j of the relabeled tuple depend on the decided rows
@@ -166,22 +189,31 @@ def homeo_rows(n: int) -> Iterator[tuple[int, ...]]:
     labeled walk, so the stream ascends and, the least labeling of each class
     being kept, holds one row tuple per class. Memory is the relabeling tables
     and the current path.
+
+    A kept leaf has compared every relabeling table with its rows, and the
+    tables that reproduce them are its automorphisms; the class holds
+    n!/|Aut| labeled spaces (orbit-stabilizer), each relabeling p giving the
+    same labeling as p·a for every automorphism a.
     """
     return _walk(n, True)
+
+
+def _check_cap(n: int, mode: str) -> None:
+    if mode == "labeled":
+        if n > LABELED_CAP:
+            raise CapExceeded(f"labeled enumeration capped at {LABELED_CAP} points")
+    elif mode == "homeo":
+        if n > HOMEO_CAP:
+            raise CapExceeded(f"homeomorphism enumeration capped at {HOMEO_CAP} points")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def space_rows(n: int, mode: str = "labeled") -> Iterator[tuple[int, ...]]:
     """The row stream behind enumerate_spaces, capped per mode. Caps are
     checked on the call, before any row is produced."""
-    if mode == "labeled":
-        if n > LABELED_CAP:
-            raise CapExceeded(f"labeled enumeration capped at {LABELED_CAP} points")
-        return labeled_rows(n)
-    if mode == "homeo":
-        if n > HOMEO_CAP:
-            raise CapExceeded(f"homeomorphism enumeration capped at {HOMEO_CAP} points")
-        return homeo_rows(n)
-    raise ValueError(f"unknown mode {mode!r}")
+    _check_cap(n, mode)
+    return labeled_rows(n) if mode == "labeled" else homeo_rows(n)
 
 
 def enumerate_spaces(n: int, mode: str = "labeled") -> Iterator[FinSpace]:
@@ -190,7 +222,14 @@ def enumerate_spaces(n: int, mode: str = "labeled") -> Iterator[FinSpace]:
 
 
 def count_spaces(n: int, mode: str = "labeled") -> int:
-    return sum(1 for _ in enumerate_spaces(n, mode))
+    """The length of space_rows(n, mode), with the same caps, checked on the
+    call. Both modes run the orderly walk: labeled spaces are counted as the
+    sum of the classes' orbit sizes, so none is built."""
+    _check_cap(n, mode)
+    classes = homeo_classes(n)
+    if mode == "labeled":
+        return sum(size for _, size in classes)
+    return sum(1 for _ in classes)
 
 
 # ---------------------------------------------------------------------------

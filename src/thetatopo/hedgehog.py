@@ -606,10 +606,13 @@ def certify_hedgehog_profile(depth: int) -> ProfileReport:
     decreasing = 0
     points: list[Token] = [ROOT] + [(n,) for n in range(1, depth + 1)] + [(1, 1)]
     for x in points:
+        upper = o.nbhd_base(x, 0)
         for k in range(depth):
-            if not _basic_subset(o.nbhd_base(x, k + 1), o.nbhd_base(x, k)):
+            lower = o.nbhd_base(x, k + 1)
+            if not _basic_subset(lower, upper):
                 failures.append(f"base at {token_str(x)} not decreasing at index {k}")
-            decreasing += 1
+            upper = lower
+        decreasing += depth
 
     # Scattered layers: tips are isolated outright, stalks once tips are
     # removed, the root once stalks are removed too.
@@ -848,47 +851,51 @@ def verify_embedding(o: OracleSpace, e: Embedding, depth: int) -> dict:
                 f"no stalk tail has all tips inside base {k} at the root image",
             )
 
+    # Each row is asked in order up to its first failure and counted with
+    # len; the count is read only on a pass, when every query was asked.
+    separation = 0
     for n in range(1, depth + 1):
         xn = e.stalk_images[n - 1]
         in_v = members(o.nbhd_base(xn, e.v_indices[n - 1]))
         if not in_v(xn):
             raise VerificationFailure("separation", f"V_{n} misses its own stalk image")
-        checks["separation"] += 1
-        for t in e.tips[n - 1][:depth]:
-            checks["separation"] += 1
-            if not in_v(t):
-                raise VerificationFailure(
-                    "separation", f"V_{n} misses its own tip image {token_str(t)}"
-                )
+        row = e.tips[n - 1][:depth]
+        separation += 1 + len(row)
+        if not all(map(in_v, row)):
+            t = next(t for t in row if not in_v(t))
+            raise VerificationFailure(
+                "separation", f"V_{n} misses its own tip image {token_str(t)}"
+            )
         for m in range(1, depth + 1):
             if m == n:
                 continue
-            checks["separation"] += 1
             if in_v(e.stalk_images[m - 1]):
                 raise VerificationFailure(
                     "separation", f"V_{n} captures the stalk image of {m}"
                 )
-            for t in e.tips[m - 1][:depth]:
-                checks["separation"] += 1
-                if in_v(t):
-                    raise VerificationFailure(
-                        "separation", f"V_{n} captures a tip image of stalk {m}"
-                    )
+            row = e.tips[m - 1][:depth]
+            separation += 1 + len(row)
+            if any(map(in_v, row)):
+                raise VerificationFailure(
+                    "separation", f"V_{n} captures a tip image of stalk {m}"
+                )
         w_n = o.nbhd_base(e.root_image, e.ks[n])
-        checks["separation"] += 1
+        separation += 1
         if adherents(w_n)(xn):
             raise VerificationFailure(
                 "separation", f"tail base at k_{n + 1} still adheres to stalk image {n}"
             )
         in_w = members(w_n)
         for m in range(n + 1, depth + 1):
-            for t in e.tips[m - 1][:depth]:
-                checks["separation"] += 1
-                if not in_w(t):
-                    raise VerificationFailure(
-                        "separation",
-                        f"tail base at k_{n + 1} misses tip image {token_str(t)} "
-                        f"of stalk {m}",
-                    )
+            row = e.tips[m - 1][:depth]
+            separation += len(row)
+            if not all(map(in_w, row)):
+                t = next(t for t in row if not in_w(t))
+                raise VerificationFailure(
+                    "separation",
+                    f"tail base at k_{n + 1} misses tip image {token_str(t)} "
+                    f"of stalk {m}",
+                )
+    checks["separation"] = separation
 
     return {"depth": depth, "checks": checks, "verdict": "pass"}

@@ -25,6 +25,7 @@ from .generate import (
     HOMEO_CAP,
     LABELED_CAP,
     _orbit,
+    homeo_classes,
     homeo_rows,
     labeled_rows,
     random_space,
@@ -295,7 +296,10 @@ def verify_diagram(
 
     - Every verdict is a homeomorphism invariant, so each class is decided
       once, on its canonical representative, and weighted by its orbit
-      size; counts and sw_spaces_checked are sums of orbit sizes.
+      size n!/|Aut| from the orderly walk; counts and sw_spaces_checked are
+      sums of orbit sizes. A class's labeled members are built only where
+      they are listed: for a flagged class and for n up to the transfer
+      bound.
     - The labeled stream ascends and each class's least labeling is its
       representative, so the first class in homeo order with p and not q
       gives the matrix's least counterexample for p => q.
@@ -342,20 +346,19 @@ def verify_diagram(
         labeled: dict[tuple[int, ...], dict[str, bool]] = {}
         # (member rows, class arrows, whether the class has an sw witness)
         flagged: list[tuple[tuple[int, ...], list[str], bool]] = []
-        for rows in homeo_rows(n):
+        for rows, size in homeo_classes(n):
             space = space_from_rows(rows)
             verdicts, _ = property_verdicts(space)
             bad_arrows = check_arrows(verdicts)
             sw_checked = any(verdicts[p] for p in SW_SAFE_PREMISES)
             witnessed = sw_checked and sw_witness_search(space, sw_bound) is not None
-            orbit = set(_orbit(rows))
-            counts[n] += len(orbit)
+            counts[n] += size
             if sw_checked:
-                sw_spaces += len(orbit)
+                sw_spaces += size
             if bad_arrows or witnessed:
-                flagged.extend((member, bad_arrows, witnessed) for member in orbit)
+                flagged.extend((member, bad_arrows, witnessed) for member in set(_orbit(rows)))
             if n <= tn:
-                labeled.update(dict.fromkeys(orbit, verdicts))
+                labeled.update(dict.fromkeys(_orbit(rows), verdicts))
             for p in DECIDABLE_PROPERTIES:
                 if not verdicts[p]:
                     continue

@@ -5,6 +5,7 @@ from io import StringIO
 
 import pytest
 
+from thetatopo import generate
 from thetatopo.cli import main
 from thetatopo.generate import enumerate_spaces
 from thetatopo.hedgehog import (
@@ -227,6 +228,20 @@ def test_json_outputs_match_library():
     }
 
 
+def test_enumerate_count_runs_no_labeled_walk(monkeypatch):
+    walk = generate._walk
+    calls = []
+
+    def spy(n, orderly):
+        calls.append((n, orderly))
+        return walk(n, orderly)
+
+    monkeypatch.setattr(generate, "_walk", spy)
+    assert run_cli("enumerate", "-n", "6", "--count")[:2] == (0, "209527\n")
+    # The labeled count is the orbit-size sum of the orderly walk.
+    assert calls == [(6, True)]
+
+
 def test_enumerate_json_round_trip():
     code, out, _ = run_cli("enumerate", "-n", "2", "--json")
     assert code == 0
@@ -432,6 +447,7 @@ def test_transfer_bound_over_cap_exits_two_before_work(monkeypatch):
         raise AssertionError("verify-diagram started past the transfer cap")
 
     monkeypatch.setattr("thetatopo.survey.homeo_rows", rows)
+    monkeypatch.setattr("thetatopo.survey.homeo_classes", rows)
     monkeypatch.setattr("thetatopo.survey.labeled_rows", rows)
     code, out, err = run_cli("verify-diagram", "--max-n", "5", "--transfer-max", "5")
     assert (code, out) == (2, "")

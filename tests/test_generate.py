@@ -15,6 +15,7 @@ from thetatopo.generate import (
     canonicalize,
     count_spaces,
     enumerate_spaces,
+    homeo_classes,
     homeo_rows,
     labeled_rows,
     point_names,
@@ -44,6 +45,19 @@ def test_labeled_count_n6():
 def test_homeo_counts():
     for n, want in HOMEO_COUNTS.items():
         assert sum(1 for _ in homeo_rows(n)) == want
+
+
+def test_orbit_sizes_match_orbit_sets():
+    for n in range(6):
+        classes = list(homeo_classes(n))
+        assert [rows for rows, _ in classes] == list(homeo_rows(n)), n
+        for rows, size in classes:
+            assert size == len(set(generate._orbit(rows))), rows
+
+
+def test_labeled_count_is_the_labeled_stream_length():
+    for n in range(7):
+        assert count_spaces(n, "labeled") == sum(1 for _ in labeled_rows(n)), n
 
 
 def test_labeled_matches_brute_filter():
@@ -131,6 +145,11 @@ def test_caps(monkeypatch):
     monkeypatch.setattr(generate, "_relabelings", no_tables)
     with pytest.raises(CapExceeded):
         canonical_rows(tuple(1 << i for i in range(8)))
+    # So are the counting caps, on the call.
+    with pytest.raises(CapExceeded):
+        count_spaces(7, "labeled")
+    with pytest.raises(CapExceeded):
+        count_spaces(8, "homeo")
 
 
 # ---------------------------------------------------------------------------

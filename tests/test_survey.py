@@ -294,6 +294,22 @@ def test_diagram_decides_each_class_once(monkeypatch):
     assert calls == [rows for n in (1, 2, 3, 4) for rows in homeo_rows(n)]
 
 
+def test_diagram_relabels_no_unflagged_class_above_transfer_bound(monkeypatch):
+    orbit = survey._orbit
+    sizes = []
+
+    def spy(rows):
+        sizes.append(len(rows))
+        return orbit(rows)
+
+    monkeypatch.setattr(survey, "_orbit", spy)
+    r = verify_diagram(5, 3, 3)
+    assert r.ok and r.counts == {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
+    # Classes up to the transfer bound list their members; above it the
+    # orbit sizes come from the walk.
+    assert sizes and max(sizes) == 3
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_diagram_matches_labeled_reference(n):
     expected = labeled_verify_diagram(n, transfer_max=3).to_obj()
