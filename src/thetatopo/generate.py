@@ -5,16 +5,19 @@ ascending lexicographic order (rows compared as integers, first row first),
 by one backtracking generator over coherent rows (_walk), run in the calling
 process. labeled_rows keeps every leaf; homeo_classes runs the same walk as
 an orderly generation that keeps only the least labeling of each class,
-pruning by transpositions on the way down and checking every relabeling at
-the leaves, so it holds no set of classes seen. The relabelings that tie at
-a kept leaf are its automorphisms, so each class comes with its orbit size
-n!/|Aut| (orbit-stabilizer) at no extra cost: count_spaces counts labeled
-spaces as the sum of the orbit sizes and never walks or builds them, and
-homeo_rows is the stream of representatives alone. The tests cross-check
-the labeled stream against an independent walk over open-set families, the
-homeo stream against an orbit-marking reference, the orbit sizes against
-the orbit sets, and the relabeling tables against the direct relabeling in
-tests/oracles.py.
+pruning by transpositions on the way down, so it holds no set of classes
+seen. At a leaf only the relabelings that can give the least possible first
+row, 2^s - 1 for s the least neighborhood size, are compared (_is_least);
+canonical_rows takes its minimum over the same first-row groups. The
+relabelings that tie at a kept leaf are its automorphisms, so each class
+comes with its orbit size n!/|Aut| (orbit-stabilizer) at no extra cost:
+count_spaces counts labeled spaces as the sum of the orbit sizes and never
+walks or builds them, and homeo_rows is the stream of representatives
+alone. The tests cross-check the labeled stream against an independent walk
+over open-set families, the homeo stream against an orbit-marking
+reference, the orbit sizes against the orbit sets, the leaf test against a
+scan over every relabeling, and the relabeling tables against the direct
+relabeling in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ def _walk(n: int, orderly: bool) -> Iterator[tuple]:
         yield ((), 1) if orderly else ()
         return
     full = (1 << n) - 1
-    tables = _relabelings(n) if orderly else []
+    groups = _first_row_groups(n) if orderly else {}
     n_perms = factorial(n)
     rows: list[int] = []
 
@@ -87,7 +90,7 @@ def _walk(n: int, orderly: bool) -> Iterator[tuple]:
                     elif not orderly:
                         yield tuple(rows)
                     else:
-                        aut = _is_least(rows, tables)
+                        aut = _is_least(rows, groups)
                         if aut:
                             yield tuple(rows), n_perms // aut
                 rows.pop()
@@ -116,23 +119,39 @@ def _swap_lowers(rows: list[int]) -> bool:
     return False
 
 
-def _is_least(rows: list[int], tables: list[tuple[list[int], list[int]]]) -> int:
+def _is_least(rows: list[int], groups: dict[tuple[int, int], list]) -> int:
     """0 when some relabeling gives a smaller row tuple; otherwise rows is
     its own canonical form and the result is the number of relabelings that
-    reproduce it, |Aut(rows)| (at least 1, the identity). Each relabeling is
-    compared row by row up to its first difference."""
+    reproduce it, |Aut(rows)| (at least 1, the identity).
+
+    Let s be the least |N(x)|. A relabeling p has first row p(N(x0)), x0 =
+    p⁻¹(0), which holds bit 0 and at least s bits, so it is at least 2^s - 1,
+    with equality iff |N(x0)| = s and p(N(x0)) = {0..s-1}. Every other
+    relabeling has a larger first row, so rows is least only if rows[0] is
+    2^s - 1 and no row has fewer bits. Then only the relabelings of the
+    first-row groups (x0, N(x0)) with |N(x0)| = s can be smaller or
+    reproduce rows. Each of those reproduces row 0 and is compared from
+    row 1 up to its first difference."""
+    s = rows[0].bit_length()
+    if rows[0] != (1 << s) - 1 or any(r.bit_count() < s for r in rows):
+        return 0
     last = len(rows) - 1
+    if not last:
+        return 1
     aut = 0
-    for t, inv in tables:
-        k = 0
-        r = t[rows[inv[0]]]
-        while r == rows[k] and k < last:
-            k += 1
-            r = t[rows[inv[k]]]
-        if r <= rows[k]:
-            if r < rows[k]:
-                return 0
-            aut += 1
+    for x0, r0 in enumerate(rows):
+        if r0.bit_count() != s:
+            continue
+        for t, inv in groups[x0, r0]:
+            k = 1
+            r = t[rows[inv[1]]]
+            while r == rows[k] and k < last:
+                k += 1
+                r = t[rows[inv[k]]]
+            if r <= rows[k]:
+                if r < rows[k]:
+                    return 0
+                aut += 1
     return aut
 
 
@@ -151,17 +170,45 @@ def _relabelings(n: int) -> list[tuple[list[int], list[int]]]:
     return out
 
 
+@cache
+def _first_row_groups(n: int) -> dict[tuple[int, int], list[tuple[list[int], list[int]]]]:
+    """The relabeling tables grouped by (p⁻¹(0), p⁻¹({0..k})) for each k < n:
+    the relabelings that send x0 to 0 and the mask m onto the least |m|
+    labels. Each table sits in n groups; built on first use per n and kept:
+    about 0.35 MiB beside the tables at the 7-point cap."""
+    out: dict[tuple[int, int], list] = {}
+    for table in _relabelings(n):
+        inv = table[1]
+        m = 0
+        for x in inv:
+            m |= 1 << x
+            out.setdefault((inv[0], m), []).append(table)
+    return out
+
+
 def _orbit(rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """rows relabeled by each permutation p (point i -> p[i]), in permutations order."""
     return (tuple([t[rows[k]] for k in inv]) for t, inv in _relabelings(len(rows)))
 
 
 def canonical_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """The least row tuple over all relabelings; factorial in n."""
+    """The least row tuple over all relabelings. By the first-row argument
+    of _is_least, only the first-row groups (x0, N(x0)) with |N(x0)| the
+    least row size can give it, so only their relabelings are compared."""
     n = len(rows)
     if n > HOMEO_CAP:
         raise CapExceeded(f"canonical form over {n}! relabelings; cap is {HOMEO_CAP} points")
-    return min(_orbit(rows))
+    groups = _first_row_groups(n)
+    s = min((r.bit_count() for r in rows), default=0)
+    return min(
+        (
+            tuple([t[rows[k]] for k in inv])
+            for x0, r0 in enumerate(rows)
+            if r0.bit_count() == s
+            for t, inv in groups[x0, r0]
+        ),
+        default=rows,
+    )
 
 
 def canonicalize(space: FinSpace) -> FinSpace:
@@ -184,16 +231,17 @@ def homeo_classes(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     above j, so rows 0..j of the relabeled tuple depend on the decided rows
     alone. If they form a smaller tuple, every completion of the prefix has
     a smaller relabeling and is not canonical, so the subtree is skipped. A
-    leaf is kept only if no relabeling table gives a smaller tuple, which is
-    rows == canonical_rows(rows). Pruning only drops rows from the ascending
-    labeled walk, so the stream ascends and, the least labeling of each class
-    being kept, holds one row tuple per class. Memory is the relabeling tables
-    and the current path.
+    leaf is kept only if no relabeling gives a smaller tuple (_is_least),
+    which is rows == canonical_rows(rows). Pruning only drops rows from the
+    ascending labeled walk, so the stream ascends and, the least labeling of
+    each class being kept, holds one row tuple per class. Memory is the
+    relabeling tables, their first-row index and the current path.
 
-    A kept leaf has compared every relabeling table with its rows, and the
-    tables that reproduce them are its automorphisms; the class holds
-    n!/|Aut| labeled spaces (orbit-stabilizer), each relabeling p giving the
-    same labeling as p·a for every automorphism a.
+    Every automorphism keeps the first row, so it lies in the first-row
+    groups that a kept leaf scans in full, and the tables that reproduce the
+    rows there are exactly the automorphisms; the class holds n!/|Aut|
+    labeled spaces (orbit-stabilizer), each relabeling p giving the same
+    labeling as p·a for every automorphism a.
     """
     return _walk(n, True)
 

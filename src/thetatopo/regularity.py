@@ -158,9 +158,13 @@ def quasi_regular_witness(space: FinSpace, within: int | None = None) -> int | N
     smaller closure, so a piece `target` is the witness iff no m in
     target outside _strict_tops(a) has up[m] & a inside target."""
     a = space.full_mask if within is None else within
+    return _unclosed_piece(space, a, _strict_tops(space, a))
+
+
+def _unclosed_piece(space: FinSpace, a: int, tops: int) -> int | None:
+    """quasi_regular_witness(space, a), given tops = _strict_tops(space, a)."""
     nbhd = space.nbhd
     up = space.up
-    tops = _strict_tops(space, a)
     for x in bits(a):
         target = nbhd[x] & a
         if not any(up[m] & a & ~target == 0 for m in bits(target & ~tops)):
@@ -339,11 +343,21 @@ def hereditarily_quasi_regular_witness(space: FinSpace) -> int | None:
     m lies in cl_b M', since M' holds a point of N(m). If M' were closed,
     it would hold m, so M' = N(m) & b, and its trace M = N(m) & a would be
     closed in a. So b fails at M', and, as in w_theta_regular_witness, the
-    least failing subspace is the shortest failing initial segment."""
-    a = 0
+    least failing subspace is the shortest failing initial segment.
+
+    The strict tops grow with the segment. Adding point k adds k to N(x) &
+    a for each x of a with k in N(x), i.e. in up[k], and that x becomes a
+    strict top iff x is not in N(k); k itself is one iff N(k) & a leaves
+    up[k]. No top of the shorter segment is lost."""
+    nbhd = space.nbhd
+    up = space.up
+    a = tops = 0
     for k in range(len(space)):
+        tops |= a & up[k] & ~nbhd[k]
+        if nbhd[k] & a & ~up[k]:
+            tops |= 1 << k
         a |= 1 << k
-        if quasi_regular_witness(space, a) is not None:
+        if _unclosed_piece(space, a, tops) is not None:
             return a
     return None
 

@@ -38,6 +38,7 @@ from .regularity import (
     SW_BOUND_CAP,
     SW_SAFE_PREMISES,
     check_arrows,
+    has_property,
     is_sw_witness,
     property_verdicts,
     sw_witness_search,
@@ -167,11 +168,26 @@ def eval_predicate(node: tuple, verdicts: dict[str, bool]) -> bool:
     return eval_predicate(node[1], verdicts) or eval_predicate(node[2], verdicts)
 
 
+class _Verdicts(dict):
+    """A space's verdicts, each decided on its first read and kept."""
+
+    def __init__(self, space: FinSpace):
+        super().__init__()
+        self.space = space
+
+    def __missing__(self, prop: str) -> bool:
+        self[prop] = verdict = has_property(self.space, prop)
+        return verdict
+
+
 def find_space(predicate: str | tuple, n_max: int = 5) -> FinSpace | None:
     """Least space satisfying the predicate, or None.
 
     Scans one representative per homeomorphism class, smallest point count
     first, canonical order within a count, so the answer is deterministic.
+    Each class decides only the properties the predicate reads, in the
+    order its short-circuit evaluation reads them, each at most once; no
+    witness is built.
     """
     node = parse_predicate(predicate) if isinstance(predicate, str) else predicate
     if n_max > HOMEO_CAP:
@@ -179,8 +195,7 @@ def find_space(predicate: str | tuple, n_max: int = 5) -> FinSpace | None:
     for n in range(1, n_max + 1):
         for rows in homeo_rows(n):
             space = space_from_rows(rows)
-            verdicts, _ = property_verdicts(space)
-            if eval_predicate(node, verdicts):
+            if eval_predicate(node, _Verdicts(space)):
                 return space
     return None
 

@@ -651,6 +651,28 @@ def open_family_rows(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(rows)
 
 
+def is_least_scan(rows: tuple[int, ...]) -> int:
+    """0 when some relabeling gives a smaller row tuple, else |Aut(rows)|:
+    every relabeling table compared with rows row by row up to its first
+    difference. The reference for the orderly walk's grouped leaf test,
+    generate._is_least."""
+    from thetatopo.generate import _relabelings
+
+    last = len(rows) - 1
+    aut = 0
+    for t, inv in _relabelings(len(rows)):
+        k = 0
+        r = t[rows[inv[0]]]
+        while r == rows[k] and k < last:
+            k += 1
+            r = t[rows[inv[k]]]
+        if r <= rows[k]:
+            if r < rows[k]:
+                return 0
+            aut += 1
+    return aut
+
+
 def orbit_set_homeo_rows(n: int) -> Iterator[tuple[int, ...]]:
     """One representative per homeomorphism class, in ascending order: the
     reference for the orderly walk in generate.homeo_rows.

@@ -5,7 +5,7 @@ from io import StringIO
 
 import pytest
 
-from thetatopo import generate
+from thetatopo import generate, regularity
 from thetatopo.cli import main
 from thetatopo.generate import enumerate_spaces
 from thetatopo.hedgehog import (
@@ -267,6 +267,26 @@ def test_search_json():
 
     code, out, _ = run_cli("search", "--where", "regular && !regular", "--json")
     assert code == 0 and json.loads(out)["found"] is None
+
+
+def test_search_decides_only_what_it_reads(monkeypatch):
+    # `search --where regular` decides regularity alone: no other decider
+    # runs, on the space it finds or on any space it passes, and a property
+    # read twice is decided once per space.
+    calls = []
+    for prop, (find, fields) in list(regularity.DECIDERS.items()):
+
+        def spy(space, prop=prop, find=find):
+            calls.append((prop, space.nbhd))
+            return find(space)
+
+        monkeypatch.setitem(regularity.DECIDERS, prop, regularity.Decider(spy, fields))
+    for where, found in (("regular", "{0:{0}}"), ("!regular && !regular", "{0:{0},1:{0,1}}")):
+        calls.clear()
+        code, out, _ = run_cli("search", "--where", where)
+        assert (code, out) == (0, f"found (n = {found.count(':{')}): {found}\n")
+        assert {prop for prop, _ in calls} == {"regular"}
+        assert len(calls) == len(set(calls)), calls
 
 
 def test_decompose_json_with_witness():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_spaces, open_family_rows, orbit_set_homeo_rows, permute_rows
+from oracles import (
+    brute_spaces,
+    is_least_scan,
+    open_family_rows,
+    orbit_set_homeo_rows,
+    permute_rows,
+)
 from thetatopo import generate
 from thetatopo.generate import (
     canonical_rows,
@@ -90,10 +97,29 @@ def test_homeo_rows_match_orbit_set_reference():
         assert list(homeo_rows(n)) == list(orbit_set_homeo_rows(n)), n
 
 
+def test_grouped_leaf_test_matches_full_scan():
+    # The leaf test scans only the first-row groups; on every labeled row
+    # tuple it gives what the scan over every relabeling gives, both the 0
+    # of a non-least labeling and |Aut| of a least one.
+    for n in range(1, 6):
+        groups = generate._first_row_groups(n)
+        for rows in labeled_rows(n):
+            assert generate._is_least(list(rows), groups) == is_least_scan(rows), rows
+
+
+def test_homeo_classes_pinned():
+    # Representatives and orbit sizes for n <= 6, byte for byte.
+    h = hashlib.sha256()
+    for n in range(7):
+        h.update(repr(list(homeo_classes(n))).encode() + b"\n")
+    assert h.hexdigest() == "7605ec27192e90b0784ee0900194da73bd58e9e7d6c8fb4b280913380c6624f9"
+
+
 def test_homeo_walk_holds_no_orbit_set():
-    # The orderly walk holds the relabeling tables and the current path; the
-    # orbit-set reference peaks at about 26 MiB here.
+    # The orderly walk holds the relabeling tables, their first-row index and
+    # the current path; the orbit-set reference peaks at about 26 MiB here.
     generate._relabelings.cache_clear()
+    generate._first_row_groups.cache_clear()
     tracemalloc.start()
     try:
         assert sum(1 for _ in homeo_rows(6)) == 718
@@ -114,8 +140,8 @@ def test_no_relabeling_table_built_at_import():
     probe = (
         "import sys\n"
         "calls = []\n"
-        "sys.setprofile(lambda f, e, a: e == 'call' and f.f_code.co_name == '_relabelings'"
-        " and calls.append(1))\n"
+        "sys.setprofile(lambda f, e, a: e == 'call'"
+        " and f.f_code.co_name in ('_relabelings', '_first_row_groups') and calls.append(1))\n"
         "import thetatopo.cli\n"
         "sys.setprofile(None)\n"
         "print(len(calls), 'multiprocessing' in sys.modules)\n"
@@ -143,6 +169,7 @@ def test_caps(monkeypatch):
         raise AssertionError(f"relabeling tables built for {n} points")
 
     monkeypatch.setattr(generate, "_relabelings", no_tables)
+    monkeypatch.setattr(generate, "_first_row_groups", no_tables)
     with pytest.raises(CapExceeded):
         canonical_rows(tuple(1 << i for i in range(8)))
     # So are the counting caps, on the call.

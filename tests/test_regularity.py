@@ -118,6 +118,24 @@ def test_subspace_deciders_match_scans_exhaustively():
             assert DECIDERS[prop].find(sp) == scan(sp), (sp.nbhd, prop)
 
 
+def test_hereditarily_quasi_regular_matches_scan_on_classes(monkeypatch):
+    # The segment walk grows the strict tops point by point: at each segment
+    # they are the segment's own strict tops, and the least witness is the
+    # subset scan's on every class with n <= 6.
+    real_piece = regularity._unclosed_piece
+
+    def spy_piece(space, a, tops):
+        assert tops == regularity._strict_tops(space, a), (space.nbhd, a)
+        return real_piece(space, a, tops)
+
+    monkeypatch.setattr(regularity, "_unclosed_piece", spy_piece)
+    scan = SUBSPACE_SCANS["hereditarily_quasi_regular"]
+    for n in range(1, 7):
+        for rows in homeo_rows(n):
+            sp = space_from_rows(rows)
+            assert DECIDERS["hereditarily_quasi_regular"].find(sp) == scan(sp), rows
+
+
 def random_spaces():
     """150 seeded random spaces of 6-10 points, sparse to dense."""
     rng = random.Random(1717)
@@ -329,18 +347,18 @@ def test_regular_spaces_run_the_subspace_deciders(monkeypatch):
     tops = []
     segments = []
     real_gfp = regularity.gfp
-    real_quasi = regularity.quasi_regular_witness
+    real_piece = regularity._unclosed_piece
 
     def spy_gfp(prune, s):
         tops.append(s)
         return real_gfp(prune, s)
 
-    def spy_quasi(space, within=None):
-        segments.append(within)
-        return real_quasi(space, within)
+    def spy_piece(space, a, strict_tops):
+        segments.append(a)
+        return real_piece(space, a, strict_tops)
 
     monkeypatch.setattr(regularity, "gfp", spy_gfp)
-    monkeypatch.setattr(regularity, "quasi_regular_witness", spy_quasi)
+    monkeypatch.setattr(regularity, "_unclosed_piece", spy_piece)
     for sp in spaces:
         for decider in (weakly_regular_witness, theta_weakly_regular_witness):
             tops.clear()

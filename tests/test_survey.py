@@ -15,7 +15,12 @@ from oracles import (
 from thetatopo import maps, survey
 from thetatopo.generate import canonical_rows, homeo_rows, space_from_rows
 from thetatopo.maps import FinMap
-from thetatopo.regularity import DECIDABLE_PROPERTIES, DECIDERS, property_verdicts
+from thetatopo.regularity import (
+    DECIDABLE_PROPERTIES,
+    DECIDERS,
+    REPORT_PROPERTIES,
+    property_verdicts,
+)
 from thetatopo.space import CapExceeded, space_from_obj
 from thetatopo.survey import (
     COMPOSITION_SIZE_CAP,
@@ -117,6 +122,23 @@ def test_find_space_answers():
         PROPERTY_ORACLES["nowhere_regular"](space_from_rows(rows))
         for rows in earlier
     )
+
+
+def test_lazy_search_matches_eager_scan():
+    # find_space decides only what the predicate reads; it must answer what
+    # a scan over every class's full verdicts answers, for p, !p and p && !q.
+    spaces = [space_from_rows(rows) for n in range(1, 6) for rows in homeo_rows(n)]
+    classes = [(sp, property_verdicts(sp)[0]) for sp in spaces]
+    preds = [("prop", p) for p in REPORT_PROPERTIES]
+    preds += [("not", ("prop", p)) for p in REPORT_PROPERTIES]
+    preds += [
+        ("and", ("prop", p), ("not", ("prop", q)))
+        for p, q in product(REPORT_PROPERTIES, repeat=2)
+    ]
+    for pred in preds:
+        eager = next((sp for sp, v in classes if eval_predicate(pred, v)), None)
+        lazy = find_space(pred, 5)
+        assert (lazy and lazy.nbhd) == (eager and eager.nbhd), pred
 
 
 def test_find_space_cap():
