@@ -45,7 +45,7 @@ from .maps import (
     map_from_obj,
     map_to_obj,
 )
-from .regularity import classify_report
+from .regularity import SW_BOUND_CAP, classify_report
 from .space import (
     POINT_CAP,
     CapExceeded,
@@ -279,6 +279,9 @@ def cmd_hh_embed(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+SW_BOUND_HELP = f"largest domain size of the sw witness search (at most {SW_BOUND_CAP})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="topo",
@@ -289,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("classify", help="full property report for a space")
     c.add_argument("space", help="space JSON file, or - for stdin")
-    c.add_argument("--sw-bound", type=_int_at_least(1), default=3, help="sw witness search bound")
+    c.add_argument("--sw-bound", type=_int_at_least(1), default=3, help=SW_BOUND_HELP)
     c.add_argument("--max-points", type=_int_at_least(1, POINT_CAP), default=POINT_CAP)
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_classify)
@@ -338,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify-diagram", help="check all implications on small spaces")
     v.add_argument("--max-n", type=_int_at_least(1), default=4)
-    v.add_argument("--sw-bound", type=_int_at_least(1), default=3)
+    v.add_argument("--sw-bound", type=_int_at_least(1), default=3, help=SW_BOUND_HELP)
     v.add_argument("--transfer-max", type=_int_at_least(1), default=3)
     v.add_argument("--workers", type=_int_at_least(1), default=1, help="accepted, no effect")
     v.add_argument("--json", action="store_true")

@@ -178,16 +178,12 @@ def ok_masks(f: FinMap) -> tuple[int, ...]:
     """ok[x] = domain points whose image lies in the minimal neighborhood of
     f(x). x is a continuity point of f|A iff N(x) ∩ A ⊆ ok[x]: the minimal
     relative neighborhood is the best witness on both sides."""
-    return image_ok_masks(f.codomain.nbhd, f.img)
-
-
-def image_ok_masks(cod_nbhd: tuple[int, ...], img: tuple[int, ...]) -> tuple[int, ...]:
-    """ok_masks of the map with image tuple img into a codomain with these
-    minimal-neighborhood rows, without building or validating the map."""
+    cod = f.codomain.nbhd
+    img = f.img
     n = len(img)
     out = []
     for x in range(n):
-        target = cod_nbhd[img[x]]
+        target = cod[img[x]]
         m = 0
         for y in range(n):
             if (target >> img[y]) & 1:

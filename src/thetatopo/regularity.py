@@ -16,18 +16,24 @@ No decider special-cases regular spaces, so the implications out of
 "regular" are tested, not assumed, on every regular space.
 The kernel operations used by the decomposition module live here too: the
 union of all (theta-)open regular subspaces of a subset.
+The bounded search for a scatteredly continuous map that is not weakly
+discontinuous (sw_witness_search) depends on the codomain only through its
+shape, the neighborhood pattern of one point per distinct row, so it runs
+once per shape and bound. It walks the maps depth first on their bad rows,
+cuts a branch once the scattered operator has a fixpoint on the mapped
+points, and builds no map but the witness.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 from typing import Callable, NamedTuple
 
 from .bitset import bits, gfp, least_prefix
 from .generate import homeo_rows, space_from_rows
-from .maps import FinMap, MapClass, classify_map, image_ok_masks, map_to_obj
+from .maps import FinMap, MapClass, _pruners, map_to_obj
 from .space import (
     POINT_CAP,
     CapExceeded,
@@ -73,7 +79,7 @@ ARROWS: tuple[tuple[tuple[str, ...], str], ...] = (
 # discontinuous map into the space can exist", at any search bound.
 SW_SAFE_PREMISES = ("regular", "theta_weakly_regular", "locally_regular")
 
-SW_BOUND_CAP = 4
+SW_BOUND_CAP = 5
 
 
 def arrow_name(premises: tuple[str, ...], conclusion: str) -> str:
@@ -345,19 +351,18 @@ def hereditarily_quasi_regular_witness(space: FinSpace) -> int | None:
     closed in a. So b fails at M', and, as in w_theta_regular_witness, the
     least failing subspace is the shortest failing initial segment.
 
-    The strict tops grow with the segment. Adding point k adds k to N(x) &
-    a for each x of a with k in N(x), i.e. in up[k], and that x becomes a
-    strict top iff x is not in N(k); k itself is one iff N(k) & a leaves
-    up[k]. No top of the shorter segment is lost."""
-    nbhd = space.nbhd
-    up = space.up
-    a = tops = 0
+    Each segment needs only its verdict, so it is tested with no tops
+    excluded (_unclosed_piece with tops 0), which gives the same verdict as
+    quasi_regular_witness. If a fails at a smallest piece M = N(m) & a,
+    each y of M has N(y) & a = M, so y and m lie in each other's minimal
+    neighborhoods and up[y] & a = up[m] & a, the closure of M, which leaves
+    M: no point of M passes, whether the tops are excluded or not. If a is
+    quasi-regular, each piece N(x) & a holds a closed smallest piece N(m) &
+    a, and m passes either way."""
+    a = 0
     for k in range(len(space)):
-        tops |= a & up[k] & ~nbhd[k]
-        if nbhd[k] & a & ~up[k]:
-            tops |= 1 << k
         a |= 1 << k
-        if _unclosed_piece(space, a, tops) is not None:
+        if _unclosed_piece(space, a, 0) is not None:
             return a
     return None
 
@@ -439,6 +444,14 @@ def is_nowhere_regular(space: FinSpace) -> bool:
 # Bounded witness search against scattered-but-not-weak maps.
 # ---------------------------------------------------------------------------
 
+# sw_witness_search's answers by (codomain shape, bound): None, or the
+# domain size, the domain's index in _sw_domains and the witness's position
+# tuple. The oldest entry goes first once the table holds SW_TABLE_CAP
+# entries, which keeps memory flat.
+SW_TABLE_CAP = 1024
+_sw_table: OrderedDict[tuple, tuple[int, int, tuple[int, ...]] | None] = OrderedDict()
+
+
 @cache
 def _sw_domains(n: int) -> tuple[FinSpace, ...]:
     """The canonical n-point domains, in homeomorphism-stream order; at most
@@ -461,37 +474,124 @@ def sw_witness_search(
     discontinuous; exhausting the bound proves nothing.
 
     The answer is the first hit over labeled domains in ascending row order,
-    then maps in product order, but only canonical domains are scanned: if
-    a labeled Z admits a witness f, its relabeling sigma Z admits f o
-    sigma^-1, so whole classes admit one or none, and the first labeled
-    domain that does is its class's least labeling. Within a domain a map is
-    classified through its ok_masks key alone, so only the first map of
-    each new key goes to classify_map.
+    then maps in product order. These reductions leave it unchanged:
 
-    Images range over reps, the least point of each distinct row of
-    space.nbhd, not over every point. ok_masks sees an image only through
-    its minimal neighborhood (a lies in N(c) iff N(a) is inside N(c)), so
-    replacing each coordinate of a tuple by the least point of its row
-    lowers the tuple coordinatewise and keeps its key. Hence the first
-    tuple of every key in product order is a tuple over reps: the same keys
-    reach classify_map in the same order, and the witness is unchanged.
+    - Canonical domains. If a labeled Z admits a witness f, its relabeling
+      sigma Z admits f o sigma^-1, so whole classes admit one or none, and
+      the first labeled domain that does is its class's least labeling.
+    - Reps. A map's tier depends only on Z and its ok masks, ok[x] =
+      {y : f(y) in N(f(x))} (maps module), which see an image only through
+      its minimal neighborhood: a lies in N(c) iff N(a) lies inside N(c).
+      Replacing each image by reps[i], the least point of its row of
+      space.nbhd, lowers the tuple coordinatewise and keeps the tier, so
+      the first witness in product order maps into reps.
+    - Shape. Write f(y) = reps[p[y]]. Then ok[x] = {y : p[y] in
+      shape[p[x]]}, where shape[i] = {j : reps[j] in N(reps[i])}, and
+      product order on position tuples is product order on images, since
+      reps ascend. So the first witness's positions depend on X only
+      through (shape, bound), and _sw_table keeps them per pair; mapping
+      them back through reps gives this space's own witness.
+    - Bad-row keys. The tier reads only bad[x] = N(x) minus ok[x] (maps
+      module), so of the maps with equal bad rows only the first in
+      product order is decided.
+    - Prefix cut. The positions are walked depth first, coordinate 0 first
+      and each in ascending order, which meets the tuples in product order.
+      Once p[0..k] are set, whether y lies in bad[x] is settled for x, y
+      <= k: it reads N(x), p[x] and p[y] alone. The scattered operator
+      B(S) = {x in S : bad[x] meets S} reads, for S inside the prefix, only
+      those entries. So a non-empty fixpoint S of B in the prefix stays one
+      in every completion, whose restriction to S then has no continuity
+      point: no completion is scatteredly continuous, and the subtree is
+      cut. A fixpoint new at coordinate k holds k, as the shorter prefix
+      had none. It needs an edge out of k (k lies in B(S)) and one into k
+      (else S minus k is one, since bad[x] never holds x), so the operator
+      runs only when k has both. On a full tuple this is the scattered test
+      itself, and a map that passes it is a witness iff the weak operator
+      has a non-empty greatest fixpoint. Leaves are matched to bad-row keys
+      before either test.
+
+    No map is built or classified until a witness is found.
     """
     if max_domain_size > SW_BOUND_CAP:
         raise CapExceeded(f"witness search capped at domain size {SW_BOUND_CAP}")
     cod = space.nbhd
     reps = [x for x, row in enumerate(cod) if row not in cod[:x]]
-    for n in range(1, max_domain_size + 1):
-        for z in _sw_domains(n):
-            seen = set()
-            for img in product(reps, repeat=n):
-                key = image_ok_masks(cod, img)
+    shape = tuple(sum(1 << j for j, r in enumerate(reps) if cod[x] >> r & 1) for x in reps)
+    key = (shape, max_domain_size)
+    if key in _sw_table:
+        hit = _sw_table[key]
+    else:
+        if len(_sw_table) >= SW_TABLE_CAP:
+            _sw_table.popitem(last=False)
+        hit = _sw_table[key] = _sw_shape_search(shape, max_domain_size)
+    if hit is None:
+        return None
+    n, k, pos = hit
+    z = _sw_domains(n)[k]
+    return z, FinMap(z, space, tuple(reps[p] for p in pos))
+
+
+def _sw_shape_search(
+    shape: tuple[int, ...], bound: int
+) -> tuple[int, int, tuple[int, ...]] | None:
+    """(n, k, positions) of the first witness into a codomain of this shape
+    (see sw_witness_search), its domain _sw_domains(n)[k]; or None."""
+    for n in range(1, bound + 1):
+        for k, z in enumerate(_sw_domains(n)):
+            pos = _sw_walk(z, shape)
+            if pos is not None:
+                return n, k, pos
+    return None
+
+
+def _sw_walk(z: FinSpace, shape: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The first position tuple in product order of a witness out of z, by
+    the depth-first walk of sw_witness_search. Setting coordinate k adds
+    column k to the bad rows of the x < k with k in N(x), and row k."""
+    nbhd = z.nbhd
+    n = len(nbhd)
+    bad = [0] * n
+    pos = [0] * n
+    # The operators read bad as the walk rewrites it in place.
+    ops = _pruners(z, bad)
+    scattered = ops["scatteredly_continuous"]
+    weak = ops["weakly_discontinuous"]
+    ups = [[x for x in range(k) if nbhd[x] >> k & 1] for k in range(n)]
+    downs = [[y for y in range(k) if nbhd[k] >> y & 1] for k in range(n)]
+    seen: set[tuple[int, ...]] = set()
+
+    def walk(k: int) -> tuple[int, ...] | None:
+        prefix = (2 << k) - 1
+        above = bad[:k]
+        for p, row in enumerate(shape):
+            pos[k] = p
+            bad[:k] = above
+            into = False
+            for x in ups[k]:
+                if not shape[pos[x]] >> p & 1:
+                    bad[x] |= 1 << k
+                    into = True
+            out = 0
+            for y in downs[k]:
+                if not row >> pos[y] & 1:
+                    out |= 1 << y
+            bad[k] = out
+            if k + 1 == n:
+                key = tuple(bad)
                 if key in seen:
                     continue
                 seen.add(key)
-                f = FinMap(z, space, img)
-                if is_sw_witness(classify_map(f)):
-                    return z, f
-    return None
+            if into and out and gfp(scattered, prefix):
+                continue
+            if k + 1 < n:
+                hit = walk(k + 1)
+                if hit is not None:
+                    return hit
+            elif gfp(weak, prefix):
+                return tuple(pos)
+        return None
+
+    return walk(0)
 
 
 # ---------------------------------------------------------------------------

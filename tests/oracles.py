@@ -735,6 +735,29 @@ def labeled_sw_witness_search(space: FinSpace, max_domain_size: int = 3):
     return None
 
 
+def sw_witness_search_scan(space: FinSpace, max_domain_size: int = 3):
+    """sw_witness_search as a scan: canonical domains in stream order, maps
+    into the least point of each distinct row in product order, and
+    classify_map on the first map of each new ok_masks key."""
+    from thetatopo.maps import FinMap, classify_map, ok_masks
+    from thetatopo.regularity import _sw_domains, is_sw_witness
+
+    cod = space.nbhd
+    reps = [x for x, row in enumerate(cod) if row not in cod[:x]]
+    for n in range(1, max_domain_size + 1):
+        for z in _sw_domains(n):
+            seen = set()
+            for img in product(reps, repeat=n):
+                f = FinMap(z, space, img)
+                key = ok_masks(f)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if is_sw_witness(classify_map(f)):
+                    return z, f
+    return None
+
+
 def _labeled_decide(rows: tuple[int, ...], sw_bound: int) -> tuple:
     from thetatopo.generate import space_from_rows
     from thetatopo.maps import map_to_obj

@@ -387,7 +387,7 @@ def test_exit_two_paths(tmp_path):
 def test_exit_two_on_caps(tmp_path):
     assert run_cli("enumerate", "-n", "7", "--count")[0] == 2
     assert run_cli("enumerate", "-n", "8", "--homeo", "--count")[0] == 2
-    assert run_cli("classify", "--sw-bound", "5", "fixtures/sierpinski.json")[0] == 2
+    assert run_cli("classify", "--sw-bound", "6", "fixtures/sierpinski.json")[0] == 2
     assert run_cli("fn", "compositions", "--sizes", "9,2,2")[0] == 2
     assert run_cli("verify-diagram", "--max-n", "7")[0] == 2
 
@@ -401,7 +401,7 @@ def test_exit_two_on_caps(tmp_path):
 
 
 SW_BOUND_OVER_CAP = [
-    ("classify", "--sw-bound", "5", f"fixtures/{name}.json")
+    ("classify", "--sw-bound", "6", f"fixtures/{name}.json")
     for name in ("discrete2", "sierpinski")
 ]
 MAX_POINTS_OVER_CAP = [
@@ -443,7 +443,7 @@ def test_numeric_flags_below_bound_exit_two(argv):
     code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
     if argv in SW_BOUND_OVER_CAP:
-        assert err.startswith("error: witness search capped at domain size 4")
+        assert err.startswith("error: witness search capped at domain size 5")
     elif argv in MAX_POINTS_OVER_CAP:
         assert "error: argument --max-points: must be at most 24, got 25" in err
     elif argv in KNOBS_OVER_CAP:

@@ -246,10 +246,11 @@ def test_classifier_matches_sweep_oracle_small():
     for x in small:
         for y in small:
             for img in product(range(len(y)), repeat=len(x)):
-                key = (x.nbhd, maps.image_ok_masks(y.nbhd, img))
+                f = FinMap(x, y, img)
+                key = (x.nbhd, maps.ok_masks(f))
                 if key not in seen:
                     seen.add(key)
-                    _check_against_sweep(FinMap(x, y, img))
+                    _check_against_sweep(f)
     assert len(seen) == 858
 
 

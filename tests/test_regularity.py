@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+from collections import OrderedDict
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -19,6 +21,7 @@ from oracles import (
     regular_oracle,
     submasks,
     sw_witness_exists_oracle,
+    sw_witness_search_scan,
     t1_oracle,
     theta_open_oracle,
     theta_part_oracle,
@@ -27,8 +30,8 @@ from oracles import (
 import thetatopo
 from thetatopo.decomposition import open_decomposition, theta_decomposition
 from thetatopo.generate import homeo_rows, labeled_rows, random_rows, space_from_rows
-from thetatopo.maps import classify_map
-from thetatopo import regularity
+from thetatopo.maps import FinMap, classify_map
+from thetatopo import maps, regularity
 from thetatopo.regularity import (
     ARROWS,
     DECIDABLE_PROPERTIES,
@@ -118,17 +121,9 @@ def test_subspace_deciders_match_scans_exhaustively():
             assert DECIDERS[prop].find(sp) == scan(sp), (sp.nbhd, prop)
 
 
-def test_hereditarily_quasi_regular_matches_scan_on_classes(monkeypatch):
-    # The segment walk grows the strict tops point by point: at each segment
-    # they are the segment's own strict tops, and the least witness is the
-    # subset scan's on every class with n <= 6.
-    real_piece = regularity._unclosed_piece
-
-    def spy_piece(space, a, tops):
-        assert tops == regularity._strict_tops(space, a), (space.nbhd, a)
-        return real_piece(space, a, tops)
-
-    monkeypatch.setattr(regularity, "_unclosed_piece", spy_piece)
+def test_hereditarily_quasi_regular_matches_scan_on_classes():
+    # The segment walk's least witness is the subset scan's on every class
+    # with n <= 6.
     scan = SUBSPACE_SCANS["hereditarily_quasi_regular"]
     for n in range(1, 7):
         for rows in homeo_rows(n):
@@ -427,6 +422,117 @@ def test_sw_search_matches_labeled_reference():
                 assert sw_witness_search(x, 4) == labeled_sw_witness_search(x, 4), rows
 
 
+def test_sw_search_matches_scan(monkeypatch):
+    # The depth-first walk over bad rows returns the scan's witness on every
+    # class with n <= 5 at bound 3, each searched afresh, and on seeded
+    # random spaces of 6-9 points, regular block spaces among them.
+    for n in range(1, 6):
+        for rows in homeo_rows(n):
+            x = space_from_rows(rows)
+            monkeypatch.setattr(regularity, "_sw_table", OrderedDict())
+            assert sw_witness_search(x, 3) == sw_witness_search_scan(x, 3), rows
+    rng = random.Random(2201)
+    spaces = [block_space(sizes) for sizes in ((1, 2, 3), (2, 2, 2, 2), (1,) * 9)]
+    for _ in range(60):
+        n = rng.randint(6, 9)
+        spaces.append(space_from_rows(random_rows(n, rng, rng.choice((0.05, 0.1, 0.2, 0.35)))))
+    for x in spaces:
+        assert sw_witness_search(x, 3) == sw_witness_search_scan(x, 3), x.nbhd
+    assert sum(sw_witness_search(x, 3) is None for x in spaces) >= 3
+
+
+def test_sw_walk_matches_scan_per_domain():
+    # Per domain, not only the first domain with a hit: the walk returns
+    # the first witness in product order out of every domain with at most
+    # four points into every class with at most four, or None.
+    for nx in range(1, 5):
+        for rows in homeo_rows(nx):
+            x = space_from_rows(rows)
+            # Read as a shape, the rows stand for maps into every point.
+            shape = x.nbhd
+            for n in range(1, 5):
+                for z in regularity._sw_domains(n):
+                    want = next(
+                        (
+                            img
+                            for img in product(range(nx), repeat=n)
+                            if regularity.is_sw_witness(classify_map(FinMap(z, x, img)))
+                        ),
+                        None,
+                    )
+                    assert regularity._sw_walk(z, shape) == want, (rows, z.nbhd)
+
+
+def test_sw_search_maps_each_space_into_its_own_reps(monkeypatch):
+    # The Sierpinski space and the two 3-point spaces that double its open
+    # or its closed point share one shape. One walk answers all three, and
+    # each gets the witness into its own reps: the second maps to point 2.
+    spaces = [
+        SIERPINSKI,
+        space_from_rows((0b011, 0b011, 0b111)),
+        space_from_rows((0b001, 0b111, 0b111)),
+    ]
+    walks = []
+    real = regularity._sw_shape_search
+
+    def counted(shape, bound):
+        walks.append(shape)
+        return real(shape, bound)
+
+    monkeypatch.setattr(regularity, "_sw_table", OrderedDict())
+    monkeypatch.setattr(regularity, "_sw_shape_search", counted)
+    hits = [sw_witness_search(x, 3) for x in spaces]
+    assert walks == [(0b01, 0b11)]
+    assert [f.img for _, f in hits] == [(0, 1), (0, 2), (0, 1)]
+    for x, (z, f) in zip(spaces, hits):
+        assert z.nbhd == (0b11, 0b11) and f.codomain == x
+        assert (z, f) == sw_witness_search_scan(x, 3)
+
+
+def test_sw_search_builds_one_map_per_hit(monkeypatch):
+    # No map is classified, and the only map built is the witness.
+    built = []
+    real_map = regularity.FinMap
+
+    def counted(*args):
+        built.append(args)
+        return real_map(*args)
+
+    def refuse(*args):
+        raise AssertionError("the search classified a map")
+
+    monkeypatch.setattr(regularity, "_sw_table", OrderedDict())
+    monkeypatch.setattr(regularity, "FinMap", counted)
+    monkeypatch.setattr(maps, "classify_map", refuse)
+    monkeypatch.setattr(maps, "_classify", refuse)
+    for n in range(1, 5):
+        for rows in homeo_rows(n):
+            built.clear()
+            hit = sw_witness_search(space_from_rows(rows), 3)
+            assert len(built) == (hit is not None), rows
+
+
+def test_sw_table_stays_within_its_cap(monkeypatch):
+    # The table keeps the newest shapes; an evicted one is walked again.
+    table = OrderedDict()
+    walked = []
+    real = regularity._sw_shape_search
+
+    def counted(shape, bound):
+        walked.append((shape, bound))
+        return real(shape, bound)
+
+    monkeypatch.setattr(regularity, "_sw_table", table)
+    monkeypatch.setattr(regularity, "_sw_shape_search", counted)
+    monkeypatch.setattr(regularity, "SW_TABLE_CAP", 5)
+    xs = [space_from_rows(rows) for rows in homeo_rows(4)]
+    for x in xs + xs[:1]:
+        assert sw_witness_search(x, 2) == sw_witness_search_scan(x, 2), x.nbhd
+        assert len(table) <= 5
+    assert list(table) == walked[-5:]
+    assert walked.count(walked[0]) == 2
+
+
 def test_sw_witness_is_genuine():
     for sp in all_labeled(3):
         hit = sw_witness_search(sp, 2)
@@ -455,7 +561,7 @@ def test_safe_premises_never_produce_witnesses():
 
 def test_sw_bound_cap():
     with pytest.raises(CapExceeded):
-        sw_witness_search(SIERPINSKI, 5)
+        sw_witness_search(SIERPINSKI, 6)
 
 
 # ---------------------------------------------------------------------------

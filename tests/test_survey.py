@@ -396,8 +396,8 @@ def test_diagram_sw_bound_checked_before_any_work(monkeypatch):
         raise AssertionError("decided a space before checking the caps")
 
     monkeypatch.setattr(survey, "property_verdicts", refuse)
-    with pytest.raises(CapExceeded, match="witness search capped at domain size 4"):
-        verify_diagram(2, sw_bound=5)
+    with pytest.raises(CapExceeded, match="witness search capped at domain size 5"):
+        verify_diagram(2, sw_bound=6)
     with pytest.raises(CapExceeded):
         verify_diagram(0, sw_bound=9)
 
