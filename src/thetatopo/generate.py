@@ -13,7 +13,9 @@ relabelings that tie at a kept leaf are its automorphisms, so each class
 comes with its orbit size n!/|Aut| (orbit-stabilizer) at no extra cost:
 count_spaces counts labeled spaces as the sum of the orbit sizes and never
 walks or builds them, and homeo_rows is the stream of representatives
-alone. The tests cross-check the labeled stream against an independent walk
+alone. Each finished orderly walk is kept per process (_classes), so the
+homeo stream, both counts, the searches and the diagram share one walk per
+n. The tests cross-check the labeled stream against an independent walk
 over open-set families, the homeo stream against an orbit-marking
 reference, the orbit sizes against the orbit sets, the leaf test against a
 scan over every relabeling, and the relabeling tables against the direct
@@ -216,6 +218,12 @@ def canonicalize(space: FinSpace) -> FinSpace:
     return space_from_rows(canonical_rows(space.nbhd))
 
 
+# The finished orderly walks by point count, kept for the life of the
+# process. Every entry point checks its cap first, so this holds at most the
+# 5,439 classes of n <= 7, about 1 MiB.
+_classes: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
+
+
 def homeo_rows(n: int) -> Iterator[tuple[int, ...]]:
     """One representative per homeomorphism class, in ascending order: the
     rows of homeo_classes."""
@@ -234,8 +242,10 @@ def homeo_classes(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     leaf is kept only if no relabeling gives a smaller tuple (_is_least),
     which is rows == canonical_rows(rows). Pruning only drops rows from the
     ascending labeled walk, so the stream ascends and, the least labeling of
-    each class being kept, holds one row tuple per class. Memory is the
-    relabeling tables, their first-row index and the current path.
+    each class being kept, holds one row tuple per class. The walk holds
+    the relabeling tables, their first-row index and the current path, and
+    no set of classes seen. Its finished list is kept in _classes and
+    served to later calls, so no n is walked again once a walk has ended.
 
     Every automorphism keeps the first row, so it lies in the first-row
     groups that a kept leaf scans in full, and the tables that reproduce the
@@ -243,7 +253,21 @@ def homeo_classes(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     labeled spaces (orbit-stabilizer), each relabeling p giving the same
     labeling as p·a for every automorphism a.
     """
-    return _walk(n, True)
+    stored = _classes.get(n)
+    if stored is not None:
+        return iter(stored)
+    return _record(n)
+
+
+def _record(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The orderly walk on n points, streamed as it runs. Its list is stored
+    only once the walk is exhausted, so a consumer that stops early (a
+    search that matches, a closed pipe, an exception) stores nothing."""
+    out = []
+    for item in _walk(n, True):
+        out.append(item)
+        yield item
+    _classes[n] = tuple(out)
 
 
 def _check_cap(n: int, mode: str) -> None:

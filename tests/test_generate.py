@@ -31,9 +31,30 @@ from thetatopo.generate import (
     space_from_rows,
 )
 from thetatopo.space import CapExceeded, FinSpace
+from thetatopo.survey import find_space
 
 LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
 HOMEO_COUNTS = {1: 1, 2: 3, 3: 9, 4: 33, 5: 139, 6: 718}
+
+
+@pytest.fixture(autouse=True)
+def fresh_classes(monkeypatch):
+    """Every test starts with no finished walk kept, so a test that measures,
+    spies on or stubs the walk sees it run instead of a stored list."""
+    monkeypatch.setattr(generate, "_classes", {})
+
+
+def spy_walk(monkeypatch) -> list[tuple[int, bool]]:
+    """The (n, orderly) arguments of each _walk call from here on."""
+    walk = generate._walk
+    calls = []
+
+    def spy(n, orderly):
+        calls.append((n, orderly))
+        return walk(n, orderly)
+
+    monkeypatch.setattr(generate, "_walk", spy)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +128,71 @@ def test_grouped_leaf_test_matches_full_scan():
             assert generate._is_least(list(rows), groups) == is_least_scan(rows), rows
 
 
-def test_homeo_classes_pinned():
-    # Representatives and orbit sizes for n <= 6, byte for byte.
-    h = hashlib.sha256()
-    for n in range(7):
-        h.update(repr(list(homeo_classes(n))).encode() + b"\n")
-    assert h.hexdigest() == "7605ec27192e90b0784ee0900194da73bd58e9e7d6c8fb4b280913380c6624f9"
+def test_homeo_classes_pinned(monkeypatch):
+    # Representatives and orbit sizes for n <= 6, byte for byte, both from a
+    # fresh walk and from the kept lists, which the second pass reads alone.
+    calls = spy_walk(monkeypatch)
+    for walks in ([(n, True) for n in range(7)], []):
+        del calls[:]
+        h = hashlib.sha256()
+        for n in range(7):
+            h.update(repr(list(homeo_classes(n))).encode() + b"\n")
+        assert h.hexdigest() == "7605ec27192e90b0784ee0900194da73bd58e9e7d6c8fb4b280913380c6624f9"
+        assert calls == walks
+        assert sorted(generate._classes) == list(range(7))
+
+
+def test_abandoned_walk_stores_nothing(monkeypatch):
+    calls = spy_walk(monkeypatch)
+    full = list(generate._walk(5, True))
+    assert len(full) == HOMEO_COUNTS[5]
+    # Closed after k items.
+    stream = homeo_classes(5)
+    assert [next(stream) for _ in range(10)] == full[:10]
+    stream.close()
+    assert generate._classes == {}
+    # Left by a consumer that raises.
+    with pytest.raises(ZeroDivisionError):
+        for k, _ in enumerate(homeo_classes(5)):
+            if k == 10:
+                1 / 0
+    assert generate._classes == {}
+    # The next call walks in full, and only then is the list kept.
+    del calls[:]
+    assert list(homeo_classes(5)) == full
+    assert calls == [(5, True)]
+    assert generate._classes == {5: tuple(full)}
+
+
+def test_second_call_walks_nothing(monkeypatch):
+    calls = spy_walk(monkeypatch)
+    # A search that matches early keeps only the point counts it finished.
+    assert find_space("scattered && !regular", 6).nbhd == (0b01, 0b11)
+    assert calls == [(1, True), (2, True)]
+    assert sorted(generate._classes) == [1]
+    assert count_spaces(6) == 209527
+    assert calls[2:] == [(6, True)]
+    del calls[:]
+    assert count_spaces(6) == 209527
+    assert count_spaces(6, "homeo") == 718
+    assert sum(1 for _ in homeo_rows(6)) == 718
+    assert calls == []
+    assert find_space("w_theta_regular && !regular", 6) is None
+    assert calls == [(n, True) for n in (2, 3, 4, 5)]
+    del calls[:]
+    assert find_space("w_theta_regular && !regular", 6) is None
+    assert calls == []
+
+
+def test_caps_hold_with_every_list_kept():
+    # A stand-in list for every n <= 8, past what any capped call stores.
+    generate._classes.update({n: (((0,) * n, 1),) for n in range(9)})
+    with pytest.raises(CapExceeded):
+        count_spaces(8, "homeo")
+    with pytest.raises(CapExceeded):
+        next(enumerate_spaces(8, "homeo"))
+    with pytest.raises(CapExceeded):
+        count_spaces(7, "labeled")
 
 
 def test_homeo_walk_holds_no_orbit_set():
@@ -141,14 +221,17 @@ def test_no_relabeling_table_built_at_import():
         "import sys\n"
         "calls = []\n"
         "sys.setprofile(lambda f, e, a: e == 'call'"
-        " and f.f_code.co_name in ('_relabelings', '_first_row_groups') and calls.append(1))\n"
+        " and f.f_code.co_name in ('_relabelings', '_first_row_groups', '_walk')"
+        " and calls.append(1))\n"
         "import thetatopo.cli\n"
         "sys.setprofile(None)\n"
-        "print(len(calls), 'multiprocessing' in sys.modules)\n"
+        "from thetatopo import generate\n"
+        "print(len(calls), 'multiprocessing' in sys.modules, len(generate._classes))\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    # Nor is the multiprocessing package loaded: every command runs in one process.
-    assert out.stdout == "0 False\n"
+    # Nor is the multiprocessing package loaded: every command runs in one
+    # process. No walk runs, so no class list is kept.
+    assert out.stdout == "0 False 0\n"
 
 
 def test_zero_points():
