@@ -4,22 +4,21 @@ Spaces on n points are streamed as minimal-neighborhood row tuples in
 ascending lexicographic order (rows compared as integers, first row first),
 by one backtracking generator over coherent rows (_walk), run in the calling
 process. labeled_rows keeps every leaf; homeo_classes runs the same walk as
-an orderly generation that keeps only the least labeling of each class,
-pruning by transpositions on the way down, so it holds no set of classes
-seen. At a leaf only the relabelings that can give the least possible first
-row, 2^s - 1 for s the least neighborhood size, are compared (_is_least);
-canonical_rows takes its minimum over the same first-row groups. The
+an orderly generation that keeps only the least labeling of each class.
+It skips every prefix that some relabeling of its decided points makes
+smaller, so it holds no set of classes seen. At each node and leaf only the
+relabelings that can give the least possible first row, 2^s - 1 for s the
+least neighborhood size, are compared (_is_least); canonical_rows takes its
+minimum over the same first-row groups. The
 relabelings that tie at a kept leaf are its automorphisms, so each class
 comes with its orbit size n!/|Aut| (orbit-stabilizer) at no extra cost:
 count_spaces counts labeled spaces as the sum of the orbit sizes and never
 walks or builds them, and homeo_rows is the stream of representatives
-alone. Each finished orderly walk is kept per process (_classes), so the
-homeo stream, both counts, the searches and the diagram share one walk per
-n. The tests cross-check the labeled stream against an independent walk
+alone. The tests cross-check the labeled stream against an independent walk
 over open-set families, the homeo stream against an orbit-marking
-reference, the orbit sizes against the orbit sets, the leaf test against a
-scan over every relabeling, and the relabeling tables against the direct
-relabeling in tests/oracles.py.
+reference, the orbit sizes against the orbit sets, the prefix and leaf
+test against scans over every relabeling, and the relabeling tables against
+the direct relabeling in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -63,18 +62,21 @@ def _walk(n: int, orderly: bool) -> Iterator[tuple]:
     later member is placed, so leaves are exactly the valid topologies.
 
     When orderly, only the least labeling of each class is kept, paired
-    with its orbit size: subtrees that _swap_lowers rejects are skipped and
-    leaves must pass _is_least.
+    with its orbit size. A least labeling has the first-row form: row 0 is
+    2^s - 1 for s the least neighborhood size, so no row has fewer than s
+    points (see _is_least). A row that breaks the form is skipped, and a
+    subtree is skipped when _is_least finds a relabeling of its decided
+    points that gives a smaller prefix; at a leaf it gives |Aut|.
     """
     if n == 0:
         yield ((), 1) if orderly else ()
         return
     full = (1 << n) - 1
-    groups = _first_row_groups(n) if orderly else {}
+    groups = _first_row_groups(n) if orderly else ()
     n_perms = factorial(n)
     rows: list[int] = []
 
-    def place(i: int, unions: list[int]) -> Iterator[tuple]:
+    def place(i: int, unions: list[int], s: int) -> Iterator[tuple]:
         own = 1 << i
         upper = full
         for r in rows:
@@ -86,67 +88,60 @@ def _walk(n: int, orderly: bool) -> Iterator[tuple]:
             m = t | own
             if not unions[m & (own - 1)] & ~m:
                 rows.append(m)
-                if not (orderly and _swap_lowers(rows)):
+                if not orderly:
                     if i + 1 < n:
-                        yield from place(i + 1, unions + [u | m for u in unions])
-                    elif not orderly:
-                        yield tuple(rows)
+                        yield from place(i + 1, unions + [u | m for u in unions], 0)
                     else:
-                        aut = _is_least(rows, groups)
-                        if aut:
-                            yield tuple(rows), n_perms // aut
+                        yield tuple(rows)
+                # The first-row form, then no smaller relabeled prefix.
+                elif (i or not m & (m + 1)) and m.bit_count() >= s:
+                    aut = _is_least(rows, groups[i])
+                    if aut and i + 1 < n:
+                        yield from place(i + 1, unions + [u | m for u in unions], s or m.bit_count())
+                    elif aut:
+                        yield tuple(rows), n_perms // aut
                 rows.pop()
             if t == free:
                 return
             t = ((t | ~free) + 1) & free
 
-    yield from place(0, [0])
-
-
-def _swap_lowers(rows: list[int]) -> bool:
-    """Whether some transposition (i j), j the last decided point and i < j,
-    relabels the decided rows 0..j to a smaller tuple."""
-    j = len(rows) - 1
-    bj = 1 << j
-    for i in range(j):
-        bi = 1 << i
-        both = bi | bj
-        for k in range(j + 1):
-            src = rows[j if k == i else i if k == j else k]
-            r = src ^ both if (src & both) in (bi, bj) else src  # bits i, j swapped
-            if r != rows[k]:
-                if r < rows[k]:
-                    return True
-                break
-    return False
+    yield from place(0, [0], 0)
 
 
 def _is_least(rows: list[int], groups: dict[tuple[int, int], list]) -> int:
-    """0 when some relabeling gives a smaller row tuple; otherwise rows is
-    its own canonical form and the result is the number of relabelings that
-    reproduce it, |Aut(rows)| (at least 1, the identity).
+    """0 when some relabeling of the decided points 0..j (j = len(rows) - 1,
+    every point above j fixed) gives a smaller prefix; otherwise the number
+    of those relabelings that reproduce it, which at a leaf is |Aut(rows)|.
+    rows must have the first-row form, which the walk keeps: rows[0] is
+    2^s - 1 and no row has fewer than s points. groups is the level-j index
+    of _first_row_groups.
 
-    Let s be the least |N(x)|. A relabeling p has first row p(N(x0)), x0 =
-    p⁻¹(0), which holds bit 0 and at least s bits, so it is at least 2^s - 1,
-    with equality iff |N(x0)| = s and p(N(x0)) = {0..s-1}. Every other
-    relabeling has a larger first row, so rows is least only if rows[0] is
-    2^s - 1 and no row has fewer bits. Then only the relabelings of the
-    first-row groups (x0, N(x0)) with |N(x0)| = s can be smaller or
-    reproduce rows. Each of those reproduces row 0 and is compared from
-    row 1 up to its first difference."""
+    A relabeling p that fixes the points above j maps rows 0..j to rows
+    that depend on the decided rows alone, so a smaller prefix makes every
+    completion non-least. Its first row p(N(x0)), x0 = p⁻¹(0), holds bit 0
+    and at least s bits, so it is at least 2^s - 1, with equality iff
+    |N(x0)| = s and p(N(x0)) = {0..s-1}, which needs N(x0) ⊆ {0..j} once
+    j ≥ s. Every other relabeling has a larger first row, so only the groups
+    (x0, N(x0)) of such x0 are compared. Every least labeling has this
+    form: its first row is the least over all relabelings, 2^s - 1 for s
+    the least |N(x)|.
+
+    Rows 0..s-1 tie in those groups: for k < s, k lies in N(0), so N(k) ⊆
+    N(0) and, having at least s points, N(k) = N(0); likewise p⁻¹(k) lies in
+    N(x0), so p(N(p⁻¹(k))) = p(N(x0)) = 2^s - 1. So each relabeling is
+    compared from row s up to its first difference, and while j < s every
+    relabeling of the decided rows reproduces them."""
     s = rows[0].bit_length()
-    if rows[0] != (1 << s) - 1 or any(r.bit_count() < s for r in rows):
-        return 0
     last = len(rows) - 1
-    if not last:
-        return 1
+    if last < s:
+        return factorial(last + 1)
     aut = 0
     for x0, r0 in enumerate(rows):
         if r0.bit_count() != s:
             continue
-        for t, inv in groups[x0, r0]:
-            k = 1
-            r = t[rows[inv[1]]]
+        for t, inv in groups.get((x0, r0), ()):
+            k = s
+            r = t[rows[inv[s]]]
             while r == rows[k] and k < last:
                 k += 1
                 r = t[rows[inv[k]]]
@@ -173,18 +168,28 @@ def _relabelings(n: int) -> list[tuple[list[int], list[int]]]:
 
 
 @cache
-def _first_row_groups(n: int) -> dict[tuple[int, int], list[tuple[list[int], list[int]]]]:
-    """The relabeling tables grouped by (p⁻¹(0), p⁻¹({0..k})) for each k < n:
-    the relabelings that send x0 to 0 and the mask m onto the least |m|
-    labels. Each table sits in n groups; built on first use per n and kept:
-    about 0.35 MiB beside the tables at the 7-point cap."""
-    out: dict[tuple[int, int], list] = {}
+def _first_row_groups(n: int) -> tuple[dict[tuple[int, int], list[tuple[list[int], list[int]]]], ...]:
+    """Per level j < n, the relabeling tables of the permutations that fix
+    every point above j, grouped by (p⁻¹(0), p⁻¹({0..k})) for each k ≤ j:
+    those that send x0 to 0 and the mask m onto the least |m| labels. A
+    table that moves no point above t sits at every level j ≥ t, in j + 1
+    groups there, so level n - 1 holds every table. Built on first use per
+    n and kept: about 0.43 MiB beside the tables at the 7-point cap."""
+    out: tuple[dict[tuple[int, int], list], ...] = tuple({} for _ in range(n))
     for table in _relabelings(n):
         inv = table[1]
+        top = n - 1  # the highest point the permutation moves, or 0
+        while top and inv[top] == top:
+            top -= 1
+        keys = []
         m = 0
         for x in inv:
             m |= 1 << x
-            out.setdefault((inv[0], m), []).append(table)
+            keys.append((inv[0], m))
+        for j in range(top, n):
+            groups = out[j]
+            for key in keys[: j + 1]:
+                groups.setdefault(key, []).append(table)
     return out
 
 
@@ -200,28 +205,21 @@ def canonical_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
     n = len(rows)
     if n > HOMEO_CAP:
         raise CapExceeded(f"canonical form over {n}! relabelings; cap is {HOMEO_CAP} points")
-    groups = _first_row_groups(n)
-    s = min((r.bit_count() for r in rows), default=0)
+    if not n:
+        return rows
+    groups = _first_row_groups(n)[n - 1]
+    s = min(r.bit_count() for r in rows)
     return min(
-        (
-            tuple([t[rows[k]] for k in inv])
-            for x0, r0 in enumerate(rows)
-            if r0.bit_count() == s
-            for t, inv in groups[x0, r0]
-        ),
-        default=rows,
+        tuple([t[rows[k]] for k in inv])
+        for x0, r0 in enumerate(rows)
+        if r0.bit_count() == s
+        for t, inv in groups[x0, r0]
     )
 
 
 def canonicalize(space: FinSpace) -> FinSpace:
     """Canonical representative of the homeomorphism class, on points 0..n-1."""
     return space_from_rows(canonical_rows(space.nbhd))
-
-
-# The finished orderly walks by point count, kept for the life of the
-# process. Every entry point checks its cap first, so this holds at most the
-# 5,439 classes of n <= 7, about 1 MiB.
-_classes: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
 
 
 def homeo_rows(n: int) -> Iterator[tuple[int, ...]]:
@@ -235,17 +233,17 @@ def homeo_classes(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     order: the orderly walk keeps exactly the labelings equal to their
     canonical form.
 
-    After row j is placed, a transposition (i j) with i < j fixes every point
-    above j, so rows 0..j of the relabeled tuple depend on the decided rows
-    alone. If they form a smaller tuple, every completion of the prefix has
-    a smaller relabeling and is not canonical, so the subtree is skipped. A
-    leaf is kept only if no relabeling gives a smaller tuple (_is_least),
-    which is rows == canonical_rows(rows). Pruning only drops rows from the
+    After row j is placed, a relabeling of the points 0..j fixes every
+    point above j, so rows 0..j of the relabeled tuple depend on the decided
+    rows alone. If one gives a smaller tuple, every completion of the
+    prefix has a smaller relabeling and is not canonical, so the subtree is
+    skipped (_is_least, which compares only the relabelings that can tie
+    the first row). At a leaf these are all relabelings, so a leaf is kept
+    iff rows == canonical_rows(rows). Pruning only drops rows from the
     ascending labeled walk, so the stream ascends and, the least labeling of
-    each class being kept, holds one row tuple per class. The walk holds
-    the relabeling tables, their first-row index and the current path, and
-    no set of classes seen. Its finished list is kept in _classes and
-    served to later calls, so no n is walked again once a walk has ended.
+    each class being kept, holds one row tuple per class. Memory is the
+    relabeling tables, their first-row index per level and the current
+    path.
 
     Every automorphism keeps the first row, so it lies in the first-row
     groups that a kept leaf scans in full, and the tables that reproduce the
@@ -253,21 +251,7 @@ def homeo_classes(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     labeled spaces (orbit-stabilizer), each relabeling p giving the same
     labeling as p·a for every automorphism a.
     """
-    stored = _classes.get(n)
-    if stored is not None:
-        return iter(stored)
-    return _record(n)
-
-
-def _record(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The orderly walk on n points, streamed as it runs. Its list is stored
-    only once the walk is exhausted, so a consumer that stops early (a
-    search that matches, a closed pipe, an exception) stores nothing."""
-    out = []
-    for item in _walk(n, True):
-        out.append(item)
-        yield item
-    _classes[n] = tuple(out)
+    return _walk(n, True)
 
 
 def _check_cap(n: int, mode: str) -> None:

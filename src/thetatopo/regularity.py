@@ -454,9 +454,8 @@ _sw_table: OrderedDict[tuple, tuple[int, int, tuple[int, ...]] | None] = Ordered
 
 @cache
 def _sw_domains(n: int) -> tuple[FinSpace, ...]:
-    """The canonical n-point domains, in homeomorphism-stream order, as
-    spaces. At most SW_BOUND_CAP lists, so kept for the life of the
-    process; their rows come from the kept class lists of generate."""
+    """The canonical n-point domains, in homeomorphism-stream order; at most
+    SW_BOUND_CAP lists, so kept for the life of the process."""
     return tuple(map(space_from_rows, homeo_rows(n)))
 
 

@@ -673,6 +673,30 @@ def is_least_scan(rows: tuple[int, ...]) -> int:
     return aut
 
 
+def prefix_least_scan(rows: tuple[int, ...]) -> int:
+    """0 when some relabeling of the decided points 0..j (j = len(rows) - 1,
+    every point above j fixed) gives a smaller tuple of rows 0..j, else the
+    number of those relabelings that reproduce it: every permutation of
+    0..j applied point by point. The reference for the orderly walk's
+    prefix test, generate._is_least, at every node of the walk."""
+    from itertools import permutations
+
+    k = len(rows)
+    high = -1 << k
+    ties = 0
+    for perm in permutations(range(k)):
+        out = [0] * k
+        for i in range(k):
+            m = rows[i] & high
+            for j in bits(rows[i] & ~high):
+                m |= 1 << perm[j]
+            out[perm[i]] = m
+        if tuple(out) < rows:
+            return 0
+        ties += tuple(out) == rows
+    return ties
+
+
 def orbit_set_homeo_rows(n: int) -> Iterator[tuple[int, ...]]:
     """One representative per homeomorphism class, in ascending order: the
     reference for the orderly walk in generate.homeo_rows.

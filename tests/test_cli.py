@@ -229,8 +229,6 @@ def test_json_outputs_match_library():
 
 
 def test_enumerate_count_runs_no_labeled_walk(monkeypatch):
-    # No class list kept by an earlier test, so the count walks.
-    monkeypatch.setattr(generate, "_classes", {})
     walk = generate._walk
     calls = []
 

@@ -15,6 +15,7 @@ from oracles import (
     open_family_rows,
     orbit_set_homeo_rows,
     permute_rows,
+    prefix_least_scan,
 )
 from thetatopo import generate
 from thetatopo.generate import (
@@ -31,30 +32,9 @@ from thetatopo.generate import (
     space_from_rows,
 )
 from thetatopo.space import CapExceeded, FinSpace
-from thetatopo.survey import find_space
 
 LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
 HOMEO_COUNTS = {1: 1, 2: 3, 3: 9, 4: 33, 5: 139, 6: 718}
-
-
-@pytest.fixture(autouse=True)
-def fresh_classes(monkeypatch):
-    """Every test starts with no finished walk kept, so a test that measures,
-    spies on or stubs the walk sees it run instead of a stored list."""
-    monkeypatch.setattr(generate, "_classes", {})
-
-
-def spy_walk(monkeypatch) -> list[tuple[int, bool]]:
-    """The (n, orderly) arguments of each _walk call from here on."""
-    walk = generate._walk
-    calls = []
-
-    def spy(n, orderly):
-        calls.append((n, orderly))
-        return walk(n, orderly)
-
-    monkeypatch.setattr(generate, "_walk", spy)
-    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -118,81 +98,47 @@ def test_homeo_rows_match_orbit_set_reference():
         assert list(homeo_rows(n)) == list(orbit_set_homeo_rows(n)), n
 
 
+def first_row_form(rows) -> bool:
+    # Row 0 is 2^s - 1 and no row has fewer than s points.
+    s = rows[0].bit_length()
+    return rows[0] == (1 << s) - 1 and min(r.bit_count() for r in rows) >= s
+
+
 def test_grouped_leaf_test_matches_full_scan():
     # The leaf test scans only the first-row groups; on every labeled row
-    # tuple it gives what the scan over every relabeling gives, both the 0
-    # of a non-least labeling and |Aut| of a least one.
+    # tuple in the first-row form it gives what the scan over every
+    # relabeling gives, both the 0 of a non-least labeling and |Aut| of a
+    # least one. Every tuple outside the form has a smaller relabeling, so
+    # the walk may skip it without the test.
     for n in range(1, 6):
-        groups = generate._first_row_groups(n)
+        groups = generate._first_row_groups(n)[n - 1]
         for rows in labeled_rows(n):
-            assert generate._is_least(list(rows), groups) == is_least_scan(rows), rows
+            if first_row_form(rows):
+                assert generate._is_least(list(rows), groups) == is_least_scan(rows), rows
+            else:
+                assert is_least_scan(rows) == 0, rows
 
 
-def test_homeo_classes_pinned(monkeypatch):
-    # Representatives and orbit sizes for n <= 6, byte for byte, both from a
-    # fresh walk and from the kept lists, which the second pass reads alone.
-    calls = spy_walk(monkeypatch)
-    for walks in ([(n, True) for n in range(7)], []):
-        del calls[:]
-        h = hashlib.sha256()
-        for n in range(7):
-            h.update(repr(list(homeo_classes(n))).encode() + b"\n")
-        assert h.hexdigest() == "7605ec27192e90b0784ee0900194da73bd58e9e7d6c8fb4b280913380c6624f9"
-        assert calls == walks
-        assert sorted(generate._classes) == list(range(7))
+def test_prefix_test_matches_scan():
+    # At every node, on each coherent prefix in the first-row form, the
+    # grouped test of the level's relabelings gives what the scan over every
+    # permutation of the decided points gives: 0 when one makes the prefix
+    # smaller, else the number that reproduce it.
+    for n in range(1, 6):
+        levels = generate._first_row_groups(n)
+        prefixes = {rows[: j + 1] for rows in labeled_rows(n) for j in range(n)}
+        for prefix in sorted(prefixes):
+            if first_row_form(prefix):
+                got = generate._is_least(list(prefix), levels[len(prefix) - 1])
+                assert got == prefix_least_scan(prefix), (n, prefix)
 
 
-def test_abandoned_walk_stores_nothing(monkeypatch):
-    calls = spy_walk(monkeypatch)
-    full = list(generate._walk(5, True))
-    assert len(full) == HOMEO_COUNTS[5]
-    # Closed after k items.
-    stream = homeo_classes(5)
-    assert [next(stream) for _ in range(10)] == full[:10]
-    stream.close()
-    assert generate._classes == {}
-    # Left by a consumer that raises.
-    with pytest.raises(ZeroDivisionError):
-        for k, _ in enumerate(homeo_classes(5)):
-            if k == 10:
-                1 / 0
-    assert generate._classes == {}
-    # The next call walks in full, and only then is the list kept.
-    del calls[:]
-    assert list(homeo_classes(5)) == full
-    assert calls == [(5, True)]
-    assert generate._classes == {5: tuple(full)}
-
-
-def test_second_call_walks_nothing(monkeypatch):
-    calls = spy_walk(monkeypatch)
-    # A search that matches early keeps only the point counts it finished.
-    assert find_space("scattered && !regular", 6).nbhd == (0b01, 0b11)
-    assert calls == [(1, True), (2, True)]
-    assert sorted(generate._classes) == [1]
-    assert count_spaces(6) == 209527
-    assert calls[2:] == [(6, True)]
-    del calls[:]
-    assert count_spaces(6) == 209527
-    assert count_spaces(6, "homeo") == 718
-    assert sum(1 for _ in homeo_rows(6)) == 718
-    assert calls == []
-    assert find_space("w_theta_regular && !regular", 6) is None
-    assert calls == [(n, True) for n in (2, 3, 4, 5)]
-    del calls[:]
-    assert find_space("w_theta_regular && !regular", 6) is None
-    assert calls == []
-
-
-def test_caps_hold_with_every_list_kept():
-    # A stand-in list for every n <= 8, past what any capped call stores.
-    generate._classes.update({n: (((0,) * n, 1),) for n in range(9)})
-    with pytest.raises(CapExceeded):
-        count_spaces(8, "homeo")
-    with pytest.raises(CapExceeded):
-        next(enumerate_spaces(8, "homeo"))
-    with pytest.raises(CapExceeded):
-        count_spaces(7, "labeled")
+def test_homeo_classes_pinned():
+    # Representatives and orbit sizes for n <= 6, byte for byte.
+    h = hashlib.sha256()
+    for n in range(7):
+        h.update(repr(list(homeo_classes(n))).encode() + b"\n")
+    assert h.hexdigest() == "7605ec27192e90b0784ee0900194da73bd58e9e7d6c8fb4b280913380c6624f9"
 
 
 def test_homeo_walk_holds_no_orbit_set():
@@ -221,17 +167,14 @@ def test_no_relabeling_table_built_at_import():
         "import sys\n"
         "calls = []\n"
         "sys.setprofile(lambda f, e, a: e == 'call'"
-        " and f.f_code.co_name in ('_relabelings', '_first_row_groups', '_walk')"
-        " and calls.append(1))\n"
+        " and f.f_code.co_name in ('_relabelings', '_first_row_groups') and calls.append(1))\n"
         "import thetatopo.cli\n"
         "sys.setprofile(None)\n"
-        "from thetatopo import generate\n"
-        "print(len(calls), 'multiprocessing' in sys.modules, len(generate._classes))\n"
+        "print(len(calls), 'multiprocessing' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    # Nor is the multiprocessing package loaded: every command runs in one
-    # process. No walk runs, so no class list is kept.
-    assert out.stdout == "0 False 0\n"
+    # Nor is the multiprocessing package loaded: every command runs in one process.
+    assert out.stdout == "0 False\n"
 
 
 def test_zero_points():
