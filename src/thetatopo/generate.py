@@ -6,12 +6,12 @@ by one backtracking generator over coherent rows (_walk), run in the calling
 process. labeled_rows keeps every leaf; homeo_classes runs the same walk as
 an orderly generation that keeps only the least labeling of each class.
 It skips every prefix that some relabeling of its decided points makes
-smaller, so it holds no set of classes seen. At each node and leaf only the
+smaller, so it holds no set of classes seen. At each node only the
 relabelings that can give the least possible first row, 2^s - 1 for s the
 least neighborhood size, are compared (_is_least); canonical_rows takes its
-minimum over the same first-row groups. The
-relabelings that tie at a kept leaf are its automorphisms, so each class
-comes with its orbit size n!/|Aut| (orbit-stabilizer) at no extra cost:
+minimum over the same first-row groups. The relabelings that tie at a kept
+leaf are its automorphisms, so each class comes with its orbit size n!/|Aut|
+(orbit-stabilizer) at no extra cost:
 count_spaces counts labeled spaces as the sum of the orbit sizes and never
 walks or builds them, and homeo_rows is the stream of representatives
 alone. The tests cross-check the labeled stream against an independent walk
@@ -205,15 +205,16 @@ def canonical_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
     n = len(rows)
     if n > HOMEO_CAP:
         raise CapExceeded(f"canonical form over {n}! relabelings; cap is {HOMEO_CAP} points")
-    if not n:
-        return rows
-    groups = _first_row_groups(n)[n - 1]
-    s = min(r.bit_count() for r in rows)
+    groups = _first_row_groups(n)[n - 1] if n else {}
+    s = min((r.bit_count() for r in rows), default=0)
     return min(
-        tuple([t[rows[k]] for k in inv])
-        for x0, r0 in enumerate(rows)
-        if r0.bit_count() == s
-        for t, inv in groups[x0, r0]
+        (
+            tuple([t[rows[k]] for k in inv])
+            for x0, r0 in enumerate(rows)
+            if r0.bit_count() == s
+            for t, inv in groups[x0, r0]
+        ),
+        default=rows,
     )
 
 
