@@ -38,8 +38,8 @@ fails the weak one, because x lies in N(x).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Mapping
 
@@ -251,27 +251,13 @@ class MapClass:
         return f"{self.tier} (not {TIER_LABELS[missed]}; witness A = {witness})"
 
 
-# Classifications keyed by (domain rows, ok_masks): the tier and every least
-# witness mask depend on nothing else, so one entry serves every map with
-# that key whatever its point names or codomain. The oldest entry goes
-# first once the table holds MEMO_CAP entries, which keeps memory flat; an
-# OrderedDict evicts in O(1), where a plain dict would scan past the holes
-# that earlier evictions left at its front.
-MEMO_CAP = 1024
-_memo: OrderedDict[tuple, tuple[str, tuple[tuple[str, int], ...]]] = OrderedDict()
-
-
 def classify_map(f: FinMap) -> MapClass:
     """Classify f from the greatest fixpoints of the three rungs (see the
-    module docstring), or by the memo entry of an earlier map with the same
-    key. Polynomial in the domain size; CLASSIFY_CAP bounds the domain."""
-    key = _memo_key(f)
-    found = _memo.get(key)
-    if found is None:
-        if len(_memo) >= MEMO_CAP:
-            _memo.popitem(last=False)
-        found = _memo[key] = _classify(f.domain, key[1])
-    return MapClass(found[0], found[1], f.domain.names)
+    module docstring), or by the cached classification of an earlier map
+    with the same domain rows and ok masks. Polynomial in the domain size;
+    CLASSIFY_CAP bounds the domain."""
+    tier, masks = _classify(f.domain.nbhd, _capped_ok_masks(f))
+    return MapClass(tier, masks, f.domain.names)
 
 
 def reaches(f: FinMap, tier: str) -> bool:
@@ -281,8 +267,9 @@ def reaches(f: FinMap, tier: str) -> bool:
     cl_A(N(u) & A), every non-empty theta-open subset of A contains x, and
     x is not in C(f|A). A weaker tier holds iff no restriction fails it,
     i.e. iff the greatest fixpoint of its rung's operator on the whole
-    domain is empty. The memo is neither read nor written."""
-    ok = _memo_key(f)[1]
+    domain is empty. The classification cache is neither read nor
+    written."""
+    ok = _capped_ok_masks(f)
     if tier == "none":
         return True
     bad = _bad_rows(f.domain, ok)
@@ -291,11 +278,11 @@ def reaches(f: FinMap, tier: str) -> bool:
     return not gfp(_pruners(f.domain, bad)[tier], f.domain.full_mask)
 
 
-def _memo_key(f: FinMap) -> tuple:
+def _capped_ok_masks(f: FinMap) -> tuple[int, ...]:
     n = len(f.domain)
     if n > CLASSIFY_CAP:
         raise CapExceeded(f"map classification capped at {CLASSIFY_CAP} points; domain has {n}")
-    return f.domain.nbhd, ok_masks(f)
+    return ok_masks(f)
 
 
 def _bad_rows(domain: FinSpace, ok: tuple[int, ...]) -> list[int]:
@@ -375,9 +362,12 @@ def _gray_rank(m: int) -> int:
     return r
 
 
-def _classify(domain: FinSpace, ok: tuple[int, ...]) -> tuple[str, tuple[tuple[str, int], ...]]:
-    """The tier and the (tier, least witness mask) pairs of any map out of
-    domain with these ok masks.
+@lru_cache(maxsize=1024)
+def _classify(nbhd: tuple[int, ...], ok: tuple[int, ...]) -> tuple[str, tuple[tuple[str, int], ...]]:
+    """The tier and the (tier, least witness mask) pairs of any map out of a
+    domain with these neighborhood rows and ok masks. Nothing else enters,
+    so the cache holds no point names, and one entry serves every map with
+    this key whatever its names or codomain.
 
     The pairs come in the order a walk over all subsets in the reflected
     Gray order would first meet a failing restriction of each tier, with
@@ -385,6 +375,7 @@ def _classify(domain: FinSpace, ok: tuple[int, ...]) -> tuple[str, tuple[tuple[s
     fn classify --json. Every failing set of a rung fails the rungs above,
     so each greatest fixpoint lies in the one above it, and a least
     witness that fails the next rung too is that rung's least witness."""
+    domain = FinSpace(tuple(map(str, range(len(nbhd)))), nbhd)
     bad = _bad_rows(domain, ok)
     jumps = 0  # the discontinuity points of f
     for x, row in enumerate(bad):

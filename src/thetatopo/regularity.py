@@ -26,9 +26,8 @@ points, and builds no map but the witness.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, NamedTuple
 
 from .bitset import bits, gfp, least_prefix
@@ -444,14 +443,6 @@ def is_nowhere_regular(space: FinSpace) -> bool:
 # Bounded witness search against scattered-but-not-weak maps.
 # ---------------------------------------------------------------------------
 
-# sw_witness_search's answers by (codomain shape, bound): None, or the
-# domain size, the domain's index in _sw_domains and the witness's position
-# tuple. The oldest entry goes first once the table holds SW_TABLE_CAP
-# entries, which keeps memory flat.
-SW_TABLE_CAP = 1024
-_sw_table: OrderedDict[tuple, tuple[int, int, tuple[int, ...]] | None] = OrderedDict()
-
-
 @cache
 def _sw_domains(n: int) -> tuple[FinSpace, ...]:
     """The canonical n-point domains, in homeomorphism-stream order; at most
@@ -489,8 +480,8 @@ def sw_witness_search(
       shape[p[x]]}, where shape[i] = {j : reps[j] in N(reps[i])}, and
       product order on position tuples is product order on images, since
       reps ascend. So the first witness's positions depend on X only
-      through (shape, bound), and _sw_table keeps them per pair; mapping
-      them back through reps gives this space's own witness.
+      through (shape, bound), and _sw_shape_search caches them per pair;
+      mapping them back through reps gives this space's own witness.
     - Bad-row keys. The tier reads only bad[x] = N(x) minus ok[x] (maps
       module), so of the maps with equal bad rows only the first in
       product order is decided.
@@ -517,13 +508,7 @@ def sw_witness_search(
     cod = space.nbhd
     reps = [x for x, row in enumerate(cod) if row not in cod[:x]]
     shape = tuple(sum(1 << j for j, r in enumerate(reps) if cod[x] >> r & 1) for x in reps)
-    key = (shape, max_domain_size)
-    if key in _sw_table:
-        hit = _sw_table[key]
-    else:
-        if len(_sw_table) >= SW_TABLE_CAP:
-            _sw_table.popitem(last=False)
-        hit = _sw_table[key] = _sw_shape_search(shape, max_domain_size)
+    hit = _sw_shape_search(shape, max_domain_size)
     if hit is None:
         return None
     n, k, pos = hit
@@ -531,6 +516,7 @@ def sw_witness_search(
     return z, FinMap(z, space, tuple(reps[p] for p in pos))
 
 
+@lru_cache(maxsize=1024)
 def _sw_shape_search(
     shape: tuple[int, ...], bound: int
 ) -> tuple[int, int, tuple[int, ...]] | None:

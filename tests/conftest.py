@@ -24,6 +24,16 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Each test starts with empty classification and sw-witness caches, so
+    no test reads an entry that an earlier one left."""
+    from thetatopo import maps, regularity
+
+    maps._classify.cache_clear()
+    regularity._sw_shape_search.cache_clear()
+
+
 @pytest.fixture
 def memo_oracles(monkeypatch):
     """The oracles module with its pure building blocks memoized for one

@@ -134,11 +134,12 @@ def test_classification_exhaustive_small():
     ]
     expected = [map_witness_oracle(f) for f in cases]
     assert [e["tier"] for e in expected] == [tier_oracle(f) for f in cases]
-    maps._memo.clear()
     assert [classify_map(f).to_obj() for f in cases] == expected
-    # Every key is now in the memo, so this pass only reads entries.
-    assert len(maps._memo) < maps.MEMO_CAP
+    # Every key is now cached, so this pass only reads entries.
+    info = maps._classify.cache_info()
+    assert info.currsize == info.misses < info.maxsize
     assert [classify_map(f).to_obj() for f in cases] == expected
+    assert maps._classify.cache_info().misses == info.misses
 
 
 def test_classification_exhaustive_wide_codomain():
@@ -157,12 +158,12 @@ def test_classification_random(f):
 
 
 def test_memo_entry_serves_each_domain_its_own_names():
-    maps._memo.clear()
     xy = build_space(["x", "y"], {"x": ["x"], "y": ["x", "y"]})
     g = build_map(xy, DISCRETE2, {"x": "0", "y": "1"})
     mf = classify_map(D_TO_DISCRETE)
     mg = classify_map(g)
-    assert len(maps._memo) == 1
+    info = maps._classify.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     rename = {"0": "x", "1": "y"}
     assert mg.witnesses == {
         t: tuple(rename[a] for a in w) for t, w in mf.witnesses.items()
@@ -176,7 +177,8 @@ def test_memo_entry_serves_each_domain_its_own_names():
 
 
 def test_memo_stays_within_cap():
-    maps._memo.clear()
+    info = maps._classify.cache_info
+    cap = info().maxsize
     first = None
     keys = set()
     for rows in labeled_rows(4):
@@ -187,12 +189,12 @@ def test_memo_stays_within_cap():
             mc = classify_map(f)
             if first is None:
                 first = (f, mc)
-            assert len(maps._memo) <= maps.MEMO_CAP
-    assert len(keys) > maps.MEMO_CAP
-    assert len(maps._memo) == maps.MEMO_CAP
+            assert info().currsize <= cap
+    assert len(keys) > cap
+    assert (info().misses, info().currsize) == (len(keys), cap)
     # The first key was evicted; it is classified afresh.
-    assert (first[0].domain.nbhd, ok_masks(first[0])) not in maps._memo
     assert classify_map(first[0]) == first[1]
+    assert info().misses == len(keys) + 1
 
 
 @given(maps_between(max_points=4))
@@ -242,7 +244,6 @@ def test_classifier_matches_sweep_oracle_small():
     # through its domain rows and ok_masks, so one map per key is checked.
     small = spaces_up_to(3)
     seen = set()
-    maps._memo.clear()
     for x in small:
         for y in small:
             for img in product(range(len(y)), repeat=len(x)):
@@ -256,7 +257,6 @@ def test_classifier_matches_sweep_oracle_small():
 
 def test_classifier_matches_sweep_oracle_random():
     rng = random.Random(16)
-    maps._memo.clear()
     for _ in range(300):
         x = _random_space(rng.randint(1, 10), rng)
         y = _random_space(rng.randint(1, 4), rng)
@@ -271,7 +271,7 @@ def test_classifier_matches_sweep_oracle_random():
         ),
     ]:
         x = FinSpace([str(i) for i in range(len(rows))], rows)
-        assert maps._classify(x, ok) == sweep_oracle(x, ok)
+        assert maps._classify(x.nbhd, ok) == sweep_oracle(x, ok)
 
 
 def _random_space(n, rng):
@@ -295,7 +295,6 @@ def test_classify_on_the_cap_is_fast():
     x = _random_space(CLASSIFY_CAP, rng)
     y = _random_space(4, rng)
     f = FinMap(x, y, tuple(rng.randrange(4) for _ in x.names))
-    maps._memo.clear()
     start = time.perf_counter()
     mc = classify_map(f)
     assert time.perf_counter() - start < 1.0
@@ -322,14 +321,13 @@ def test_classify_on_the_cap_is_fast():
 # ---------------------------------------------------------------------------
 
 def test_reaches_matches_oracle_small():
-    maps._memo.clear()
     for x in spaces_up_to(2):
         for y in spaces_up_to(2):
             for img in product(range(len(y)), repeat=len(x)):
                 f = FinMap(x, y, img)
                 for t in TIERS:
                     assert reaches(f, t) == reaches_oracle(f, t), (f, t)
-    assert not maps._memo
+    assert maps._classify.cache_info().currsize == 0
 
 
 def test_reaches_matches_classification_on_bijections():
@@ -340,9 +338,8 @@ def test_reaches_matches_classification_on_bijections():
         for y in spaces3
         for img in permutations(range(3))
     ]
-    maps._memo.clear()
     got = [[reaches(f, t) for t in TIERS] for f in cases]
-    assert not maps._memo
+    assert maps._classify.cache_info().currsize == 0
     assert got == [[classify_map(f).reaches(t) for t in TIERS] for f in cases]
 
 
@@ -353,7 +350,6 @@ def test_theta_tier_is_continuity(monkeypatch):
     def refuse(*args):
         raise AssertionError("swept restrictions for the theta tier")
 
-    maps._memo.clear()
     monkeypatch.setattr(maps, "gfp", refuse)
     theta = "theta_weakly_discontinuous"
     small = spaces_up_to(2)
@@ -377,14 +373,13 @@ def test_sweep_skips_the_walk_for_continuous_keys(monkeypatch):
             for img in product(range(len(y)), repeat=len(x)):
                 f = FinMap(x, y, img)
                 if reaches_oracle(f, "continuous"):
-                    assert maps._classify(x, ok_masks(f)) == ("continuous", ())
+                    assert maps._classify(x.nbhd, ok_masks(f)) == ("continuous", ())
 
 
 def test_identity_on_the_cap_is_continuous(monkeypatch):
     def refuse(*args):
         raise AssertionError("computed a fixpoint for a continuous map")
 
-    maps._memo.clear()
     monkeypatch.setattr(maps, "gfp", refuse)
     names = [str(i) for i in range(CLASSIFY_CAP)]
     chain = build_space(names, {a: names[: i + 1] for i, a in enumerate(names)})
@@ -394,30 +389,28 @@ def test_identity_on_the_cap_is_continuous(monkeypatch):
 
 
 def test_reaches_never_writes_the_memo(monkeypatch):
-    maps._memo.clear()
+    info = maps._classify.cache_info
     classify_map(identity_map(DISCRETE2))
-    before = list(maps._memo.items())
+    before = info()
     for t in TIERS:  # a miss: the key of D_TO_DISCRETE is not stored
         reaches(D_TO_DISCRETE, t)
-        assert list(maps._memo.items()) == before
-    classify_map(D_TO_DISCRETE)
-    before = list(maps._memo.items())
+        assert info() == before
+    want = [classify_map(D_TO_DISCRETE).reaches(t) for t in TIERS]
+    before = info()
 
     def refuse(*args):
-        raise AssertionError("classified a key that the memo holds")
+        raise AssertionError("classified a key that the cache holds")
 
     monkeypatch.setattr(maps, "_classify", refuse)
-    assert [reaches(D_TO_DISCRETE, t) for t in TIERS] == [
-        classify_map(D_TO_DISCRETE).reaches(t) for t in TIERS
-    ]
-    assert list(maps._memo.items()) == before
+    assert [reaches(D_TO_DISCRETE, t) for t in TIERS] == want
+    # Neither read nor written: the hit count is unchanged too.
+    assert info() == before
 
 
 def test_reaches_skips_the_theta_walk_below_theta(monkeypatch):
     def refuse(*args):
         raise AssertionError("walked theta components for a lower tier")
 
-    maps._memo.clear()
     monkeypatch.setattr(maps, "theta_components", refuse)
     assert reaches(D_TO_DISCRETE, "weakly_discontinuous")
     assert reaches(D_TO_DISCRETE, "scatteredly_continuous")

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from collections import OrderedDict
 from itertools import product
 
 import pytest
@@ -422,14 +421,14 @@ def test_sw_search_matches_labeled_reference():
                 assert sw_witness_search(x, 4) == labeled_sw_witness_search(x, 4), rows
 
 
-def test_sw_search_matches_scan(monkeypatch):
+def test_sw_search_matches_scan():
     # The depth-first walk over bad rows returns the scan's witness on every
     # class with n <= 5 at bound 3, each searched afresh, and on seeded
     # random spaces of 6-9 points, regular block spaces among them.
     for n in range(1, 6):
         for rows in homeo_rows(n):
             x = space_from_rows(rows)
-            monkeypatch.setattr(regularity, "_sw_table", OrderedDict())
+            regularity._sw_shape_search.cache_clear()
             assert sw_witness_search(x, 3) == sw_witness_search_scan(x, 3), rows
     rng = random.Random(2201)
     spaces = [block_space(sizes) for sizes in ((1, 2, 3), (2, 2, 2, 2), (1,) * 9)]
@@ -463,7 +462,7 @@ def test_sw_walk_matches_scan_per_domain():
                     assert regularity._sw_walk(z, shape) == want, (rows, z.nbhd)
 
 
-def test_sw_search_maps_each_space_into_its_own_reps(monkeypatch):
+def test_sw_search_maps_each_space_into_its_own_reps():
     # The Sierpinski space and the two 3-point spaces that double its open
     # or its closed point share one shape. One walk answers all three, and
     # each gets the witness into its own reps: the second maps to point 2.
@@ -472,17 +471,12 @@ def test_sw_search_maps_each_space_into_its_own_reps(monkeypatch):
         space_from_rows((0b011, 0b011, 0b111)),
         space_from_rows((0b001, 0b111, 0b111)),
     ]
-    walks = []
-    real = regularity._sw_shape_search
-
-    def counted(shape, bound):
-        walks.append(shape)
-        return real(shape, bound)
-
-    monkeypatch.setattr(regularity, "_sw_table", OrderedDict())
-    monkeypatch.setattr(regularity, "_sw_shape_search", counted)
+    search = regularity._sw_shape_search
     hits = [sw_witness_search(x, 3) for x in spaces]
-    assert walks == [(0b01, 0b11)]
+    info = search.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+    search((0b01, 0b11), 3)  # the one shape walked, so a hit
+    assert search.cache_info().misses == 1
     assert [f.img for _, f in hits] == [(0, 1), (0, 2), (0, 1)]
     for x, (z, f) in zip(spaces, hits):
         assert z.nbhd == (0b11, 0b11) and f.codomain == x
@@ -501,7 +495,6 @@ def test_sw_search_builds_one_map_per_hit(monkeypatch):
     def refuse(*args):
         raise AssertionError("the search classified a map")
 
-    monkeypatch.setattr(regularity, "_sw_table", OrderedDict())
     monkeypatch.setattr(regularity, "FinMap", counted)
     monkeypatch.setattr(maps, "classify_map", refuse)
     monkeypatch.setattr(maps, "_classify", refuse)
@@ -512,25 +505,21 @@ def test_sw_search_builds_one_map_per_hit(monkeypatch):
             assert len(built) == (hit is not None), rows
 
 
-def test_sw_table_stays_within_its_cap(monkeypatch):
-    # The table keeps the newest shapes; an evicted one is walked again.
-    table = OrderedDict()
-    walked = []
-    real = regularity._sw_shape_search
-
-    def counted(shape, bound):
-        walked.append((shape, bound))
-        return real(shape, bound)
-
-    monkeypatch.setattr(regularity, "_sw_table", table)
-    monkeypatch.setattr(regularity, "_sw_shape_search", counted)
-    monkeypatch.setattr(regularity, "SW_TABLE_CAP", 5)
-    xs = [space_from_rows(rows) for rows in homeo_rows(4)]
-    for x in xs + xs[:1]:
-        assert sw_witness_search(x, 2) == sw_witness_search_scan(x, 2), x.nbhd
-        assert len(table) <= 5
-    assert list(table) == walked[-5:]
-    assert walked.count(walked[0]) == 2
+def test_sw_table_stays_within_its_cap():
+    # The cache keeps the most recently used shapes; an evicted one is
+    # walked again. A T0 space is its own shape, so each is a new key.
+    info = regularity._sw_shape_search.cache_info
+    cap = info().maxsize
+    t0 = (rows for rows in labeled_rows(5) if len(set(rows)) == 5)
+    xs = [space_from_rows(next(t0)) for _ in range(cap + 1)]
+    first = sw_witness_search(xs[0], 2)
+    assert first == sw_witness_search_scan(xs[0], 2)
+    for x in xs[1:]:
+        sw_witness_search(x, 2)
+        assert info().currsize <= cap
+    assert (info().misses, info().currsize) == (cap + 1, cap)
+    assert sw_witness_search(xs[0], 2) == first
+    assert info().misses == cap + 2
 
 
 def test_sw_witness_is_genuine():

@@ -1,5 +1,4 @@
 import json
-from collections import OrderedDict
 from itertools import permutations, product
 
 import pytest
@@ -296,10 +295,16 @@ def test_diagram_counts_rederived():
 
 
 def test_classification_memo_is_invisible_in_diagram():
-    maps._memo.clear()
+    # Cold and warm caches give the same bytes. The composition laws read
+    # most classifications from the cache: the traffic that keeps it.
+    info = maps._classify.cache_info
     cold = json.dumps(verify_diagram(4).to_obj())
-    assert maps._memo
+    assert info().currsize
     assert json.dumps(verify_diagram(4).to_obj()) == cold
+    maps._classify.cache_clear()
+    cold = check_composition_laws((3, 3, 3), samples=2000, seed=0).to_text()
+    assert info().hits > 0
+    assert check_composition_laws((3, 3, 3), samples=2000, seed=0).to_text() == cold
 
 
 def test_diagram_decides_each_class_once(monkeypatch):
@@ -371,16 +376,15 @@ def test_diagram_sw_transfer_violations_match_labeled_reference(monkeypatch):
     # composites h o f of 3-point witnesses f stop being sw-witnesses.
     classify = maps._classify
 
-    def fake_classify(domain, ok):
-        tier, masks = classify(domain, ok)
-        if len(domain) == 3 and sum(bin(m).count("1") for m in ok) == 4:
+    def fake_classify(nbhd, ok):
+        tier, masks = classify(nbhd, ok)
+        if len(nbhd) == 3 and sum(bin(m).count("1") for m in ok) == 4:
             if tier == "scatteredly_continuous":
                 tier = "weakly_discontinuous"
                 masks = tuple((t, m) for t, m in masks if t != "weakly_discontinuous")
         return tier, masks
 
-    # A fresh memo, so faked tiers never reach later tests.
-    monkeypatch.setattr(maps, "_memo", OrderedDict())
+    # The fake wraps the cached classifier, so the cache holds true tiers.
     monkeypatch.setattr(maps, "_classify", fake_classify)
     # The transfer scan's single-tier decisions read the same fake.
     monkeypatch.setattr(survey, "reaches", lambda f, tier: maps.classify_map(f).reaches(tier))
