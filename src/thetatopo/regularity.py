@@ -577,7 +577,11 @@ def _sw_walk(z: FinSpace, shape: tuple[int, ...]) -> tuple[int, ...] | None:
                 return tuple(pos)
         return None
 
-    return walk(0)
+    hit = walk(0)
+    # walk refers to itself; dropping the name frees seen and the bad rows
+    # now, not at some later run of the cyclic collector.
+    del walk
+    return hit
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -481,6 +482,19 @@ def test_sw_search_maps_each_space_into_its_own_reps():
     for x, (z, f) in zip(spaces, hits):
         assert z.nbhd == (0b11, 0b11) and f.codomain == x
         assert (z, f) == sw_witness_search_scan(x, 3)
+
+
+def test_sw_walk_leaves_no_cyclic_garbage():
+    # Each walk's state goes when it returns, not at a later collection.
+    x = space_from_rows((0b001, 0b111, 0b111))
+    domains = [z for n in range(1, 4) for z in regularity._sw_domains(n)]
+    gc.collect()
+    gc.disable()
+    try:
+        assert [regularity._sw_walk(z, x.nbhd) is not None for z in domains].count(True) == 5
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_sw_search_builds_one_map_per_hit(monkeypatch):
