@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 import thetatopo
+from thetatopo import maps, regularity
 from thetatopo.space import FinSpace
 
 # Child interpreters started by the tests import the package this run imports.
@@ -28,8 +29,6 @@ settings.load_profile("suite")
 def cold_caches():
     """Each test starts with empty classification and sw-witness caches, so
     no test reads an entry that an earlier one left."""
-    from thetatopo import maps, regularity
-
     maps._classify.cache_clear()
     regularity._sw_shape_search.cache_clear()
 
