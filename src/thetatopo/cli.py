@@ -131,7 +131,7 @@ def _oracle_from_spec(spec: str) -> OracleSpace:
 
 def cmd_classify(args) -> int:
     space = space_from_obj(read_json(args.space), args.max_points)
-    report = classify_report(space, sw_bound=args.sw_bound, max_points=args.max_points)
+    report = classify_report(space, sw_bound=args.sw_bound)
     if args.json:
         _print_json(report.to_obj())
     else:
@@ -172,16 +172,14 @@ def cmd_fn_compositions(args) -> int:
 def cmd_decompose(args) -> int:
     space = space_from_obj(read_json(args.space), args.max_points)
     if args.mode == "theta":
-        dec = theta_decomposition(space, max_points=args.max_points)
+        dec = theta_decomposition(space)
     else:
-        dec = open_decomposition(space, max_points=args.max_points)
+        dec = open_decomposition(space)
     witness_obj = None
     lines = [dec.to_text()]
     if args.witness:
         # Raises ResidueNonEmpty (exit 1) when the space does not decompose.
-        _, back = weak_homeo_witness(
-            space, theta=args.mode == "theta", max_points=args.max_points
-        )
+        _, back = weak_homeo_witness(space, theta=args.mode == "theta")
         witness_obj = map_to_obj(back)
         assignment = ",".join(
             f"{a}->{back(a)}" for a in space.names

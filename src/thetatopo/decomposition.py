@@ -61,9 +61,9 @@ class Decomposition:
         return "\n".join(lines)
 
 
-def _decompose(space: FinSpace, mode: str, max_points: int) -> Decomposition:
-    if len(space) > max_points:
-        raise CapExceeded(f"decomposition capped at {max_points} points")
+def _decompose(space: FinSpace, mode: str) -> Decomposition:
+    if len(space) > POINT_CAP:
+        raise CapExceeded(f"decomposition capped at {POINT_CAP} points")
     kernel = theta_kernel_mask if mode == "theta" else open_kernel_mask
     layers: list[int] = []
     cur = space.full_mask
@@ -76,24 +76,22 @@ def _decompose(space: FinSpace, mode: str, max_points: int) -> Decomposition:
     return Decomposition(space, mode, tuple(layers), cur)
 
 
-def theta_decomposition(space: FinSpace, max_points: int = POINT_CAP) -> Decomposition:
+def theta_decomposition(space: FinSpace) -> Decomposition:
     """Iterate residue -> residue minus its theta-open regular kernel.
 
     The residue is empty iff the space is theta-weakly regular; each stage's
     residue is closed in the previous one, so at most n steps happen.
     """
-    return _decompose(space, "theta", max_points)
+    return _decompose(space, "theta")
 
 
-def open_decomposition(space: FinSpace, max_points: int = POINT_CAP) -> Decomposition:
+def open_decomposition(space: FinSpace) -> Decomposition:
     """Same iteration with open regular kernels; exhaustion is equivalent to
     weak regularity."""
-    return _decompose(space, "open", max_points)
+    return _decompose(space, "open")
 
 
-def weak_homeo_witness(
-    space: FinSpace, theta: bool = False, max_points: int = POINT_CAP
-) -> tuple[FinSpace, FinMap]:
+def weak_homeo_witness(space: FinSpace, theta: bool = False) -> tuple[FinSpace, FinMap]:
     """Build the regular sum of the decomposition layers and the identity-on-
     points map onto it.
 
@@ -104,7 +102,7 @@ def weak_homeo_witness(
     continuity (maps.reaches), so with theta the check asks that back be a
     homeomorphism onto Y.
     """
-    dec = _decompose(space, "theta" if theta else "open", max_points)
+    dec = _decompose(space, "theta" if theta else "open")
     if not dec.exhausted:
         raise ResidueNonEmpty(
             f"{dec.property_name} fails: kernel iteration stalled on "

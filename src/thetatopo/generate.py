@@ -105,7 +105,12 @@ def _walk(n: int, orderly: bool) -> Iterator[tuple]:
                 return
             t = ((t | ~free) + 1) & free
 
-    yield from place(0, [0], 0)
+    try:
+        yield from place(0, [0], 0)
+    finally:
+        # place refers to itself; dropping the name frees the walk's state
+        # when it ends, also when the consumer stops early.
+        del place
 
 
 def _is_least(rows: list[int], groups: dict[tuple[int, int], list]) -> int:

@@ -87,13 +87,12 @@ TIER_LABELS = {
 }
 
 
+@dataclass(frozen=True, slots=True, repr=False, init=False)
 class FinMap:
     """A total point function between two finite spaces.
 
     img[i] is the codomain index of the image of domain point i.
     """
-
-    __slots__ = ("domain", "codomain", "img")
 
     domain: FinSpace
     codomain: FinSpace
@@ -109,23 +108,6 @@ class FinMap:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "img", img)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FinMap is immutable")
-
-    def __reduce__(self):
-        return (FinMap, (self.domain, self.codomain, self.img))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FinMap)
-            and self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.img == other.img
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.domain, self.codomain, self.img))
 
     def __call__(self, name: str) -> str:
         return self.codomain.names[self.img[self.domain.index(name)]]
@@ -441,7 +423,7 @@ def map_to_obj(f: FinMap) -> dict:
     }
 
 
-def map_from_obj(obj, base_dir: Path | None = None, max_points: int = POINT_CAP) -> FinMap:
+def map_from_obj(obj, base_dir: Path | None = None) -> FinMap:
     """Parse {"domain": <space or path>, "codomain": <space or path>,
     "map": {point: point}}. Relative paths resolve against base_dir."""
     if not isinstance(obj, dict):
@@ -450,10 +432,7 @@ def map_from_obj(obj, base_dir: Path | None = None, max_points: int = POINT_CAP)
         if key not in obj:
             raise SpaceFormatError(f'map description is missing "{key}"')
     dom, cod = (
-        space_from_obj(
-            read_json(Path(base_dir or "", v)) if isinstance(v, str) else v,
-            max_points=max_points,
-        )
+        space_from_obj(read_json(Path(base_dir or "", v)) if isinstance(v, str) else v)
         for v in (obj["domain"], obj["codomain"])
     )
     if not isinstance(obj["map"], dict):

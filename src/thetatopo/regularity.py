@@ -45,21 +45,6 @@ from .space import (
     theta_components,
 )
 
-# Properties a finite space either has or lacks, in report order. The search
-# grammar exposes exactly these names.
-DECIDABLE_PROPERTIES = (
-    "regular",
-    "locally_regular",
-    "quasi_regular",
-    "hereditarily_quasi_regular",
-    "weakly_regular",
-    "theta_weakly_regular",
-    "w_theta_regular",
-    "scattered",
-    "t1",
-)
-REPORT_PROPERTIES = DECIDABLE_PROPERTIES + ("nowhere_regular",)
-
 # Provable implications between decidable properties: if every premise holds,
 # the conclusion must. Checked on every report and exhaustively by the
 # diagram verifier.
@@ -379,7 +364,7 @@ class Decider(NamedTuple):
     fields: tuple[str, ...]
 
 
-# In REPORT_PROPERTIES order, which is the report order.
+# In report order.
 DECIDERS: dict[str, Decider] = {
     "regular": Decider(regular_witness, ("point",)),
     "locally_regular": Decider(locally_regular_witness, ("point",)),
@@ -392,6 +377,10 @@ DECIDERS: dict[str, Decider] = {
     "t1": Decider(t1_witness, ("point",)),
     "nowhere_regular": Decider(nowhere_regular_witness, ("point",)),
 }
+# The property names in report order; the search grammar exposes exactly
+# these. The diagram's matrix takes every name but nowhere_regular.
+REPORT_PROPERTIES = tuple(DECIDERS)
+DECIDABLE_PROPERTIES = REPORT_PROPERTIES[:-1]
 
 
 def has_property(space: FinSpace, prop: str) -> bool:
@@ -643,13 +632,11 @@ def _sw_text(sw: dict) -> str:
     )
 
 
-def property_verdicts(
-    space: FinSpace, max_points: int = POINT_CAP
-) -> tuple[dict[str, bool], dict[str, dict]]:
+def property_verdicts(space: FinSpace) -> tuple[dict[str, bool], dict[str, dict]]:
     """All decidable verdicts plus witnesses for the false ones."""
-    if len(space) > max_points:
+    if len(space) > POINT_CAP:
         raise CapExceeded(
-            f"property verdicts capped at {max_points} points; space has {len(space)}"
+            f"property verdicts capped at {POINT_CAP} points; space has {len(space)}"
         )
     verdicts: dict[str, bool] = {}
     witnesses: dict[str, dict] = {}
@@ -674,13 +661,11 @@ def check_arrows(verdicts: dict[str, bool]) -> list[str]:
     return out
 
 
-def classify_report(
-    space: FinSpace, sw_bound: int = 3, max_points: int = POINT_CAP
-) -> PropertyReport:
+def classify_report(space: FinSpace, sw_bound: int = 3) -> PropertyReport:
     # Checked up front: the report of a regular space never runs the search.
     if sw_bound > SW_BOUND_CAP:
         raise CapExceeded(f"witness search capped at domain size {SW_BOUND_CAP}")
-    verdicts, witnesses = property_verdicts(space, max_points)
+    verdicts, witnesses = property_verdicts(space)
     if verdicts["regular"]:
         sw = {"verdict": "implied_true", "bound": sw_bound, "witness": None}
     else:

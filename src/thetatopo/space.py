@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -67,6 +68,7 @@ class SpaceFormatError(TopologyError):
     """A malformed space or map description."""
 
 
+@dataclass(frozen=True, slots=True, repr=False, init=False)
 class FinSpace:
     """An immutable finite topological space.
 
@@ -75,13 +77,12 @@ class FinSpace:
     neighborhood of point i.
     """
 
-    __slots__ = ("names", "nbhd", "_pos", "up")
-
     names: tuple[str, ...]
     nbhd: tuple[int, ...]
+    _pos: dict[str, int] = field(compare=False)
     # up[y] = {x : y in N(x)}, built by __getattr__ on first read; not part
     # of ==, hash or pickling, which see names and nbhd only.
-    up: tuple[int, ...]
+    up: tuple[int, ...] = field(compare=False)
 
     def __init__(self, names: Sequence[str], nbhd: Sequence[int]):
         names = tuple(names)
@@ -111,9 +112,6 @@ class FinSpace:
         if len(self._pos) != len(names):
             raise DuplicatePoint("point identifiers must be unique")
 
-    def __setattr__(self, *_):
-        raise AttributeError("FinSpace is immutable")
-
     def __getattr__(self, name: str):
         # Called only while a slot is unset, so every later read of `up` is
         # a plain slot read.
@@ -130,20 +128,12 @@ class FinSpace:
         return up
 
     def __reduce__(self):
+        # Rebuild from names and nbhd: the generated slot state would pickle
+        # _pos and build up.
         return (FinSpace, (self.names, self.nbhd))
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FinSpace)
-            and self.names == other.names
-            and self.nbhd == other.nbhd
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.names, self.nbhd))
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -188,23 +178,12 @@ class FinSpace:
         return PointSet(self, self.full_mask)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class PointSet:
     """An immutable subset of one space's points, with exact set algebra."""
 
-    __slots__ = ("space", "mask")
-
     space: FinSpace
     mask: int
-
-    def __init__(self, space: FinSpace, mask: int):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, *_):
-        raise AttributeError("PointSet is immutable")
-
-    def __reduce__(self):
-        return (PointSet, (self.space, self.mask))
 
     def _peer(self, other: "PointSet") -> int:
         if not isinstance(other, PointSet):
@@ -227,16 +206,6 @@ class PointSet:
 
     def __ge__(self, other: "PointSet") -> bool:
         return self._peer(other) & ~self.mask == 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PointSet)
-            and self.space == other.space
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.mask))
 
     def __contains__(self, name: str) -> bool:
         return (self.mask >> self.space.index(name)) & 1 == 1
@@ -576,12 +545,12 @@ def space_to_json(space: FinSpace) -> str:
     return json.dumps(space_to_obj(space), ensure_ascii=False)
 
 
-def space_from_json(text: str, max_points: int = POINT_CAP) -> FinSpace:
+def space_from_json(text: str) -> FinSpace:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise SpaceFormatError(f"not valid JSON: {e}") from None
-    return space_from_obj(obj, max_points=max_points)
+    return space_from_obj(obj)
 
 
 def read_json(source: str | Path):

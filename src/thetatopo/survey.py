@@ -17,7 +17,7 @@ reference. Every sweep runs in the calling process.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import permutations, product
 from typing import Iterator
 
@@ -527,13 +527,7 @@ class LawResult:
     counterexample: dict | None = None
 
     def to_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "asserted": self.asserted,
-            "checked": self.checked,
-            "violations": self.violations,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import subprocess
@@ -153,6 +154,22 @@ def test_homeo_walk_holds_no_orbit_set():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20, peak
+
+
+def test_walk_leaves_no_cyclic_garbage():
+    # Each walk's state goes when the walk ends, also when its consumer
+    # stops early, not at a later collection.
+    gc.collect()
+    gc.disable()
+    try:
+        assert sum(1 for _ in homeo_classes(5)) == HOMEO_COUNTS[5]
+        assert sum(1 for _ in labeled_rows(4)) == LABELED_COUNTS[4]
+        walk = homeo_rows(6)
+        assert next(walk) == (1, 2, 4, 8, 16, 32)
+        del walk
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_orbit_tables_match_permute_rows():

@@ -1,5 +1,6 @@
 import json
 import pickle
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -20,6 +21,7 @@ from oracles import (
 )
 from thetatopo.bitset import bits
 from thetatopo.generate import labeled_rows, space_from_rows
+from thetatopo.maps import FinMap
 from thetatopo.regularity import is_t1
 from thetatopo.space import (
     CapExceeded,
@@ -29,6 +31,7 @@ from thetatopo.space import (
     ForeignSet,
     InvalidOpenFamily,
     MissingSelf,
+    PointSet,
     SpaceFormatError,
     UnknownPoint,
     build_space,
@@ -112,6 +115,52 @@ def test_immutability_equality_pickle():
     assert sp == build_space(["a", "b"], {"a": ["a"], "b": ["a", "b"]})
     assert sp != build_space(["a", "b"], {"a": ["a", "b"], "b": ["a", "b"]})
     assert pickle.loads(pickle.dumps(sp)) == sp
+
+
+def _sierpinski():
+    return FinSpace(("a", "b"), (0b01, 0b11))
+
+
+def _indiscrete():
+    return FinSpace(("a", "b"), (0b11, 0b11))
+
+
+# (type, fresh fields in declaration order, another value for each field).
+VALUE_TYPES = [
+    (
+        FinSpace,
+        lambda: {"names": ("a", "b"), "nbhd": (0b01, 0b11)},
+        {"names": ("b", "a"), "nbhd": (0b11, 0b11)},
+    ),
+    (
+        FinMap,
+        lambda: {"domain": _sierpinski(), "codomain": _indiscrete(), "img": (0, 1)},
+        {"domain": _indiscrete(), "codomain": _sierpinski(), "img": (1, 0)},
+    ),
+    (
+        PointSet,
+        lambda: {"space": _sierpinski(), "mask": 0b01},
+        {"space": _indiscrete(), "mask": 0b10},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, build, other", VALUE_TYPES, ids=[cls.__name__ for cls, _, _ in VALUE_TYPES]
+)
+def test_value_semantics(cls, build, other):
+    value = cls(**build())
+    key = tuple(build().values())
+    # The hash is that of the field tuple, which fixes set and dict order.
+    assert value == cls(**build()) and hash(value) == hash(cls(**build())) == hash(key)
+    assert value != key
+    for name, alt in other.items():
+        assert value != cls(**{**build(), name: alt})
+    for f in fields(value):
+        with pytest.raises(AttributeError):
+            setattr(value, f.name, None)
+    back = pickle.loads(pickle.dumps(value))
+    assert back == value and hash(back) == hash(value)
 
 
 def test_up_rows_built_on_first_read_only():
