@@ -56,7 +56,7 @@ from .space import (
     space_from_obj,
     space_to_obj,
 )
-from .survey import SAMPLES_CAP, check_composition_laws, find_space, verify_diagram
+from .survey import DIAGRAM_CAP, SAMPLES_CAP, check_composition_laws, find_space, verify_diagram
 
 
 def _print_json(obj) -> None:
@@ -338,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_search)
 
     v = sub.add_parser("verify-diagram", help="check all implications on small spaces")
-    v.add_argument("--max-n", type=_int_at_least(1), default=4)
+    v.add_argument(
+        "--max-n", type=_int_at_least(1), default=4, help=f"at most {DIAGRAM_CAP} points"
+    )
     v.add_argument("--sw-bound", type=_int_at_least(1), default=3, help=SW_BOUND_HELP)
     v.add_argument("--transfer-max", type=_int_at_least(1), default=3)
     v.add_argument("--workers", type=_int_at_least(1), default=1, help="accepted, no effect")

@@ -9,7 +9,9 @@ each returns the least witness in sorted-index-tuple order:
   - the closed sets that fail weak regularity, and those that fail
     theta-weak regularity, are closed under union, so the largest is the
     greatest fixpoint of a monotone pruning operator (Tarski, Pacific J.
-    Math. 1955), and the least is a prefix of it;
+    Math. 1955): the property holds iff that fixpoint is empty, and its
+    least witness is the least prefix of the fixpoint that the same
+    operator fixes;
   - the subspaces that fail the w_theta_regular and the quasi-regular
     condition are closed upward, so the least is an initial segment.
 No decider special-cases regular spaces, so the implications out of
@@ -241,23 +243,33 @@ def _closed_part(space: FinSpace, s: int) -> int:
     return out
 
 
+def _closed_failure_pruner(
+    space: FinSpace, kernel: Callable[[FinSpace, int], int]
+) -> Callable[[int], int]:
+    """P(s) = _closed_part(s minus kernel(s)), given that kernel(s) lies in
+    s and that a point of s outside kernel(s) stays outside kernel(t) for
+    every t containing s.
+
+    Then P lies in s and is monotone. Its fixpoints are the closed sets
+    with an empty kernel (and the empty set), so they are closed under
+    union: P(s | t) contains P(s) | P(t). The largest is the greatest
+    fixpoint below the whole space (Tarski), reached in at most n rounds."""
+    return lambda s: _closed_part(space, s & ~kernel(space, s))
+
+
 def _least_closed_failure(space: FinSpace, kernel: Callable[[FinSpace, int], int]) -> int | None:
-    """The least non-empty closed set a with kernel(space, a) empty, or None,
-    given that kernel(s) lies in s and that a point of s outside kernel(s)
-    stays outside kernel(t) for every t containing s.
-
-    Then P(s) = _closed_part(s minus kernel(s)) lies in s and is monotone.
-    Its fixpoints are the closed sets with an empty kernel (and the empty
-    set), so they are closed under union: P(s | t) contains P(s) | P(t).
-    The largest is the greatest fixpoint below the whole space (Tarski),
-    reached in at most n rounds, and the least non-empty one is a prefix
-    of it (bitset.least_prefix)."""
-
-    def prune(s: int) -> int:
-        return _closed_part(space, s & ~kernel(space, s))
-
+    """The least non-empty closed set a with kernel(space, a) empty, or None:
+    a prefix of the greatest fixpoint of _closed_failure_pruner
+    (bitset.least_prefix)."""
+    prune = _closed_failure_pruner(space, kernel)
     top = gfp(prune, space.full_mask)
     return least_prefix(prune, top) if top else None
+
+
+def _no_closed_failure(space: FinSpace, kernel: Callable[[FinSpace, int], int]) -> bool:
+    """Whether _least_closed_failure(space, kernel) is None, without finding
+    the witness: iff the greatest fixpoint of the same operator is empty."""
+    return gfp(_closed_failure_pruner(space, kernel), space.full_mask) == 0
 
 
 def weakly_regular_witness(space: FinSpace) -> int | None:
@@ -283,6 +295,14 @@ def theta_weakly_regular_witness(space: FinSpace) -> int | None:
     since regularity is hereditary. So x stays outside the theta kernel of
     t: see _least_closed_failure."""
     return _least_closed_failure(space, theta_kernel_mask)
+
+
+def is_weakly_regular(space: FinSpace) -> bool:
+    return _no_closed_failure(space, open_kernel_mask)
+
+
+def is_theta_weakly_regular(space: FinSpace) -> bool:
+    return _no_closed_failure(space, theta_kernel_mask)
 
 
 def w_theta_regular_witness(space: FinSpace) -> tuple[int, int] | None:
@@ -358,10 +378,12 @@ def hereditarily_quasi_regular_witness(space: FinSpace) -> int | None:
 class Decider(NamedTuple):
     """find returns the least witness or None; fields name the report keys
     of the witness parts in order. A "point" part is a point index, any
-    other part a mask reported as its point list."""
+    other part a mask reported as its point list. holds, where given,
+    decides whether find returns None without finding the witness."""
 
     find: Callable[[FinSpace], object]
     fields: tuple[str, ...]
+    holds: Callable[[FinSpace], bool] | None = None
 
 
 # In report order.
@@ -370,8 +392,10 @@ DECIDERS: dict[str, Decider] = {
     "locally_regular": Decider(locally_regular_witness, ("point",)),
     "quasi_regular": Decider(quasi_regular_witness, ("open",)),
     "hereditarily_quasi_regular": Decider(hereditarily_quasi_regular_witness, ("subspace",)),
-    "weakly_regular": Decider(weakly_regular_witness, ("closed_subspace",)),
-    "theta_weakly_regular": Decider(theta_weakly_regular_witness, ("closed_subspace",)),
+    "weakly_regular": Decider(weakly_regular_witness, ("closed_subspace",), is_weakly_regular),
+    "theta_weakly_regular": Decider(
+        theta_weakly_regular_witness, ("closed_subspace",), is_theta_weakly_regular
+    ),
     "w_theta_regular": Decider(w_theta_regular_witness, ("subspace", "open")),
     "scattered": Decider(scattered_witness, ("subspace",)),
     "t1": Decider(t1_witness, ("point",)),
@@ -384,8 +408,10 @@ DECIDABLE_PROPERTIES = REPORT_PROPERTIES[:-1]
 
 
 def has_property(space: FinSpace, prop: str) -> bool:
-    """Whether the space has prop, one of REPORT_PROPERTIES."""
-    return DECIDERS[prop].find(space) is None
+    """Whether the space has prop, one of REPORT_PROPERTIES: from the
+    decider's holds where it has one, so that no witness is found."""
+    find, _, holds = DECIDERS[prop]
+    return find(space) is None if holds is None else holds(space)
 
 
 def is_regular(space: FinSpace) -> bool:
@@ -402,14 +428,6 @@ def is_quasi_regular(space: FinSpace) -> bool:
 
 def is_hereditarily_quasi_regular(space: FinSpace) -> bool:
     return has_property(space, "hereditarily_quasi_regular")
-
-
-def is_weakly_regular(space: FinSpace) -> bool:
-    return has_property(space, "weakly_regular")
-
-
-def is_theta_weakly_regular(space: FinSpace) -> bool:
-    return has_property(space, "theta_weakly_regular")
 
 
 def is_w_theta_regular(space: FinSpace) -> bool:
@@ -633,14 +651,16 @@ def _sw_text(sw: dict) -> str:
 
 
 def property_verdicts(space: FinSpace) -> tuple[dict[str, bool], dict[str, dict]]:
-    """All decidable verdicts plus witnesses for the false ones."""
+    """All decidable verdicts plus witnesses for the false ones, each
+    verdict read off its decider's find; the only place witnesses are
+    formatted."""
     if len(space) > POINT_CAP:
         raise CapExceeded(
             f"property verdicts capped at {POINT_CAP} points; space has {len(space)}"
         )
     verdicts: dict[str, bool] = {}
     witnesses: dict[str, dict] = {}
-    for prop, (find, fields) in DECIDERS.items():
+    for prop, (find, fields, _) in DECIDERS.items():
         w = find(space)
         verdicts[prop] = w is None
         if w is not None:

@@ -23,7 +23,6 @@ from typing import Iterator
 
 from .generate import (
     HOMEO_CAP,
-    LABELED_CAP,
     _orbit,
     homeo_classes,
     homeo_rows,
@@ -40,11 +39,15 @@ from .regularity import (
     check_arrows,
     has_property,
     is_sw_witness,
-    property_verdicts,
     sw_witness_search,
 )
 from .space import CapExceeded, FinSpace, TopologyError, space_to_obj
 
+# Largest --max-n of verify-diagram. The check walks homeomorphism
+# classes, not labeled spaces, so it reaches one point past the labeled
+# enumeration's cap: --max-n 7 takes 1.4-2.0 s, process start included
+# (2-vCPU machine, Python 3.11).
+DIAGRAM_CAP = 7
 # Largest effective --transfer-max: the identity-pair scan is quadratic in
 # the labeled spaces (126,025 pairs at 4 points, 48M at 5).
 TRANSFER_CAP = 4
@@ -151,7 +154,12 @@ def parse_predicate(text: str) -> tuple:
             f"unknown property {t!r}; choose from " + ", ".join(REPORT_PROPERTIES)
         )
 
-    node, _ = parse_or(0)
+    try:
+        node, _ = parse_or(0)
+    finally:
+        # The three parsers refer to each other; dropping the names frees
+        # them when the parse ends, also when it raises.
+        del parse_or, parse_and, parse_unary
     if pos != len(toks):
         raise ParseError(f"trailing input at token {toks[pos]!r}")
     return node
@@ -312,9 +320,11 @@ def verify_diagram(
     - Every verdict is a homeomorphism invariant, so each class is decided
       once, on its canonical representative, and weighted by its orbit
       size n!/|Aut| from the orderly walk; counts and sw_spaces_checked are
-      sums of orbit sizes. A class's labeled members are built only where
-      they are listed: for a flagged class and for n up to the transfer
-      bound.
+      sums of orbit sizes. A class decides only the verdicts the report
+      reads, those of DECIDABLE_PROPERTIES, through has_property, so no
+      property witness is built or formatted. A class's labeled members
+      are built only where they are listed: for a flagged class and for n
+      up to the transfer bound.
     - The labeled stream ascends and each class's least labeling is its
       representative, so the first class in homeo order with p and not q
       gives the matrix's least counterexample for p => q.
@@ -336,8 +346,8 @@ def verify_diagram(
     The effective transfer bound min(n_max, transfer_max) is capped at
     TRANSFER_CAP; it, n_max and sw_bound are checked before any work.
     """
-    if n_max > LABELED_CAP:
-        raise CapExceeded(f"diagram verification capped at {LABELED_CAP} points")
+    if n_max > DIAGRAM_CAP:
+        raise CapExceeded(f"diagram verification capped at {DIAGRAM_CAP} points")
     tn = min(n_max, transfer_max)
     if tn > TRANSFER_CAP:
         raise CapExceeded(f"transfer scan capped at {TRANSFER_CAP} points")
@@ -363,7 +373,7 @@ def verify_diagram(
         flagged: list[tuple[tuple[int, ...], list[str], bool]] = []
         for rows, size in homeo_classes(n):
             space = space_from_rows(rows)
-            verdicts, _ = property_verdicts(space)
+            verdicts = {p: has_property(space, p) for p in DECIDABLE_PROPERTIES}
             bad_arrows = check_arrows(verdicts)
             sw_checked = any(verdicts[p] for p in SW_SAFE_PREMISES)
             witnessed = sw_checked and sw_witness_search(space, sw_bound) is not None

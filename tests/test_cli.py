@@ -272,9 +272,10 @@ def test_search_json():
 def test_search_decides_only_what_it_reads(monkeypatch):
     # `search --where regular` decides regularity alone: no other decider
     # runs, on the space it finds or on any space it passes, and a property
-    # read twice is decided once per space.
+    # read twice is decided once per space. Each spy decider has no holds,
+    # so every verdict goes through its find.
     calls = []
-    for prop, (find, fields) in list(regularity.DECIDERS.items()):
+    for prop, (find, fields, _) in list(regularity.DECIDERS.items()):
 
         def spy(space, prop=prop, find=find):
             calls.append((prop, space.nbhd))
@@ -389,7 +390,7 @@ def test_exit_two_on_caps(tmp_path):
     assert run_cli("enumerate", "-n", "8", "--homeo", "--count")[0] == 2
     assert run_cli("classify", "--sw-bound", "6", "fixtures/sierpinski.json")[0] == 2
     assert run_cli("fn", "compositions", "--sizes", "9,2,2")[0] == 2
-    assert run_cli("verify-diagram", "--max-n", "7")[0] == 2
+    assert run_cli("verify-diagram", "--max-n", "8")[0] == 2
 
     names = [str(i) for i in range(25)]
     big = tmp_path / "big.json"
@@ -495,6 +496,21 @@ def test_verify_diagram_six_points_pinned():
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "6fa20bb2284f52f9d8ab306c06e249e7e3732919491ea0b207f44d5314c2ca5f"
+    )
+
+
+def test_verify_diagram_seven_points_pinned():
+    # The report over all 9,752,099 labeled spaces with n <= 7, recorded
+    # before the check stopped building property witnesses.
+    code, out, _ = run_cli("verify-diagram", "--max-n", "7", "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["counts"] == {
+        "1": 1, "2": 4, "3": 29, "4": 355, "5": 6942, "6": 209527, "7": 9535241
+    }
+    assert obj["sw_spaces_checked"] == 1155
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "69b1e456b23d4b6ff49a7359cac4fcf145ade933c3b61fe8e1fc7f0b050ad344"
     )
 
 

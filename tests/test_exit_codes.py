@@ -167,7 +167,7 @@ def commands(tmp_dir: Path):
             ("verify-diagram",),
             None,
             {
-                "--max-n": knob(1, 2, 7),
+                "--max-n": knob(1, 2, 8),
                 "--sw-bound": knob(1, 5, 6),
                 "--transfer-max": knob(1, 4, 5),
                 "--workers": knob(1, 2),

@@ -41,6 +41,7 @@ from thetatopo.regularity import (
     arrow_name,
     check_arrows,
     classify_report,
+    has_property,
     hereditarily_quasi_regular_witness,
     is_locally_regular,
     is_nowhere_regular,
@@ -89,11 +90,13 @@ def test_verdicts_match_oracles_random(sp):
 
 def test_deciders_pinned_on_six_point_classes():
     # property_verdicts (verdicts and witnesses, as JSON) and both kernel
-    # decompositions on the 718 classes at n = 6, pinned byte for byte.
+    # decompositions on the 718 classes at n = 6, pinned byte for byte;
+    # has_property, which finds no witness, gives the same verdicts.
     h = hashlib.sha256()
     for rows in homeo_rows(6):
         sp = space_from_rows(rows)
         verdicts, witnesses = property_verdicts(sp)
+        assert {p: has_property(sp, p) for p in DECIDERS} == verdicts, rows
         h.update(json.dumps({"verdicts": verdicts, "witnesses": witnesses}).encode() + b"\n")
         h.update(theta_decomposition(sp).to_text().encode() + b"\n")
         h.update(open_decomposition(sp).to_text().encode() + b"\n")
@@ -103,10 +106,12 @@ def test_deciders_pinned_on_six_point_classes():
 def test_deciders_pinned_on_labeled_spaces():
     # property_verdicts (verdicts and witnesses, as JSON) and both kernel
     # decompositions on all 7,331 labeled spaces with at most five points,
-    # pinned byte for byte.
+    # pinned byte for byte; has_property, which finds no witness, gives the
+    # same verdicts.
     h = hashlib.sha256()
     for sp in all_labeled(5):
         verdicts, witnesses = property_verdicts(sp)
+        assert {p: has_property(sp, p) for p in DECIDERS} == verdicts, sp.nbhd
         h.update(json.dumps({"verdicts": verdicts, "witnesses": witnesses}).encode() + b"\n")
         h.update(theta_decomposition(sp).to_text().encode() + b"\n")
         h.update(open_decomposition(sp).to_text().encode() + b"\n")

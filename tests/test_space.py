@@ -21,7 +21,7 @@ from oracles import (
 )
 from thetatopo.bitset import bits
 from thetatopo.generate import labeled_rows, space_from_rows
-from thetatopo.maps import FinMap
+from thetatopo.maps import FinMap, build_map
 from thetatopo.regularity import is_t1
 from thetatopo.space import (
     CapExceeded,
@@ -108,15 +108,6 @@ def test_foreign_mask_rejected():
         SIERPINSKI.set_of(0b100)
 
 
-def test_immutability_equality_pickle():
-    sp = SIERPINSKI
-    with pytest.raises(AttributeError):
-        sp.names = ("x",)
-    assert sp == build_space(["a", "b"], {"a": ["a"], "b": ["a", "b"]})
-    assert sp != build_space(["a", "b"], {"a": ["a", "b"], "b": ["a", "b"]})
-    assert pickle.loads(pickle.dumps(sp)) == sp
-
-
 def _sierpinski():
     return FinSpace(("a", "b"), (0b01, 0b11))
 
@@ -125,41 +116,57 @@ def _indiscrete():
     return FinSpace(("a", "b"), (0b11, 0b11))
 
 
-# (type, fresh fields in declaration order, another value for each field).
+D_NAMES = ("0", "1")
+
+# (type, fresh fields in declaration order, another value for each field,
+# the same value from the public builder). The map is D onto the discrete
+# doubleton.
 VALUE_TYPES = [
     (
         FinSpace,
         lambda: {"names": ("a", "b"), "nbhd": (0b01, 0b11)},
         {"names": ("b", "a"), "nbhd": (0b11, 0b11)},
+        lambda: build_space(["a", "b"], {"a": ["a"], "b": ["a", "b"]}),
     ),
     (
         FinMap,
-        lambda: {"domain": _sierpinski(), "codomain": _indiscrete(), "img": (0, 1)},
+        lambda: {
+            "domain": FinSpace(D_NAMES, (0b01, 0b11)),
+            "codomain": FinSpace(D_NAMES, (0b01, 0b10)),
+            "img": (0, 1),
+        },
         {"domain": _indiscrete(), "codomain": _sierpinski(), "img": (1, 0)},
+        lambda: build_map(
+            build_space(D_NAMES, {"0": ["0"], "1": ["0", "1"]}),
+            build_space(D_NAMES, {"0": ["0"], "1": ["1"]}),
+            {"0": "0", "1": "1"},
+        ),
     ),
     (
         PointSet,
         lambda: {"space": _sierpinski(), "mask": 0b01},
         {"space": _indiscrete(), "mask": 0b10},
+        lambda: SIERPINSKI.set_of(0b01),
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "cls, build, other", VALUE_TYPES, ids=[cls.__name__ for cls, _, _ in VALUE_TYPES]
+    "cls, build, other, public", VALUE_TYPES, ids=[v[0].__name__ for v in VALUE_TYPES]
 )
-def test_value_semantics(cls, build, other):
+def test_value_semantics(cls, build, other, public):
     value = cls(**build())
     key = tuple(build().values())
     # The hash is that of the field tuple, which fixes set and dict order.
     assert value == cls(**build()) and hash(value) == hash(cls(**build())) == hash(key)
+    assert value == public() and hash(value) == hash(public())
     assert value != key
     for name, alt in other.items():
         assert value != cls(**{**build(), name: alt})
     for f in fields(value):
         with pytest.raises(AttributeError):
             setattr(value, f.name, None)
-    back = pickle.loads(pickle.dumps(value))
+    back = pickle.loads(pickle.dumps(public()))
     assert back == value and hash(back) == hash(value)
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 from itertools import permutations, product
 
@@ -11,7 +12,7 @@ from oracles import (
     tier_oracle,
     w_theta_regular_oracle,
 )
-from thetatopo import maps, survey
+from thetatopo import maps, regularity, survey
 from thetatopo.generate import canonical_rows, homeo_rows, space_from_rows
 from thetatopo.maps import FinMap
 from thetatopo.regularity import (
@@ -138,6 +139,23 @@ def test_lazy_search_matches_eager_scan():
         eager = next((sp for sp, v in classes if eval_predicate(pred, v)), None)
         lazy = find_space(pred, 5)
         assert (lazy and lazy.nbhd) == (eager and eager.nbhd), pred
+
+
+def test_parse_leaves_no_cyclic_garbage():
+    # The parsers of one parse go when it ends, also when it raises, not at
+    # a later collection.
+    gc.collect()
+    gc.disable()
+    try:
+        assert parse_predicate("scattered && !regular") == (
+            "and", ("prop", "scattered"), ("not", ("prop", "regular"))
+        )
+        assert find_space("scattered && !regular").nbhd == (0b01, 0b11)
+        with pytest.raises(ParseError):
+            parse_predicate("(regular")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_find_space_cap():
@@ -307,18 +325,34 @@ def test_classification_memo_is_invisible_in_diagram():
     assert check_composition_laws((3, 3, 3), samples=2000, seed=0).to_text() == cold
 
 
+def refuse_witnesses(monkeypatch):
+    # No property_verdicts call, and no least closed failure found for the
+    # (theta-)weak verdicts, which read only whether the fixpoint is empty.
+    def refuse(*args, **kw):
+        raise AssertionError("the diagram looked for a property witness")
+
+    monkeypatch.setattr(regularity, "property_verdicts", refuse)
+    monkeypatch.setattr(survey, "property_verdicts", refuse, raising=False)
+    monkeypatch.setattr(regularity, "least_prefix", refuse)
+
+
 def test_diagram_decides_each_class_once(monkeypatch):
     calls = []
+    has_property = survey.has_property
 
-    def counted(space, *args, **kw):
-        calls.append(space.nbhd)
-        return property_verdicts(space, *args, **kw)
+    def counted(space, prop):
+        calls.append((space.nbhd, prop))
+        return has_property(space, prop)
 
-    monkeypatch.setattr(survey, "property_verdicts", counted)
+    monkeypatch.setattr(survey, "has_property", counted)
+    refuse_witnesses(monkeypatch)
     verify_diagram(4, transfer_max=3)
-    # One call per homeomorphism class, none in the transfer phase.
-    assert len(calls) == 1 + 3 + 9 + 33
-    assert calls == [rows for n in (1, 2, 3, 4) for rows in homeo_rows(n)]
+    # Each property the report reads, once per homeomorphism class, and
+    # none in the transfer phase; nowhere_regular is never decided.
+    assert len(calls) == (1 + 3 + 9 + 33) * len(DECIDABLE_PROPERTIES)
+    assert calls == [
+        (rows, p) for n in (1, 2, 3, 4) for rows in homeo_rows(n) for p in DECIDABLE_PROPERTIES
+    ]
 
 
 def test_diagram_relabels_no_unflagged_class_above_transfer_bound(monkeypatch):
@@ -399,7 +433,8 @@ def test_diagram_sw_bound_checked_before_any_work(monkeypatch):
     def refuse(space, *args, **kw):
         raise AssertionError("decided a space before checking the caps")
 
-    monkeypatch.setattr(survey, "property_verdicts", refuse)
+    monkeypatch.setattr(survey, "has_property", refuse)
+    refuse_witnesses(monkeypatch)
     with pytest.raises(CapExceeded, match="witness search capped at domain size 5"):
         verify_diagram(2, sw_bound=6)
     with pytest.raises(CapExceeded):
@@ -407,8 +442,8 @@ def test_diagram_sw_bound_checked_before_any_work(monkeypatch):
 
 
 def test_diagram_cap():
-    with pytest.raises(CapExceeded):
-        verify_diagram(7)
+    with pytest.raises(CapExceeded, match="diagram verification capped at 7 points"):
+        verify_diagram(8)
     with pytest.raises(CapExceeded, match="transfer scan capped at 4 points"):
         verify_diagram(5, transfer_max=TRANSFER_CAP + 1)
 
