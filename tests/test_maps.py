@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import re
 import time
@@ -91,6 +92,11 @@ def test_identity_and_compose():
     assert g.img == D_TO_DISCRETE.img
     with pytest.raises(DomainMismatch):
         compose(D_TO_DISCRETE, D_TO_DISCRETE)
+
+
+def test_map_pickle_round_trip():
+    f = pickle.loads(pickle.dumps(D_TO_DISCRETE))
+    assert f.domain == D_SPACE and f.img == (0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,15 @@ def test_foreign_mask_rejected():
         SIERPINSKI.set_of(0b100)
 
 
+def test_immutability_equality_pickle():
+    sp = SIERPINSKI
+    with pytest.raises(AttributeError):
+        sp.names = ("x",)
+    assert sp == build_space(["a", "b"], {"a": ["a"], "b": ["a", "b"]})
+    assert sp != build_space(["a", "b"], {"a": ["a", "b"], "b": ["a", "b"]})
+    assert pickle.loads(pickle.dumps(sp)) == sp
+
+
 def _sierpinski():
     return FinSpace(("a", "b"), (0b01, 0b11))
 
