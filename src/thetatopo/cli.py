@@ -104,7 +104,7 @@ def _oracle_from_spec(spec: str) -> OracleSpace:
         return HedgehogOracle()
     if spec.startswith("sum:"):
         rest = spec[len("sum:") :]
-        if rest.startswith("discrete") and rest[len("discrete") :].isdigit():
+        if rest.startswith("discrete") and rest[len("discrete") :].isdecimal():
             k = int(rest[len("discrete") :])
             if k > POINT_CAP:
                 raise CapExceeded(f"{k} points exceeds the cap of {POINT_CAP}")

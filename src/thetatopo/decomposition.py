@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bitset import bits
 from .maps import FinMap, reaches
 from .regularity import open_kernel_mask, theta_kernel_mask
 from .space import (
-    POINT_CAP,
-    CapExceeded,
     FinSpace,
     TopologyError,
     format_names,
@@ -62,8 +61,6 @@ class Decomposition:
 
 
 def _decompose(space: FinSpace, mode: str) -> Decomposition:
-    if len(space) > POINT_CAP:
-        raise CapExceeded(f"decomposition capped at {POINT_CAP} points")
     kernel = theta_kernel_mask if mode == "theta" else open_kernel_mask
     layers: list[int] = []
     cur = space.full_mask
@@ -110,11 +107,10 @@ def weak_homeo_witness(space: FinSpace, theta: bool = False) -> tuple[FinSpace, 
         )
     pieces = [subspace_on_mask(space, m) for m in dec.layers]
     y = topological_sum(pieces)
-    layer_of = {}
-    for i, m in enumerate(dec.layers):
-        for name in space.names_of(m):
-            layer_of[name] = i
-    img = tuple(y.index(f"{layer_of[a]}.{a}") for a in space.names)
+    # The sum lists the layers in order, each in its points' order.
+    img = [0] * len(space)
+    for j, x in enumerate(x for m in dec.layers for x in bits(m)):
+        img[x] = j
     back = FinMap(space, y, img)
 
     tier = "theta_weakly_discontinuous" if theta else "weakly_discontinuous"

@@ -45,8 +45,6 @@ from typing import Mapping
 
 from .bitset import bits, gfp, least_prefix
 from .space import (
-    POINT_CAP,
-    CapExceeded,
     FinSpace,
     ForeignSet,
     PointSet,
@@ -77,8 +75,6 @@ TIERS = (
     "none",
 )
 TIER_RANK = {name: i for i, name in enumerate(TIERS)}
-# Largest domain classify_map and reaches accept.
-CLASSIFY_CAP = POINT_CAP
 TIER_LABELS = {
     "continuous": "continuous",
     "theta_weakly_discontinuous": "θ-weakly discontinuous",
@@ -236,9 +232,8 @@ class MapClass:
 def classify_map(f: FinMap) -> MapClass:
     """Classify f from the greatest fixpoints of the three rungs (see the
     module docstring), or by the cached classification of an earlier map
-    with the same domain rows and ok masks. Polynomial in the domain size;
-    CLASSIFY_CAP bounds the domain."""
-    tier, masks = _classify(f.domain.nbhd, _capped_ok_masks(f))
+    with the same domain rows and ok masks. Polynomial in the domain size."""
+    tier, masks = _classify(f.domain.nbhd, ok_masks(f))
     return MapClass(tier, masks, f.domain.names)
 
 
@@ -251,20 +246,12 @@ def reaches(f: FinMap, tier: str) -> bool:
     i.e. iff the greatest fixpoint of its rung's operator on the whole
     domain is empty. The classification cache is neither read nor
     written."""
-    ok = _capped_ok_masks(f)
     if tier == "none":
         return True
-    bad = _bad_rows(f.domain, ok)
+    bad = _bad_rows(f.domain, ok_masks(f))
     if TIER_RANK[tier] <= TIER_RANK["theta_weakly_discontinuous"]:
         return not any(bad)
     return not gfp(_pruners(f.domain, bad)[tier], f.domain.full_mask)
-
-
-def _capped_ok_masks(f: FinMap) -> tuple[int, ...]:
-    n = len(f.domain)
-    if n > CLASSIFY_CAP:
-        raise CapExceeded(f"map classification capped at {CLASSIFY_CAP} points; domain has {n}")
-    return ok_masks(f)
 
 
 def _bad_rows(domain: FinSpace, ok: tuple[int, ...]) -> list[int]:
@@ -336,14 +323,6 @@ def _gray_least(prune, top: int) -> int:
     return cur
 
 
-def _gray_rank(m: int) -> int:
-    r = 0
-    while m:
-        r ^= m
-        m >>= 1
-    return r
-
-
 @lru_cache(maxsize=1024)
 def _classify(nbhd: tuple[int, ...], ok: tuple[int, ...]) -> tuple[str, tuple[tuple[str, int], ...]]:
     """The tier and the (tier, least witness mask) pairs of any map out of a
@@ -385,8 +364,12 @@ def _classify(nbhd: tuple[int, ...], ok: tuple[int, ...]) -> tuple[str, tuple[tu
     least = chain(least_prefix)
     order = range(len(failing))
     if len(failing) > 1:
-        ranks = [_gray_rank(w) for w in chain(_gray_least)]
-        order = sorted(order, key=lambda i: (ranks[i], -i))
+        # Each rung's failing sets fail the rung before it, so the
+        # Gray-least witnesses never fall in Gray rank down the chain, and
+        # two tie exactly when they are one set: a witness's first position
+        # in the chain is its rank.
+        gray = chain(_gray_least)
+        order = sorted(order, key=lambda i: (gray.index(gray[i]), -i))
     masks = (("continuous", jumps),) + tuple((failing[i][0], least[i]) for i in order)
     return TIERS[len(failing) + 1], masks
 

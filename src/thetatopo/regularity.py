@@ -36,7 +36,6 @@ from .bitset import bits, gfp, least_prefix
 from .generate import homeo_rows, space_from_rows
 from .maps import FinMap, MapClass, _pruners, map_to_obj
 from .space import (
-    POINT_CAP,
     CapExceeded,
     FinSpace,
     TopologyError,
@@ -654,10 +653,6 @@ def property_verdicts(space: FinSpace) -> tuple[dict[str, bool], dict[str, dict]
     """All decidable verdicts plus witnesses for the false ones, each
     verdict read off its decider's find; the only place witnesses are
     formatted."""
-    if len(space) > POINT_CAP:
-        raise CapExceeded(
-            f"property verdicts capped at {POINT_CAP} points; space has {len(space)}"
-        )
     verdicts: dict[str, bool] = {}
     witnesses: dict[str, dict] = {}
     for prop, (find, fields, _) in DECIDERS.items():

@@ -57,7 +57,8 @@ class ForeignSet(TopologyError):
 
 
 class CapExceeded(TopologyError):
-    """A size or depth cap was exceeded; raise the cap explicitly if meant."""
+    """A size or depth cap was exceeded. The point cap is fixed by the
+    bitmask encoding; the other caps bound exhaustive work."""
 
 
 class InvalidOpenFamily(TopologyError):
@@ -74,7 +75,8 @@ class FinSpace:
 
     names holds the point identifiers in declaration order; bit i of any
     mask refers to names[i]. nbhd[i] is the bitmask of the minimal open
-    neighborhood of point i.
+    neighborhood of point i. No space has more than POINT_CAP points, so
+    no consumer checks the size again.
     """
 
     names: tuple[str, ...]
@@ -89,6 +91,8 @@ class FinSpace:
         nbhd = tuple(nbhd)
         if len(names) != len(nbhd):
             raise SpaceFormatError("one neighborhood mask per point required")
+        if len(names) > POINT_CAP:
+            raise CapExceeded(f"{len(names)} points exceeds the cap of {POINT_CAP}")
         full = (1 << len(names)) - 1
         for i, m in enumerate(nbhd):
             if m & ~full:
@@ -149,7 +153,7 @@ class FinSpace:
     def index(self, name: str) -> int:
         try:
             return self._pos[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise UnknownPoint(f"unknown point {name!r}") from None
 
     def mask_of(self, names: Iterable[str]) -> int:
@@ -234,8 +238,8 @@ def build_space(
     """Validate and build a space from named minimal neighborhoods.
 
     Raises DuplicatePoint, UnknownPoint, MissingSelf, CoherenceViolation or
-    CapExceeded (more than max_points points; the bitmask encoding is meant
-    for small spaces).
+    CapExceeded (more than max_points points, checked before any per-point
+    work; FinSpace refuses more than POINT_CAP whatever max_points says).
     """
     points = tuple(str(a) for a in points)
     if len(set(points)) != len(points):
@@ -252,9 +256,12 @@ def build_space(
             raise UnknownPoint(f"no minimal neighborhood given for {a!r}")
         m = 0
         for b in min_nbhds[a]:
-            if b not in pos:
-                raise UnknownPoint(f"minimal neighborhood of {a!r} mentions undeclared point {b!r}")
-            m |= 1 << pos[b]
+            try:
+                m |= 1 << pos[b]
+            except (KeyError, TypeError):
+                raise UnknownPoint(
+                    f"minimal neighborhood of {a!r} mentions undeclared point {b!r}"
+                ) from None
         rows.append(m)
     return FinSpace(points, rows)
 
@@ -453,9 +460,6 @@ def subspace_on_mask(space: FinSpace, a: int) -> FinSpace:
 def topological_sum(spaces: Sequence[FinSpace]) -> FinSpace:
     """Disjoint union; summands are clopen. Point names are namespaced by
     summand index ("0.a", "1.a", ...) so clashes cannot occur."""
-    total = sum(len(sp) for sp in spaces)
-    if total > POINT_CAP:
-        raise CapExceeded(f"{total} points exceeds the cap of {POINT_CAP}")
     names: list[str] = []
     rows: list[int] = []
     offset = 0
@@ -493,7 +497,7 @@ def space_from_obj(obj, max_points: int = POINT_CAP) -> FinSpace:
         raise SpaceFormatError('"points" must be a list of strings')
     if "min_nbhds" in obj:
         nb = obj["min_nbhds"]
-        if not isinstance(nb, dict):
+        if not isinstance(nb, dict) or not all(isinstance(v, list) for v in nb.values()):
             raise SpaceFormatError('"min_nbhds" must map each point to a list of points')
         return build_space(points, nb, max_points=max_points)
     if "opens" in obj:
@@ -515,9 +519,10 @@ def _space_from_opens(points: list[str], opens, max_points: int) -> FinSpace:
             raise SpaceFormatError('"opens" must be a list of point lists')
         m = 0
         for a in u:
-            if a not in pos:
-                raise UnknownPoint(f'"opens" mentions undeclared point {a!r}')
-            m |= 1 << pos[a]
+            try:
+                m |= 1 << pos[a]
+            except (KeyError, TypeError):
+                raise UnknownPoint(f'"opens" mentions undeclared point {a!r}') from None
         masks.add(m)
     full = (1 << len(points)) - 1
     if 0 not in masks:

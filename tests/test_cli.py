@@ -384,6 +384,27 @@ def test_exit_two_paths(tmp_path):
     code, _, err = run_cli("hedgehog", "embed", "--space", "permuted:2,3")
     assert code == 2 and "error:" in err
 
+    # '²' is a digit to str.isdigit but not to int(): the spec names a file.
+    code, out, err = run_cli("hedgehog", "embed", "--space", "sum:discrete²")
+    assert code == 2 and out == "" and "cannot read 'discrete²'" in err
+
+    point = {"points": ["a"], "min_nbhds": {"a": ["a"]}}
+    docs = [
+        ("classify", {"points": ["a"], "min_nbhds": {"a": 5}}),
+        ("classify", {"points": ["a"], "min_nbhds": {"a": None}}),
+        ("classify", {"points": ["a"], "min_nbhds": {"a": "a"}}),
+        ("classify", {"points": ["a"], "min_nbhds": {"a": [["a"]]}}),
+        ("classify", {"points": ["a"], "opens": [[], ["a"], [["a"]]]}),
+        ("fn classify", {"domain": point, "codomain": point, "map": {"a": ["a"]}}),
+        ("fn classify", {"domain": point, "codomain": point, "map": {"a": {"a": "a"}}}),
+    ]
+    for i, (command, doc) in enumerate(docs):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(*command.split(), str(path))
+        assert (code, out) == (2, ""), doc
+        assert err.startswith("error: ") and err.count("\n") == 1, doc
+
 
 def test_exit_two_on_caps(tmp_path):
     assert run_cli("enumerate", "-n", "7", "--count")[0] == 2

@@ -18,7 +18,7 @@ from thetatopo.decomposition import (
     weak_homeo_witness,
 )
 from thetatopo.generate import labeled_rows, space_from_rows
-from thetatopo.space import CapExceeded, build_space, is_open_mask
+from thetatopo.space import CapExceeded, build_space, is_open_mask, topological_sum
 
 SIERPINSKI = build_space(["a", "b"], {"a": ["a"], "b": ["a", "b"]})
 INDISCRETE2 = build_space(["a", "b"], {"a": ["a", "b"], "b": ["a", "b"]})
@@ -100,10 +100,17 @@ def test_text_and_obj_forms():
 
 
 def test_cap():
+    # The cap lives in FinSpace: a larger max_points cannot lift it.
     names = [str(i) for i in range(25)]
-    big = build_space(names, {a: [a] for a in names}, max_points=25)
-    with pytest.raises(CapExceeded, match="^decomposition capped at 24 points$"):
-        theta_decomposition(big)
+    with pytest.raises(CapExceeded, match="^25 points exceeds the cap of 24$"):
+        build_space(names, {a: [a] for a in names}, max_points=25)
+    # Twelve Sierpinski spaces, 24 points, decompose as one does.
+    full = topological_sum([SIERPINSKI] * 12)
+    assert open_decomposition(full).layers == (0x555555, 0xAAAAAA)
+    assert theta_decomposition(full).residue == full.full_mask
+    y, back = weak_homeo_witness(full)
+    assert len(y) == 24
+    assert back.img == tuple(j for i in range(12) for j in (i, 12 + i))
 
 
 # ---------------------------------------------------------------------------

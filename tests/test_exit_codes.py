@@ -9,6 +9,10 @@ arguments name a fixture, a missing file, malformed JSON, or a drawn
 document of the right overall shape with wrong parts; classify and
 decompose also read valid spaces of 11 to 24 points. No draw may start
 work that a cap does not stop first, so the test stays fast.
+
+Few of those argvs reach a drawn document, so a second test wraps each
+drawn space or map document in valid argv and holds it to the same
+contract.
 """
 
 import json
@@ -44,11 +48,22 @@ JUNK = st.recursive(
     max_leaves=6,
 )
 POINT_LISTS = st.lists(NAMES, max_size=4) | JUNK
+# min_nbhds keyed by exactly the drawn points, so that every draw reaches
+# the checks on each neighborhood value.
+KEYED_SPACES = st.lists(NAMES, max_size=4, unique=True).flatmap(
+    lambda points: st.fixed_dictionaries(
+        {
+            "points": st.just(points),
+            "min_nbhds": st.fixed_dictionaries({a: POINT_LISTS for a in points}),
+        }
+    )
+)
 SPACE_DOCS = st.one_of(
     JUNK,
     st.fixed_dictionaries(
         {"points": POINT_LISTS, "min_nbhds": st.dictionaries(NAMES, POINT_LISTS, max_size=4) | JUNK}
     ),
+    KEYED_SPACES,
     st.fixed_dictionaries({"points": POINT_LISTS, "opens": st.lists(POINT_LISTS, max_size=5) | JUNK}),
 )
 SPACE_REFS = st.sampled_from([str(FIXTURES / "sierpinski.json"), "missing.json"]) | SPACE_DOCS
@@ -112,7 +127,9 @@ PREDICATES = st.sampled_from(
     ]
 )
 EMBED_SPACES = st.one_of(
-    st.sampled_from(["hedgehog", "sum:discrete2", "sum:discrete25", "moebius", "sum:discreteX"]),
+    st.sampled_from(
+        ["hedgehog", "sum:discrete2", "sum:discrete25", "moebius", "sum:discreteX", "sum:discrete²"]
+    ),
     st.lists(st.integers(-2, 4), max_size=4).map(lambda v: "permuted:" + ",".join(map(str, v))),
     st.just("permuted:x,1"),
 )
@@ -221,3 +238,33 @@ def test_exit_code_contract(argv_strategy, data):
     assert "Traceback" not in out + err, argv
     if code == 2:
         assert out == "", (argv, out)
+
+
+@pytest.fixture(scope="module")
+def doc_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("docs")
+
+
+DOC_COMMANDS = st.sampled_from(
+    [
+        (("classify",), SPACE_DOCS),
+        (("decompose", "--witness"), SPACE_DOCS),
+        (("fn", "classify"), MAP_DOCS),
+        (("fn", "weak-homeo"), MAP_DOCS),
+    ]
+)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_drawn_documents(doc_dir, data):
+    # Valid argv around a drawn document, so that every example reaches
+    # the JSON boundary and its exit code is the document's alone.
+    words, docs = data.draw(DOC_COMMANDS, label="command")
+    path = doc_dir / "doc.json"
+    path.write_text(json.dumps(data.draw(docs, label="doc")), encoding="utf-8")
+    code, out, err = run_cli(*words, str(path))
+    assert code in (0, 1, 2), (words, code, err)
+    assert "Traceback" not in out + err, words
+    if code == 2:
+        assert out == "", (words, out)

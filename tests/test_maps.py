@@ -1,7 +1,6 @@
 import json
 import pickle
 import random
-import re
 import time
 from itertools import permutations, product
 
@@ -23,7 +22,6 @@ from oracles import (
 from thetatopo import maps
 from thetatopo.generate import labeled_rows, random_rows, space_from_rows
 from thetatopo.maps import (
-    CLASSIFY_CAP,
     TIER_RANK,
     TIERS,
     BijectivityError,
@@ -230,11 +228,13 @@ def test_failing_sets_nest():
 
 
 def test_classify_cap():
-    assert CLASSIFY_CAP == POINT_CAP
-    names = [str(i) for i in range(CLASSIFY_CAP + 1)]
-    big = FinSpace(names, [1 << i for i in range(len(names))])
-    with pytest.raises(CapExceeded, match="capped at 24 points; domain has 25"):
-        classify_map(identity_map(big))
+    # The cap lives in FinSpace, so no 25-point domain reaches classify_map.
+    names = [str(i) for i in range(POINT_CAP + 1)]
+    with pytest.raises(CapExceeded, match="^25 points exceeds the cap of 24$"):
+        FinSpace(names, [1 << i for i in range(len(names))])
+    full = FinSpace(names[:-1], [1 << i for i in range(POINT_CAP)])
+    mc = classify_map(identity_map(full))
+    assert (mc.tier, mc.witness_masks) == ("continuous", ())
 
 
 def test_classifier_matches_sweep_oracle_small():
@@ -292,7 +292,7 @@ def test_classify_on_the_cap_is_fast():
     # A 24-point domain: its 2^24 restrictions are never walked. Each
     # witness is checked to fail its rung from the definitions' bit form.
     rng = random.Random(55)
-    x = _random_space(CLASSIFY_CAP, rng)
+    x = _random_space(POINT_CAP, rng)
     y = _random_space(4, rng)
     f = FinMap(x, y, tuple(rng.randrange(4) for _ in x.names))
     start = time.perf_counter()
@@ -381,7 +381,7 @@ def test_identity_on_the_cap_is_continuous(monkeypatch):
         raise AssertionError("computed a fixpoint for a continuous map")
 
     monkeypatch.setattr(maps, "gfp", refuse)
-    names = [str(i) for i in range(CLASSIFY_CAP)]
+    names = [str(i) for i in range(POINT_CAP)]
     chain = build_space(names, {a: names[: i + 1] for i, a in enumerate(names)})
     mc = classify_map(identity_map(chain))
     assert (mc.tier, mc.witness_masks) == ("continuous", ())
@@ -419,18 +419,15 @@ def test_reaches_skips_the_theta_walk_below_theta(monkeypatch):
 def test_reaches_cap_matches_classify():
     # An indiscrete domain sent onto two discrete points: no restriction
     # with both images has a continuity point, so every rung fails.
-    for n in (CLASSIFY_CAP, CLASSIFY_CAP + 1):
-        names = [str(i) for i in range(n)]
-        blob = build_space(names, {a: names for a in names}, max_points=n)
-        f = build_map(blob, DISCRETE2, {a: "0" if a == "0" else "1" for a in names})
-        if n <= CLASSIFY_CAP:
-            assert [reaches(f, t) for t in TIERS] == [t == "none" for t in TIERS]
-            continue
-        with pytest.raises(CapExceeded) as refused:
-            classify_map(f)
-        for t in TIERS:
-            with pytest.raises(CapExceeded, match=re.escape(str(refused.value))):
-                reaches(f, t)
+    names = [str(i) for i in range(POINT_CAP)]
+    blob = build_space(names, {a: names for a in names})
+    f = build_map(blob, DISCRETE2, {a: "0" if a == "0" else "1" for a in names})
+    assert [reaches(f, t) for t in TIERS] == [t == "none" for t in TIERS]
+    assert classify_map(f).tier == "none"
+    # A larger max_points cannot lift the cap that FinSpace keeps.
+    names.append(str(POINT_CAP))
+    with pytest.raises(CapExceeded, match="^25 points exceeds the cap of 24$"):
+        build_space(names, {a: names for a in names}, max_points=POINT_CAP + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +512,17 @@ def test_map_from_obj_with_paths(tmp_path):
 
 
 def test_map_from_obj_errors():
-    from thetatopo.space import SpaceFormatError
+    from thetatopo.space import SpaceFormatError, UnknownPoint
 
     with pytest.raises(SpaceFormatError):
         map_from_obj({"domain": space_to_obj_dict()})
     with pytest.raises(SpaceFormatError):
         map_from_obj({"domain": "missing.json", "codomain": "x.json", "map": {}})
+    # An image that is a list or an object names no codomain point.
+    for image in (["0"], {"0": "0"}):
+        doc = {"domain": space_to_obj_dict(), "codomain": space_to_obj_dict(), "map": {"0": image}}
+        with pytest.raises(UnknownPoint, match="unknown point"):
+            map_from_obj(doc)
 
 
 def space_to_obj_dict():

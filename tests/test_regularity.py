@@ -59,7 +59,7 @@ from thetatopo.regularity import (
     w_theta_regular_witness,
     weakly_regular_witness,
 )
-from thetatopo.space import CapExceeded, build_space, is_open_mask
+from thetatopo.space import CapExceeded, build_space, is_open_mask, topological_sum
 
 SIERPINSKI = build_space(["a", "b"], {"a": ["a"], "b": ["a", "b"]})
 
@@ -614,10 +614,17 @@ def test_unsafe_but_unwitnessed_reports_bound():
 
 
 def test_property_cap():
-    names = [str(i) for i in range(25)]
-    big = build_space(names, {a: [a] for a in names}, max_points=25)
-    with pytest.raises(CapExceeded, match="^property verdicts capped at 24 points; space has 25$"):
-        property_verdicts(big)
+    # The cap lives in FinSpace, so a sum cannot build a 25-point space.
+    def discrete(n):
+        names = [str(i) for i in range(n)]
+        return build_space(names, {a: [a] for a in names})
+
+    with pytest.raises(CapExceeded, match="^25 points exceeds the cap of 24$"):
+        topological_sum([discrete(13), discrete(12)])
+    # Twelve Sierpinski spaces, 24 points, have the verdicts of one.
+    verdicts, witnesses = property_verdicts(topological_sum([SIERPINSKI] * 12))
+    assert verdicts == property_verdicts(SIERPINSKI)[0]
+    assert witnesses["regular"] == {"point": "0.a"}
 
 
 def test_report_to_obj_shape():

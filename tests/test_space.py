@@ -421,6 +421,18 @@ def test_format_errors():
         space_from_obj({"points": ["a"]})
     with pytest.raises(SpaceFormatError):
         space_from_obj({"points": [1], "min_nbhds": {}})
+    # A neighborhood must be a JSON list: not a number, null or a string,
+    # which would otherwise be read as the list of its characters.
+    for value in (5, None, "a"):
+        with pytest.raises(SpaceFormatError, match="must map each point to a list of points"):
+            space_from_obj({"points": ["a"], "min_nbhds": {"a": value}})
+    # A member that is not a declared name, hashable or not, is unknown.
+    with pytest.raises(UnknownPoint, match="mentions undeclared point \\['a'\\]"):
+        space_from_obj({"points": ["a"], "min_nbhds": {"a": [["a"]]}})
+    with pytest.raises(UnknownPoint, match="mentions undeclared point \\['a'\\]"):
+        space_from_obj({"points": ["a"], "opens": [[], ["a"], [["a"]]]})
+    with pytest.raises(UnknownPoint, match="unknown point \\['a'\\]"):
+        SIERPINSKI.index(["a"])
 
 
 def test_formatting_helpers():
