@@ -20,7 +20,7 @@ from .decomposition import (
     theta_decomposition,
     weak_homeo_witness,
 )
-from .generate import count_spaces, space_from_rows, space_rows
+from .generate import count_spaces, enumerate_spaces
 from .hedgehog import (
     DEPTH_CAP,
     EMBED_DEPTH_CAP,
@@ -205,13 +205,13 @@ def cmd_enumerate(args) -> int:
         else:
             print(count)
         return 0
-    stream = space_rows(n, mode)
+    stream = enumerate_spaces(n, mode)
     if args.json:
-        spaces = [space_to_obj(space_from_rows(rows)) for rows in stream]
+        spaces = [space_to_obj(space) for space in stream]
         _print_json({"n": n, "mode": mode, "count": len(spaces), "spaces": spaces})
     else:
-        for rows in stream:
-            print(format_space(space_from_rows(rows)))
+        for space in stream:
+            print(format_space(space))
     return 0
 
 

@@ -271,22 +271,17 @@ def _check_cap(n: int, mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def space_rows(n: int, mode: str = "labeled") -> Iterator[tuple[int, ...]]:
-    """The row stream behind enumerate_spaces, capped per mode. Caps are
-    checked on the call, before any row is produced."""
-    _check_cap(n, mode)
-    return labeled_rows(n) if mode == "labeled" else homeo_rows(n)
-
-
 def enumerate_spaces(n: int, mode: str = "labeled") -> Iterator[FinSpace]:
-    for rows in space_rows(n, mode):
-        yield space_from_rows(rows)
+    """The spaces of labeled_rows(n) or homeo_rows(n), capped per mode. Caps
+    are checked on the call, before any space is produced."""
+    _check_cap(n, mode)
+    return map(space_from_rows, labeled_rows(n) if mode == "labeled" else homeo_rows(n))
 
 
 def count_spaces(n: int, mode: str = "labeled") -> int:
-    """The length of space_rows(n, mode), with the same caps, checked on the
-    call. Both modes run the orderly walk: labeled spaces are counted as the
-    sum of the classes' orbit sizes, so none is built."""
+    """The length of enumerate_spaces(n, mode), with the same caps, checked
+    on the call. Both modes run the orderly walk: labeled spaces are counted
+    as the sum of the classes' orbit sizes, so none is built."""
     _check_cap(n, mode)
     classes = homeo_classes(n)
     if mode == "labeled":
@@ -321,5 +316,5 @@ def random_rows(n: int, rng: random.Random, density: float = 0.35) -> tuple[int,
     return tuple(rows)
 
 
-def random_space(n: int, rng: random.Random, density: float = 0.35) -> FinSpace:
-    return space_from_rows(random_rows(n, rng, density))
+def random_space(n: int, rng: random.Random) -> FinSpace:
+    return space_from_rows(random_rows(n, rng))

@@ -595,13 +595,13 @@ def certify_hedgehog_profile(depth: int) -> ProfileReport:
     """Check, to the given depth, the profile: first-countable via decreasing
     bases, scattered in three layers, locally regular via clopen basic sets,
     and not regular at the root with explicit witnesses."""
+    if depth < 1:
+        raise OracleError("depth must be at least 1")
     o = HedgehogOracle()
     # Every token below is built here well-formed, so each basic set is
     # resolved once into its membership and adherence tests.
     members, adherents = o.members, o.adherents
     failures: list[str] = []
-    if depth <= 0:
-        return ProfileReport(depth, 0, (), 0, (), ())
 
     decreasing = 0
     points: list[Token] = [ROOT] + [(n,) for n in range(1, depth + 1)] + [(1, 1)]

@@ -170,9 +170,8 @@ def ok_masks(f: FinMap) -> tuple[int, ...]:
     return tuple(out)
 
 
-def continuity_set_mask(f: FinMap, a: int, ok: tuple[int, ...] | None = None) -> int:
-    if ok is None:
-        ok = ok_masks(f)
+def continuity_set_mask(f: FinMap, a: int) -> int:
+    ok = ok_masks(f)
     nbhd = f.domain.nbhd
     out = 0
     for x in bits(a):

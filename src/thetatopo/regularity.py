@@ -76,13 +76,12 @@ def arrow_name(premises: tuple[str, ...], conclusion: str) -> str:
 # least witness: a point index, a mask, or (for w_theta_regular) a mask pair.
 # ---------------------------------------------------------------------------
 
-def regular_at_mask(space: FinSpace, x: int, within: int | None = None) -> bool:
-    """Every relatively open set containing x contains a closed neighborhood
-    of x; the closure of the minimal neighborhood is the smallest candidate,
-    so it must already fit inside the minimal neighborhood."""
-    w = space.full_mask if within is None else within
-    nb = space.nbhd[x] & w
-    return closure_mask(space, nb, w) & ~nb == 0
+def regular_at_mask(space: FinSpace, x: int) -> bool:
+    """Every open set containing x contains a closed neighborhood of x; the
+    closure of the minimal neighborhood is the smallest candidate, so it
+    must already fit inside the minimal neighborhood."""
+    nb = space.nbhd[x]
+    return closure_mask(space, nb) & ~nb == 0
 
 
 def _strict_tops(space: FinSpace, a: int) -> int:
@@ -136,24 +135,25 @@ def locally_regular_witness(space: FinSpace) -> int | None:
     )
 
 
-def quasi_regular_witness(space: FinSpace, within: int | None = None) -> int | None:
-    """Least relatively open set (in the subspace on `within`) that contains
-    the relative closure of no non-empty relatively open set. Minimal
-    neighborhoods suffice on both sides (shrinking the inner set and the
-    outer set only helps), so the witness is a minimal piece.
+def quasi_regular_witness(space: FinSpace) -> int | None:
+    """Least open set that contains the closure of no non-empty open set.
+    Minimal neighborhoods suffice on both sides (shrinking the inner set and
+    the outer set only helps), so the witness is a minimal piece."""
+    a = space.full_mask
+    return _unclosed_piece(space, a, _strict_tops(space, a))
+
+
+def _unclosed_piece(space: FinSpace, a: int, tops: int) -> int | None:
+    """The quasi-regularity witness of the subspace on a, as a mask of the
+    space: the least piece N(x) & a that contains the closure in a of no
+    piece, given tops = _strict_tops(space, a).
 
     Every piece of a holds a smallest piece N(m) & a, and that m lies
     outside _strict_tops(a): each y of N(m) & a has N(y) & a = N(m) & a,
     so m lies in N(y). Hence m lies in N(z) for each z of the piece, which
     makes its closure in a the up-row up[m] & a. A smaller piece has a
     smaller closure, so a piece `target` is the witness iff no m in
-    target outside _strict_tops(a) has up[m] & a inside target."""
-    a = space.full_mask if within is None else within
-    return _unclosed_piece(space, a, _strict_tops(space, a))
-
-
-def _unclosed_piece(space: FinSpace, a: int, tops: int) -> int | None:
-    """quasi_regular_witness(space, a), given tops = _strict_tops(space, a)."""
+    target outside tops has up[m] & a inside target."""
     nbhd = space.nbhd
     up = space.up
     for x in bits(a):
@@ -356,12 +356,12 @@ def hereditarily_quasi_regular_witness(space: FinSpace) -> int | None:
 
     Each segment needs only its verdict, so it is tested with no tops
     excluded (_unclosed_piece with tops 0), which gives the same verdict as
-    quasi_regular_witness. If a fails at a smallest piece M = N(m) & a,
-    each y of M has N(y) & a = M, so y and m lie in each other's minimal
-    neighborhoods and up[y] & a = up[m] & a, the closure of M, which leaves
-    M: no point of M passes, whether the tops are excluded or not. If a is
-    quasi-regular, each piece N(x) & a holds a closed smallest piece N(m) &
-    a, and m passes either way."""
+    tops = _strict_tops(space, a). If a fails at a smallest piece
+    M = N(m) & a, each y of M has N(y) & a = M, so y and m lie in each
+    other's minimal neighborhoods and up[y] & a = up[m] & a, the closure of
+    M, which leaves M: no point of M passes, whether the tops are excluded
+    or not. If a is quasi-regular, each piece N(x) & a holds a closed
+    smallest piece N(m) & a, and m passes either way."""
     a = 0
     for k in range(len(space)):
         a |= 1 << k

@@ -82,8 +82,8 @@ class FinSpace:
     names: tuple[str, ...]
     nbhd: tuple[int, ...]
     _pos: dict[str, int] = field(compare=False)
-    # up[y] = {x : y in N(x)}, built by __getattr__ on first read; not part
-    # of ==, hash or pickling, which see names and nbhd only.
+    # up[y] = {x : y in N(x)}, built with the coherence check; not part of
+    # ==, hash or pickling, which see names and nbhd only.
     up: tuple[int, ...] = field(compare=False)
 
     def __init__(self, names: Sequence[str], nbhd: Sequence[int]):
@@ -99,6 +99,7 @@ class FinSpace:
                 raise SpaceFormatError(f"mask {m:#x} uses bits beyond the {len(names)} declared points")
             if not (m >> i) & 1:
                 raise MissingSelf(f"point {names[i]!r} is missing from its own minimal neighborhood")
+        up = [0] * len(nbhd)
         for i, m in enumerate(nbhd):
             rest = m
             while rest:
@@ -109,31 +110,18 @@ class FinSpace:
                         f"{names[j]!r} lies in the minimal neighborhood of {names[i]!r} "
                         f"but its own minimal neighborhood is not contained there"
                     )
+                up[j] |= 1 << i
                 rest ^= low
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "nbhd", nbhd)
+        object.__setattr__(self, "up", tuple(up))
         object.__setattr__(self, "_pos", {a: i for i, a in enumerate(names)})
         if len(self._pos) != len(names):
             raise DuplicatePoint("point identifiers must be unique")
 
-    def __getattr__(self, name: str):
-        # Called only while a slot is unset, so every later read of `up` is
-        # a plain slot read.
-        if name != "up":
-            raise AttributeError(f"'FinSpace' object has no attribute {name!r}")
-        up = [0] * len(self.nbhd)
-        for x, m in enumerate(self.nbhd):
-            while m:
-                low = m & -m
-                up[low.bit_length() - 1] |= 1 << x
-                m ^= low
-        up = tuple(up)
-        object.__setattr__(self, "up", up)
-        return up
-
     def __reduce__(self):
-        # Rebuild from names and nbhd: the generated slot state would pickle
-        # _pos and build up.
+        # A pickle carries only names and nbhd, and loading it re-validates
+        # them through __init__.
         return (FinSpace, (self.names, self.nbhd))
 
     def __len__(self) -> int:

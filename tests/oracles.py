@@ -8,9 +8,9 @@ below calls the package's own closure/interior/classification code, except
 the restriction sweep, which checks the map classifier's fixpoints against a
 walk over every restriction, the subspace scans, which check the regularity
 deciders' fixpoints, initial segments and up-row closures against a walk
-over every subset with the package's closure_mask, regular_at_mask,
-theta_interior_mask and theta_components (each gated against the oracles
-above it), and the labeled references for the per-class sweeps, which check
+over every subset with the package's closure_mask, theta_interior_mask and
+theta_components (each gated against the oracles above it), and the
+labeled references for the per-class sweeps, which check
 only the symmetry reductions.
 """
 
@@ -20,7 +20,6 @@ from itertools import product
 from typing import Iterator
 
 from thetatopo.hedgehog import MalformedToken
-from thetatopo.regularity import regular_at_mask
 from thetatopo.space import (
     CapExceeded,
     FinSpace,
@@ -485,8 +484,8 @@ PROPERTY_ORACLES = {
 # ---------------------------------------------------------------------------
 # Least-witness scans of the four subspace deciders: every subset in
 # sorted-index-tuple order, so the first failure found is the least witness.
-# Regularity is the per-point closure test (regular_at_mask); closures,
-# theta-interiors and theta-components are the package's.
+# Regularity is the per-point closure test, cl_a(N(x) & a) inside N(x) & a;
+# closures, theta-interiors and theta-components are the package's.
 # ---------------------------------------------------------------------------
 
 def subsets_lex(mask: int) -> Iterator[int]:
@@ -511,7 +510,9 @@ def _closed_nonempty_lex(space: FinSpace) -> Iterator[int]:
 
 
 def _is_regular_scan(space: FinSpace, a: int) -> bool:
-    return all(regular_at_mask(space, x, a) for x in bits(a))
+    return all(
+        closure_mask(space, space.nbhd[x] & a, a) & ~space.nbhd[x] == 0 for x in bits(a)
+    )
 
 
 def weakly_regular_scan(space: FinSpace) -> int | None:

@@ -3,12 +3,14 @@ or 2 without a traceback, and a usage error (exit 2) prints nothing on
 stdout.
 
 Argv is drawn over every subcommand and flag, in-process through cli.main.
-Each numeric flag takes a value small enough to finish in milliseconds,
-one above its cap, one below its bound, or text that is not an int; file
-arguments name a fixture, a missing file, malformed JSON, or a drawn
-document of the right overall shape with wrong parts; classify and
-decompose also read valid spaces of 11 to 24 points. No draw may start
-work that a cap does not stop first, so the test stays fast.
+At most one flag per argv takes a value that argparse refuses: for a
+numeric flag one above its cap, one below its bound, or text that is not
+an int. Every other flag takes a value small enough to finish in
+milliseconds, so most argvs reach a command handler. File arguments name
+a fixture, a missing file, malformed JSON, or a drawn document of the
+right overall shape with wrong parts; classify and decompose also read
+valid spaces of 11 to 24 points. No draw may start work that a cap does
+not stop first, so the test stays fast.
 
 Few of those argvs reach a drawn document, so a second test wraps each
 drawn space or map document in valid argv and holds it to the same
@@ -17,10 +19,12 @@ contract.
 
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.strategies import SearchStrategy
 
 from test_cli import run_cli
 
@@ -31,14 +35,30 @@ MAP_FIXTURES = ("d_to_discrete", "x3_chain_iso", "fork_to_discrete")
 NOT_INTS = st.sampled_from(["", "abc", "1.5", "0x10", "--", "1e3"])
 
 
-def knob(low: int, fast: int, over: int | None = None):
-    """A numeric flag value: half the time low..fast (valid and fast),
-    otherwise from `over` upward (above the cap), below `low`, or not an
-    int."""
+class Knob(NamedTuple):
+    """The values of a flag: valid ones finish fast, argparse refuses the
+    invalid ones."""
+
+    valid: SearchStrategy
+    invalid: SearchStrategy
+
+
+def knob(low: int, fast: int, over: int | None = None) -> Knob:
+    """A numeric flag: valid in low..fast; invalid from `over` upward
+    (above the cap), below `low`, or not an int."""
     bad = [st.integers(-(10**12), low - 1).map(str), NOT_INTS]
     if over is not None:
         bad.append(st.integers(over, 10**12).map(str))
-    return st.integers(low, fast).map(str) | st.one_of(*bad)
+    return Knob(st.integers(low, fast).map(str), st.one_of(*bad))
+
+
+def sizes_knob() -> Knob:
+    """--sizes: three valid sizes, or one invalid size among valid ones, or
+    text that is not a size list."""
+    size = knob(1, 3, 9)
+    ok, bad = size.valid, size.invalid
+    one_bad = st.one_of(st.tuples(bad, ok, ok), st.tuples(ok, bad, ok), st.tuples(ok, ok, bad))
+    return Knob(st.tuples(ok, ok, ok).map(",".join), one_bad.map(",".join) | NOT_INTS)
 
 
 NAMES = st.sampled_from(["a", "b", "c", "", "0"])
@@ -136,9 +156,10 @@ EMBED_SPACES = st.one_of(
 
 
 def commands(tmp_dir: Path):
-    """(command words, positional strategy or None, {flag: value strategy
-    or None for a switch}). The first flag of the commands in ALWAYS_FIRST
-    is always drawn: their defaults run for a tenth of a second or more."""
+    """(command words, positional strategy or None, {flag: Knob, value
+    strategy, or None for a switch}). The first flag of the commands in
+    ALWAYS_FIRST is always drawn: their defaults run for a tenth of a second
+    or more."""
     spaces = file_arg(tmp_dir, SPACE_FIXTURES, SPACE_DOCS) | large_space_arg(tmp_dir)
     maps = file_arg(tmp_dir, MAP_FIXTURES, MAP_DOCS)
     max_points = knob(1, 24, 25)
@@ -151,9 +172,8 @@ def commands(tmp_dir: Path):
             None,
             {
                 "--samples": knob(1, 50, 100_001),
-                "--sizes": st.tuples(knob(1, 3, 9), knob(1, 3, 9), knob(1, 3, 9)).map(",".join)
-                | NOT_INTS,
-                "--seed": st.integers(-(10**12), 10**12).map(str) | NOT_INTS,
+                "--sizes": sizes_knob(),
+                "--seed": Knob(st.integers(-(10**12), 10**12).map(str), NOT_INTS),
                 "--json": None,
             },
         ),
@@ -161,7 +181,7 @@ def commands(tmp_dir: Path):
             ("decompose",),
             spaces,
             {
-                "--mode": st.sampled_from(["theta", "open", "bogus"]),
+                "--mode": Knob(st.sampled_from(["theta", "open"]), st.just("bogus")),
                 "--witness": None,
                 "--max-points": max_points,
                 "--json": None,
@@ -212,11 +232,21 @@ ALWAYS_FIRST = ("compositions", "verify-diagram", "profile", "embed")
 def argvs(draw, tmp_dir: Path):
     words, positional, flags = draw(st.sampled_from(commands(tmp_dir)))
     argv = list(words)
-    for i, (flag, value) in enumerate(flags.items()):
-        if (i == 0 and words[-1] in ALWAYS_FIRST) or draw(st.booleans()):
-            argv.append(flag)
-            if value is not None:
-                argv.append(draw(value))
+    chosen = [
+        flag
+        for i, flag in enumerate(flags)
+        if (i == 0 and words[-1] in ALWAYS_FIRST) or draw(st.booleans())
+    ]
+    knobs = [flag for flag in chosen if isinstance(flags[flag], Knob)]
+    # Half the time every flag is valid; otherwise one knob is invalid.
+    bad = draw(st.sampled_from(knobs)) if knobs and draw(st.booleans()) else None
+    for flag in chosen:
+        argv.append(flag)
+        value = flags[flag]
+        if isinstance(value, Knob):
+            value = value.invalid if flag == bad else value.valid
+        if value is not None:
+            argv.append(draw(value))
     if positional is not None and draw(st.integers(0, 9)):
         argv.append(draw(positional))
     if not draw(st.integers(0, 9)):

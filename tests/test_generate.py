@@ -202,6 +202,9 @@ def test_zero_points():
 def test_caps(monkeypatch):
     with pytest.raises(CapExceeded):
         next(enumerate_spaces(7, "labeled"))
+    # The refusal comes on the call itself, before any next().
+    with pytest.raises(CapExceeded):
+        enumerate_spaces(7, "labeled")
     with pytest.raises(CapExceeded):
         next(enumerate_spaces(8, "homeo"))
     with pytest.raises(CapExceeded):

@@ -401,8 +401,10 @@ def test_approach_within():
 # ---------------------------------------------------------------------------
 
 def test_profile_depths():
-    empty = certify_hedgehog_profile(0)
-    assert empty.ok and empty.layers == () and empty.decreasing_checks == 0
+    # A depth below 1 would check nothing, so it is refused, not passed.
+    for depth in (0, -1):
+        with pytest.raises(OracleError, match="depth must be at least 1"):
+            certify_hedgehog_profile(depth)
 
     for depth in (1, 5, 50):
         r = certify_hedgehog_profile(depth)

@@ -108,9 +108,8 @@ def test_continuity_sets_exhaustive():
         for y in cods:
             for img in product(range(len(y)), repeat=len(x)):
                 f = FinMap(x, y, img)
-                ok = ok_masks(f)
                 for a in nonempty_subsets(x.full_mask):
-                    assert continuity_set_mask(f, a, ok) == cont_points_oracle(f, a)
+                    assert continuity_set_mask(f, a) == cont_points_oracle(f, a)
 
 
 @given(maps_between(max_points=5), st.data())
@@ -305,9 +304,8 @@ def test_classify_on_the_cap_is_fast():
         "scatteredly_continuous",
         "weakly_discontinuous",
     ]
-    ok = ok_masks(f)
     for tier, a in mc.witness_masks[1:]:
-        c = continuity_set_mask(f, a, ok)
+        c = continuity_set_mask(f, a)
         if tier == "scatteredly_continuous":
             assert c == 0
         elif tier == "weakly_discontinuous":

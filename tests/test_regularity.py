@@ -291,6 +291,11 @@ def test_kernels_match_brute_unions(memo_oracles):
             assert open_kernel_mask(sp, a) == want_open
 
 
+def unclosed_piece(sp, a):
+    """The quasi-regularity witness of the subspace on a."""
+    return regularity._unclosed_piece(sp, a, regularity._strict_tops(sp, a))
+
+
 def test_quasi_regular_witness_on_every_subspace(memo_oracles):
     # Every subspace of every space on 4 points, the closed ones included:
     # the witness is the least minimal piece that contains the relative
@@ -304,7 +309,7 @@ def test_quasi_regular_witness_on_every_subspace(memo_oracles):
                 for x in bits(a)
                 if not any(oracles.cl_oracle(sp, v, a) & ~sp.nbhd[x] == 0 for v in opens)
             ]
-            assert quasi_regular_witness(sp, a) == (failing[0] if failing else None)
+            assert unclosed_piece(sp, a) == (failing[0] if failing else None)
             assert (not failing) == oracles.quasi_regular_oracle(sp, a)
 
 
@@ -314,12 +319,13 @@ def test_quasi_regular_witness_matches_scan():
     # subspaces the hereditarily_quasi_regular walk reads) of the random
     # spaces.
     for sp in all_labeled(4):
+        assert quasi_regular_witness(sp) == quasi_regular_scan(sp, sp.full_mask), sp.nbhd
         for a in nonempty_subsets(sp.full_mask):
-            assert quasi_regular_witness(sp, a) == quasi_regular_scan(sp, a), (sp.nbhd, a)
+            assert unclosed_piece(sp, a) == quasi_regular_scan(sp, a), (sp.nbhd, a)
     for sp in random_spaces():
         for k in range(1, len(sp) + 1):
             a = (1 << k) - 1
-            assert quasi_regular_witness(sp, a) == quasi_regular_scan(sp, a), (sp.nbhd, a)
+            assert unclosed_piece(sp, a) == quasi_regular_scan(sp, a), (sp.nbhd, a)
 
 
 # ---------------------------------------------------------------------------
