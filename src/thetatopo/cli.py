@@ -20,7 +20,7 @@ from .decomposition import (
     theta_decomposition,
     weak_homeo_witness,
 )
-from .generate import count_spaces, enumerate_spaces
+from .generate import count_spaces, enumerate_rows, enumerate_spaces, space_from_rows
 from .hedgehog import (
     DEPTH_CAP,
     EMBED_DEPTH_CAP,
@@ -50,7 +50,6 @@ from .space import (
     POINT_CAP,
     CapExceeded,
     TopologyError,
-    build_space,
     format_space,
     read_json,
     space_from_obj,
@@ -61,6 +60,13 @@ from .survey import DIAGRAM_CAP, SAMPLES_CAP, check_composition_laws, find_space
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, ensure_ascii=False))
+
+
+def _print_report(report, as_json: bool) -> None:
+    if as_json:
+        _print_json(report.to_obj())
+    else:
+        print(report.to_text())
 
 
 def _read_map(arg: str) -> FinMap:
@@ -106,10 +112,9 @@ def _oracle_from_spec(spec: str) -> OracleSpace:
         rest = spec[len("sum:") :]
         if rest.startswith("discrete") and rest[len("discrete") :].isdecimal():
             k = int(rest[len("discrete") :])
-            if k > POINT_CAP:
+            if k > POINT_CAP:  # before the rows are built
                 raise CapExceeded(f"{k} points exceeds the cap of {POINT_CAP}")
-            names = [str(i) for i in range(k)]
-            return SumOracle(build_space(names, {nm: [nm] for nm in names}))
+            return SumOracle(space_from_rows(tuple(1 << i for i in range(k))))
         return SumOracle(space_from_obj(read_json(rest)))
     if spec.startswith("permuted:"):
         rest = spec[len("permuted:") :]
@@ -132,10 +137,7 @@ def _oracle_from_spec(spec: str) -> OracleSpace:
 def cmd_classify(args) -> int:
     space = space_from_obj(read_json(args.space), args.max_points)
     report = classify_report(space, sw_bound=args.sw_bound)
-    if args.json:
-        _print_json(report.to_obj())
-    else:
-        print(report.to_text())
+    _print_report(report, args.json)
     return 0
 
 
@@ -162,10 +164,7 @@ def cmd_fn_weak_homeo(args) -> int:
 
 def cmd_fn_compositions(args) -> int:
     report = check_composition_laws(args.sizes, samples=args.samples, seed=args.seed)
-    if args.json:
-        _print_json(report.to_obj())
-    else:
-        print(report.to_text())
+    _print_report(report, args.json)
     return 0 if report.ok else 1
 
 
@@ -205,12 +204,19 @@ def cmd_enumerate(args) -> int:
         else:
             print(count)
         return 0
-    stream = enumerate_spaces(n, mode)
     if args.json:
-        spaces = [space_to_obj(space) for space in stream]
-        _print_json({"n": n, "mode": mode, "count": len(spaces), "spaces": spaces})
+        # _print_json's bytes, one space at a time: only the row tuples are
+        # held, for the count. Never empty: every n has the discrete space.
+        rows = list(enumerate_rows(n, mode))
+        head = json.dumps({"n": n, "mode": mode, "count": len(rows)}, indent=2)
+        print(head[: -len("\n}")] + ',\n  "spaces": [')
+        encode = json.JSONEncoder(indent=2, ensure_ascii=False, check_circular=False).encode
+        for i, r in enumerate(rows):
+            body = encode(space_to_obj(space_from_rows(r))).replace("\n", "\n    ")
+            sys.stdout.write((",\n    " if i else "    ") + body)
+        print("\n  ]\n}")
     else:
-        for space in stream:
+        for space in enumerate_spaces(n, mode):
             print(format_space(space))
     return 0
 
@@ -237,19 +243,13 @@ def cmd_verify_diagram(args) -> int:
         sw_bound=args.sw_bound,
         transfer_max=args.transfer_max,
     )
-    if args.json:
-        _print_json(report.to_obj())
-    else:
-        print(report.to_text())
+    _print_report(report, args.json)
     return 0 if report.ok else 1
 
 
 def cmd_hh_profile(args) -> int:
     report = certify_hedgehog_profile(args.depth)
-    if args.json:
-        _print_json(report.to_obj())
-    else:
-        print(report.to_text())
+    _print_report(report, args.json)
     return 0 if report.ok else 1
 
 
@@ -382,10 +382,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}")
         return 1
-    except TopologyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TopologyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

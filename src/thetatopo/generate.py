@@ -8,8 +8,8 @@ an orderly generation that keeps only the least labeling of each class.
 It skips every prefix that some relabeling of its decided points makes
 smaller, so it holds no set of classes seen. At each node only the
 relabelings that can give the least possible first row, 2^s - 1 for s the
-least neighborhood size, are compared (_is_least); canonical_rows takes its
-minimum over the same first-row groups. The relabelings that tie at a kept
+least neighborhood size, are compared (_is_least); canonical_rows is the
+least tuple of the whole orbit. The relabelings that tie at a kept
 leaf are its automorphisms, so each class comes with its orbit size n!/|Aut|
 (orbit-stabilizer) at no extra cost:
 count_spaces counts labeled spaces as the sum of the orbit sizes and never
@@ -30,20 +30,18 @@ from math import factorial
 from typing import Iterator
 
 from .bitset import bits
-from .space import CapExceeded, FinSpace
+from .space import POINT_CAP, CapExceeded, FinSpace
 
 LABELED_CAP = 6
 HOMEO_CAP = 7
 
-_NAME_POOL = tuple(str(i) for i in range(16))
-
-
-def point_names(n: int) -> tuple[str, ...]:
-    return _NAME_POOL[:n]
+_NAME_POOL = tuple(str(i) for i in range(POINT_CAP))
 
 
 def space_from_rows(rows: tuple[int, ...]) -> FinSpace:
-    return FinSpace(point_names(len(rows)), rows)
+    """The space on points "0", "1", ... with minimal neighborhoods rows,
+    for 0 to POINT_CAP (24) rows; more rows raise CapExceeded."""
+    return FinSpace(_NAME_POOL[: len(rows)], rows)
 
 
 def labeled_rows(n: int) -> Iterator[tuple[int, ...]]:
@@ -204,23 +202,11 @@ def _orbit(rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 
 def canonical_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """The least row tuple over all relabelings. By the first-row argument
-    of _is_least, only the first-row groups (x0, N(x0)) with |N(x0)| the
-    least row size can give it, so only their relabelings are compared."""
+    """The least row tuple over all relabelings."""
     n = len(rows)
     if n > HOMEO_CAP:
         raise CapExceeded(f"canonical form over {n}! relabelings; cap is {HOMEO_CAP} points")
-    groups = _first_row_groups(n)[n - 1] if n else {}
-    s = min((r.bit_count() for r in rows), default=0)
-    return min(
-        (
-            tuple([t[rows[k]] for k in inv])
-            for x0, r0 in enumerate(rows)
-            if r0.bit_count() == s
-            for t, inv in groups[x0, r0]
-        ),
-        default=rows,
-    )
+    return min(_orbit(rows))
 
 
 def canonicalize(space: FinSpace) -> FinSpace:
@@ -271,11 +257,15 @@ def _check_cap(n: int, mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def enumerate_spaces(n: int, mode: str = "labeled") -> Iterator[FinSpace]:
-    """The spaces of labeled_rows(n) or homeo_rows(n), capped per mode. Caps
-    are checked on the call, before any space is produced."""
+def enumerate_rows(n: int, mode: str = "labeled") -> Iterator[tuple[int, ...]]:
+    """labeled_rows(n) or homeo_rows(n), capped per mode; caps are checked on the call."""
     _check_cap(n, mode)
-    return map(space_from_rows, labeled_rows(n) if mode == "labeled" else homeo_rows(n))
+    return labeled_rows(n) if mode == "labeled" else homeo_rows(n)
+
+
+def enumerate_spaces(n: int, mode: str = "labeled") -> Iterator[FinSpace]:
+    """The spaces of enumerate_rows(n, mode), caps checked on the call."""
+    return map(space_from_rows, enumerate_rows(n, mode))
 
 
 def count_spaces(n: int, mode: str = "labeled") -> int:

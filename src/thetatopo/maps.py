@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .bitset import bits, gfp, least_prefix
+from .generate import space_from_rows
 from .space import (
     FinSpace,
     ForeignSet,
@@ -76,7 +77,6 @@ TIERS = (
 )
 TIER_RANK = {name: i for i, name in enumerate(TIERS)}
 TIER_LABELS = {
-    "continuous": "continuous",
     "theta_weakly_discontinuous": "θ-weakly discontinuous",
     "weakly_discontinuous": "weakly discontinuous",
     "scatteredly_continuous": "scatteredly continuous",
@@ -171,13 +171,9 @@ def ok_masks(f: FinMap) -> tuple[int, ...]:
 
 
 def continuity_set_mask(f: FinMap, a: int) -> int:
-    ok = ok_masks(f)
-    nbhd = f.domain.nbhd
-    out = 0
-    for x in bits(a):
-        if nbhd[x] & a & ~ok[x] == 0:
-            out |= 1 << x
-    return out
+    """C(f|a) = a minus B(a), B the scattered operator of _pruners."""
+    bad = _bad_rows(f.domain, ok_masks(f))
+    return a & ~_pruners(f.domain, bad)["scatteredly_continuous"](a)
 
 
 def continuity_points(f: FinMap, a: PointSet) -> PointSet:
@@ -221,10 +217,9 @@ class MapClass:
     def headline(self) -> str:
         if self.tier == "continuous":
             return "continuous"
+        # No map has the theta tier (see reaches): missed is a restriction tier.
         missed = TIERS[TIER_RANK[self.tier] - 1]
         witness = format_names(self.witnesses[missed])
-        if missed == "continuous":
-            return f"{self.tier} (not continuous; discontinuous on {witness})"
         return f"{self.tier} (not {TIER_LABELS[missed]}; witness A = {witness})"
 
 
@@ -335,17 +330,14 @@ def _classify(nbhd: tuple[int, ...], ok: tuple[int, ...]) -> tuple[str, tuple[tu
     fn classify --json. Every failing set of a rung fails the rungs above,
     so each greatest fixpoint lies in the one above it, and a least
     witness that fails the next rung too is that rung's least witness."""
-    domain = FinSpace(tuple(map(str, range(len(nbhd)))), nbhd)
-    bad = _bad_rows(domain, ok)
-    jumps = 0  # the discontinuity points of f
-    for x, row in enumerate(bad):
-        if row:
-            jumps |= 1 << x
+    domain = space_from_rows(nbhd)
+    pruners = _pruners(domain, _bad_rows(domain, ok))
+    jumps = pruners["scatteredly_continuous"](domain.full_mask)  # B(X), where f jumps
     if not jumps:
         return "continuous", ()
     failing = []  # (tier, operator, largest failing set), theta rung first
     top = domain.full_mask
-    for tier, prune in _pruners(domain, bad).items():
+    for tier, prune in pruners.items():
         top = gfp(prune, top)
         if not top:
             break

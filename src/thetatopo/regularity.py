@@ -462,6 +462,14 @@ def is_sw_witness(mc: MapClass) -> bool:
     return mc.reaches("scatteredly_continuous") and not mc.reaches("weakly_discontinuous")
 
 
+def check_sw_bound(bound: int) -> None:
+    """Refuse a bound outside 1..SW_BOUND_CAP; 0 would search nothing."""
+    if bound > SW_BOUND_CAP:
+        raise CapExceeded(f"witness search capped at domain size {SW_BOUND_CAP}")
+    if bound < 1:
+        raise TopologyError(f"witness search bound must be at least 1, got {bound}")
+
+
 def sw_witness_search(
     space: FinSpace, max_domain_size: int = 3
 ) -> tuple[FinSpace, FinMap] | None:
@@ -509,8 +517,7 @@ def sw_witness_search(
 
     No map is built or classified until a witness is found.
     """
-    if max_domain_size > SW_BOUND_CAP:
-        raise CapExceeded(f"witness search capped at domain size {SW_BOUND_CAP}")
+    check_sw_bound(max_domain_size)
     cod = space.nbhd
     reps = [x for x, row in enumerate(cod) if row not in cod[:x]]
     shape = tuple(sum(1 << j for j, r in enumerate(reps) if cod[x] >> r & 1) for x in reps)
@@ -678,8 +685,7 @@ def check_arrows(verdicts: dict[str, bool]) -> list[str]:
 
 def classify_report(space: FinSpace, sw_bound: int = 3) -> PropertyReport:
     # Checked up front: the report of a regular space never runs the search.
-    if sw_bound > SW_BOUND_CAP:
-        raise CapExceeded(f"witness search capped at domain size {SW_BOUND_CAP}")
+    check_sw_bound(sw_bound)
     verdicts, witnesses = property_verdicts(space)
     if verdicts["regular"]:
         sw = {"verdict": "implied_true", "bound": sw_bound, "witness": None}

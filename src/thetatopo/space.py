@@ -89,10 +89,10 @@ class FinSpace:
     def __init__(self, names: Sequence[str], nbhd: Sequence[int]):
         names = tuple(names)
         nbhd = tuple(nbhd)
+        if len(nbhd) > POINT_CAP:
+            raise CapExceeded(f"{len(nbhd)} points exceeds the cap of {POINT_CAP}")
         if len(names) != len(nbhd):
             raise SpaceFormatError("one neighborhood mask per point required")
-        if len(names) > POINT_CAP:
-            raise CapExceeded(f"{len(names)} points exceeds the cap of {POINT_CAP}")
         full = (1 << len(names)) - 1
         for i, m in enumerate(nbhd):
             if m & ~full:

@@ -34,9 +34,9 @@ from .maps import FinMap, MapClass, classify_map, compose, map_to_obj, reaches
 from .regularity import (
     DECIDABLE_PROPERTIES,
     REPORT_PROPERTIES,
-    SW_BOUND_CAP,
     SW_SAFE_PREMISES,
     check_arrows,
+    check_sw_bound,
     has_property,
     is_sw_witness,
     sw_witness_search,
@@ -344,15 +344,16 @@ def verify_diagram(
       X's entries by (Y, p) gives the labeled scan's order.
 
     The effective transfer bound min(n_max, transfer_max) is capped at
-    TRANSFER_CAP; it, n_max and sw_bound are checked before any work.
+    TRANSFER_CAP; it, n_max and sw_bound are checked, and refused below 1, before any work.
     """
     if n_max > DIAGRAM_CAP:
         raise CapExceeded(f"diagram verification capped at {DIAGRAM_CAP} points")
     tn = min(n_max, transfer_max)
     if tn > TRANSFER_CAP:
         raise CapExceeded(f"transfer scan capped at {TRANSFER_CAP} points")
-    if sw_bound > SW_BOUND_CAP:
-        raise CapExceeded(f"witness search capped at domain size {SW_BOUND_CAP}")
+    check_sw_bound(sw_bound)
+    if tn < 1:
+        raise TopologyError("n_max and transfer_max must be at least 1")
     matrix = {
         f"{p} => {q}": {"holds": True, "counterexample": None}
         for p in DECIDABLE_PROPERTIES
@@ -621,13 +622,17 @@ def check_composition_laws(
     With every size bound at most 2 the sweep is exhaustive over all labeled
     spaces and all maps up to the bounds; otherwise `samples` random triples
     are drawn with sizes between min(3, bound) and bound from the given seed.
+    Sizes and samples below 1 are refused, so that no PASS is vacuous.
     """
     if max(sizes) > COMPOSITION_SIZE_CAP:
         raise CapExceeded(f"composition sizes capped at {COMPOSITION_SIZE_CAP} points")
+    if min(sizes) < 1 or samples < 1:
+        raise TopologyError(f"sizes and samples must be at least 1, got {sizes} and {samples}")
     results = [LawResult(name, asserted) for name, _, _, _, asserted in LAWS]
     triples = 0
 
     if max(sizes) <= 2:
+        mode, samples, seed = "exhaustive", None, None
         sx, sy, sz = sizes
         xs = [s for n in range(1, sx + 1) for s in map(space_from_rows, labeled_rows(n))]
         ys = [s for n in range(1, sy + 1) for s in map(space_from_rows, labeled_rows(n))]
@@ -643,32 +648,22 @@ def check_composition_laws(
                         triples += 1
                         mcc = classify_map(compose(g, f))
                         _apply_laws(f, g, mcf, mcg, mcc, results)
-        return CompositionReport(
-            mode="exhaustive",
-            sizes=sizes,
-            samples=None,
-            seed=None,
-            triples=triples,
-            laws=results,
-        )
-
-    rng = random.Random(seed)
-    lows = tuple(min(3, s) for s in sizes)
-    for _ in range(samples):
-        nx = rng.randint(lows[0], sizes[0])
-        ny = rng.randint(lows[1], sizes[1])
-        nz = rng.randint(lows[2], sizes[2])
-        x = random_space(nx, rng)
-        y = random_space(ny, rng)
-        z = random_space(nz, rng)
-        f = FinMap(x, y, tuple(rng.randrange(ny) for _ in range(nx)))
-        g = FinMap(y, z, tuple(rng.randrange(nz) for _ in range(ny)))
-        triples += 1
-        _apply_laws(
-            f, g, classify_map(f), classify_map(g), classify_map(compose(g, f)), results
-        )
+    else:
+        mode = "randomized"
+        rng = random.Random(seed)
+        for _ in range(samples):
+            nx, ny, nz = (rng.randint(min(3, s), s) for s in sizes)
+            x = random_space(nx, rng)
+            y = random_space(ny, rng)
+            z = random_space(nz, rng)
+            f = FinMap(x, y, tuple(rng.randrange(ny) for _ in range(nx)))
+            g = FinMap(y, z, tuple(rng.randrange(nz) for _ in range(ny)))
+            triples += 1
+            _apply_laws(
+                f, g, classify_map(f), classify_map(g), classify_map(compose(g, f)), results
+            )
     return CompositionReport(
-        mode="randomized",
+        mode=mode,
         sizes=sizes,
         samples=samples,
         seed=seed,

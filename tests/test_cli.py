@@ -475,10 +475,10 @@ def test_numeric_flags_below_bound_exit_two(argv):
 
 
 def test_sum_discrete_over_cap_exits_two_before_building(monkeypatch):
-    def build_space(*args, **kw):
+    def space_from_rows(*args, **kw):
         raise AssertionError("sum:discreteK built its summand past the cap")
 
-    monkeypatch.setattr("thetatopo.cli.build_space", build_space)
+    monkeypatch.setattr("thetatopo.cli.space_from_rows", space_from_rows)
     code, out, err = run_cli("hedgehog", "embed", "--space", "sum:discrete25")
     assert (code, out) == (2, "")
     assert err == "error: 25 points exceeds the cap of 24\n"

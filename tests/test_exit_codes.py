@@ -3,10 +3,12 @@ or 2 without a traceback, and a usage error (exit 2) prints nothing on
 stdout.
 
 Argv is drawn over every subcommand and flag, in-process through cli.main.
-At most one flag per argv takes a value that argparse refuses: for a
-numeric flag one above its cap, one below its bound, or text that is not
-an int. Every other flag takes a value small enough to finish in
-milliseconds, so most argvs reach a command handler. File arguments name
+Each argv has at most one invalid part. It is either a flag value that
+argparse refuses (for a numeric flag one above its cap, one below its
+bound, or text that is not an int) or a fault of structure: a required
+flag or file argument left out, --labeled with --homeo, or a stray word.
+Every other part is present and valid, with values small enough to finish
+in milliseconds, so most argvs reach a command handler. File arguments name
 a fixture, a missing file, malformed JSON, or a drawn document of the
 right overall shape with wrong parts; classify and decompose also read
 valid spaces of 11 to 24 points. No draw may start work that a cap does
@@ -159,7 +161,7 @@ def commands(tmp_dir: Path):
     """(command words, positional strategy or None, {flag: Knob, value
     strategy, or None for a switch}). The first flag of the commands in
     ALWAYS_FIRST is always drawn: their defaults run for a tenth of a second
-    or more."""
+    or more. So is every flag in REQUIRED, which argparse requires."""
     spaces = file_arg(tmp_dir, SPACE_FIXTURES, SPACE_DOCS) | large_space_arg(tmp_dir)
     maps = file_arg(tmp_dir, MAP_FIXTURES, MAP_DOCS)
     max_points = knob(1, 24, 25)
@@ -226,30 +228,49 @@ def commands(tmp_dir: Path):
 
 
 ALWAYS_FIRST = ("compositions", "verify-diagram", "profile", "embed")
+REQUIRED = ("-n", "--where")
+EXCLUSIVE = ("--labeled", "--homeo")
+POSITIONAL = "<positional>"
 
 
 @st.composite
 def argvs(draw, tmp_dir: Path):
     words, positional, flags = draw(st.sampled_from(commands(tmp_dir)))
-    argv = list(words)
     chosen = [
         flag
         for i, flag in enumerate(flags)
-        if (i == 0 and words[-1] in ALWAYS_FIRST) or draw(st.booleans())
+        if flag in REQUIRED or (i == 0 and words[-1] in ALWAYS_FIRST) or draw(st.booleans())
     ]
     knobs = [flag for flag in chosen if isinstance(flags[flag], Knob)]
-    # Half the time every flag is valid; otherwise one knob is invalid.
-    bad = draw(st.sampled_from(knobs)) if knobs and draw(st.booleans()) else None
+    required = [flag for flag in chosen if flag in REQUIRED]
+    if positional is not None:
+        required.append(POSITIONAL)
+    # About one argv in eight has one fault of structure; of the others,
+    # half have one refused knob value and half no invalid part.
+    if draw(st.integers(0, 7)) == 7:
+        faults = ["exclusive"] * (EXCLUSIVE[0] in flags) + ["missing"] * bool(required) + ["stray"]
+        fault = draw(st.sampled_from(faults))
+    else:
+        fault = "knob" if draw(st.booleans()) else "valid"
+    bad = draw(st.sampled_from(knobs)) if fault == "knob" and knobs else None
+    left_out = draw(st.sampled_from(required)) if fault == "missing" else None
+    if fault == "exclusive":
+        chosen += [flag for flag in EXCLUSIVE if flag not in chosen]
+    elif all(flag in chosen for flag in EXCLUSIVE):
+        chosen.remove(draw(st.sampled_from(EXCLUSIVE)))
+    argv = list(words)
     for flag in chosen:
+        if flag == left_out:
+            continue
         argv.append(flag)
         value = flags[flag]
         if isinstance(value, Knob):
             value = value.invalid if flag == bad else value.valid
         if value is not None:
             argv.append(draw(value))
-    if positional is not None and draw(st.integers(0, 9)):
+    if positional is not None and left_out != POSITIONAL:
         argv.append(draw(positional))
-    if not draw(st.integers(0, 9)):
+    if fault == "stray":
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-x", "extra"])))
     return argv
 

@@ -27,7 +27,6 @@ from thetatopo.generate import (
     homeo_classes,
     homeo_rows,
     labeled_rows,
-    point_names,
     random_rows,
     random_space,
     space_from_rows,
@@ -234,7 +233,17 @@ def test_enumerated_rows_are_valid_spaces():
         for rows in labeled_rows(n):
             sp = space_from_rows(rows)
             assert isinstance(sp, FinSpace)
-            assert sp.names == point_names(n)
+            assert sp.names == tuple(map(str, range(n)))
+
+
+def test_space_from_rows_up_to_the_point_cap():
+    for n in range(17, 25):
+        chain = tuple((2 << i) - 1 for i in range(n))  # N(i) = {0..i}
+        for rows in (tuple(1 << i for i in range(n)), chain):
+            sp = space_from_rows(rows)
+            assert sp.names == tuple(map(str, range(n))) and sp.nbhd == rows
+    with pytest.raises(CapExceeded, match="^25 points exceeds the cap of 24$"):
+        space_from_rows(tuple(1 << i for i in range(25)))
 
 
 def test_canonical_is_least_permutation():

@@ -35,6 +35,8 @@ from thetatopo.hedgehog import (
     token_str,
     verify_embedding,
 )
+from test_cli import run_cli
+from thetatopo import hedgehog
 from thetatopo.space import UnknownPoint, build_space
 
 SIERPINSKI = build_space(["a", "b"], {"a": ["a"], "b": ["a", "b"]})
@@ -429,6 +431,90 @@ def test_profile_text_golden():
             "verdict: pass",
         ]
     )
+
+
+def _grow_bases(monkeypatch):
+    base = hedgehog._nbhd_base
+    monkeypatch.setattr(hedgehog, "_nbhd_base", lambda x, k: base(x, max(0, 2 - k)))
+
+
+def _tip_gets_stalk_base(monkeypatch):
+    base = hedgehog._nbhd_base
+    monkeypatch.setattr(
+        hedgehog, "_nbhd_base", lambda x, k: StalkBase(*x) if len(x) == 2 else base(x, k)
+    )
+
+
+def _patch(cls, names, test):
+    # Replace the named membership tests of cls by test(original, self, t).
+    def install(monkeypatch):
+        for name in names:
+            original = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, t, o=original: test(o, self, t))
+
+    return install
+
+
+BOTH = ("member", "adheres")
+
+# (fault, clause, a failure it must report): one fault per failure line of
+# certify_hedgehog_profile. A basic set whose member and adheres change
+# together stays clopen, so the local-regularity clause still passes; a
+# stalk in U(1) also costs the first non-regularity witness.
+PROFILE_FAULTS = [
+    (_grow_bases, "decreasing bases", "base at () not decreasing at index 0"),
+    (_tip_gets_stalk_base, "scattered layers", "tip (1,1) not isolated"),
+    (
+        _patch(StalkBase, BOTH, lambda o, b, t: o(b, t) or len(t) == 1),
+        "scattered layers",
+        "stalk (1) not isolated among stalks",
+    ),
+    (
+        _patch(StalkBase, BOTH, lambda o, b, t: o(b, t) or t == ROOT),
+        "scattered layers",
+        "stalk base U(1,1) contains the root",
+    ),
+    (
+        _patch(RootBase, ("member",), lambda o, b, t: o(b, t) or t == (1,)),
+        "scattered layers",
+        "root base U(1) contains a stalk",
+    ),
+    (
+        _patch(StalkBase, ("adheres",), lambda o, b, t: o(b, t) or t == ROOT),
+        "local regularity",
+        "U(1,1) not clopen at ()",
+    ),
+    (
+        _patch(Singleton, ("adheres",), lambda o, b, t: o(b, t) or t == ROOT),
+        "local regularity",
+        "singleton (1,1) not closed at ()",
+    ),
+    (
+        # The tips of stalk n leave cl(U(n)), though they lie in U(n).
+        _patch(RootBase, ("adheres",), lambda o, b, t: o(b, t) and (len(t) < 2 or t[0] != b.n)),
+        "local regularity",
+        "U(1) not relatively clopen in U(1) at (1,1)",
+    ),
+    (
+        _patch(RootBase, ("adheres",), lambda o, b, t: o(b, t) and len(t) != 1),
+        "non-regularity witnesses",
+        "missing non-regularity witness at index 1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fault, clause, failure", PROFILE_FAULTS, ids=[f[2] for f in PROFILE_FAULTS]
+)
+def test_profile_reports_each_failure(monkeypatch, fault, clause, failure):
+    fault(monkeypatch)
+    r = certify_hedgehog_profile(3)
+    assert not r.ok and failure in r.failures, (clause, r.failures)
+    assert f"FAILED: {failure}" in r.to_text().splitlines()
+    assert r.to_text().endswith("verdict: fail")
+    assert r.to_obj()["verdict"] == "fail"
+    code, out, err = run_cli("hedgehog", "profile", "--depth", "3")
+    assert (code, err) == (1, "") and f"FAILED: {failure}\n" in out
 
 
 # ---------------------------------------------------------------------------

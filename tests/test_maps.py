@@ -31,6 +31,7 @@ from thetatopo.maps import (
     build_map,
     classify_map,
     compose,
+    continuity_points,
     continuity_set_mask,
     identity_map,
     is_weak_homeomorphism,
@@ -44,6 +45,10 @@ from thetatopo.space import (
     POINT_CAP,
     CapExceeded,
     FinSpace,
+    ForeignSet,
+    PointSet,
+    SpaceFormatError,
+    UnknownPoint,
     build_space,
     interior_mask,
     theta_components,
@@ -116,6 +121,27 @@ def test_continuity_sets_exhaustive():
 def test_continuity_set_random(f, data):
     a = data.draw(st.integers(1, f.domain.full_mask))
     assert continuity_set_mask(f, a) == cont_points_oracle(f, a)
+
+
+def test_continuity_points_match_mask_function():
+    # The checked PointSet face of continuity_set_mask, on every subset,
+    # and refusing a set of another space.
+    for x in spaces_up_to(3):
+        for y in spaces_up_to(2):
+            for img in product(range(len(y)), repeat=len(x)):
+                f = FinMap(x, y, img)
+                for a in range(x.full_mask + 1):
+                    assert continuity_points(f, x.set_of(a)) == PointSet(x, continuity_set_mask(f, a))
+    with pytest.raises(ForeignSet):
+        continuity_points(D_TO_DISCRETE, DISCRETE2.all)
+
+
+def test_finmap_rejects_malformed_images():
+    with pytest.raises(SpaceFormatError, match="^one image per domain point required$"):
+        FinMap(D_SPACE, DISCRETE2, (0,))
+    for bad in (2, -1):
+        with pytest.raises(UnknownPoint, match=f"^image index {bad} outside the codomain$"):
+            FinMap(D_SPACE, DISCRETE2, (0, bad))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
+import operator
 import pickle
 from dataclasses import fields
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -35,12 +37,17 @@ from thetatopo.space import (
     SpaceFormatError,
     UnknownPoint,
     build_space,
+    closure,
     closure_mask,
     format_mask,
     format_names,
     format_space,
+    interior,
     interior_mask,
+    is_closed,
+    is_open,
     is_open_mask,
+    is_theta_open,
     is_theta_open_mask,
     space_from_json,
     space_from_obj,
@@ -48,7 +55,9 @@ from thetatopo.space import (
     space_to_obj,
     subspace,
     subspace_on_mask,
+    theta_interior,
     theta_interior_mask,
+    theta_open_part,
     theta_open_part_mask,
     topological_sum,
 )
@@ -106,6 +115,22 @@ def test_point_cap():
 def test_foreign_mask_rejected():
     with pytest.raises(ForeignSet):
         SIERPINSKI.set_of(0b100)
+
+
+def test_finspace_rejects_malformed_rows():
+    with pytest.raises(SpaceFormatError, match="^one neighborhood mask per point required$"):
+        FinSpace(("a", "b"), (0b01,))
+    with pytest.raises(SpaceFormatError, match="uses bits beyond the 2 declared points"):
+        FinSpace(("a", "b"), (0b101, 0b10))
+    # More masks than the point cap: refused by the cap, names or not.
+    with pytest.raises(CapExceeded, match="^25 points exceeds the cap of 24$"):
+        FinSpace(tuple(map(str, range(24))), tuple(1 << i for i in range(25)))
+
+
+def test_empty_and_all():
+    for sp in [FinSpace((), ())] + list(all_labeled(3)):
+        assert sp.empty == PointSet(sp, 0) and not sp.empty
+        assert sp.all == PointSet(sp, sp.full_mask) and tuple(sp.all) == sp.names
 
 
 def test_immutability_equality_pickle():
@@ -343,6 +368,54 @@ def test_theta_interior_iterates_to_part():
 # Subspaces and sums.
 # ---------------------------------------------------------------------------
 
+def test_point_set_operations_match_mask_functions():
+    # The checked PointSet face of the mask functions: equal to them on
+    # every subset of every labeled space with at most 3 points, and
+    # refusing a set of another space.
+    for sp in all_labeled(3):
+        for m in range(sp.full_mask + 1):
+            s = sp.set_of(m)
+            assert closure(sp, s) == PointSet(sp, closure_mask(sp, m))
+            assert interior(sp, s) == PointSet(sp, interior_mask(sp, m))
+            assert theta_interior(sp, s) == PointSet(sp, theta_interior_mask(sp, m))
+            assert theta_open_part(sp, s) == PointSet(sp, theta_open_part_mask(sp, m))
+            assert is_open(sp, s) == is_open_mask(sp, m)
+            assert is_closed(sp, s) == (closure_mask(sp, m) == m)
+            assert is_theta_open(sp, s) == is_theta_open_mask(sp, m)
+    other = FinSpace(("x",), (1,))
+    for op in (closure, interior, theta_interior, theta_open_part, is_open, is_closed, is_theta_open):
+        with pytest.raises(ForeignSet):
+            op(SIERPINSKI, other.all)
+
+
+def test_point_set_algebra_matches_masks():
+    for sp in all_labeled(3):
+        full = sp.full_mask
+        for a, b in product(range(full + 1), repeat=2):
+            s, t = sp.set_of(a), sp.set_of(b)
+            assert (s | t) == PointSet(sp, a | b)
+            assert (s & t) == PointSet(sp, a & b)
+            assert (s - t) == PointSet(sp, a & ~b)
+            assert (s <= t) == (a & ~b == 0)
+            assert (s >= t) == (b & ~a == 0)
+        for a in range(full + 1):
+            s = sp.set_of(a)
+            assert [name in s for name in sp.names] == [bool(a >> i & 1) for i in range(len(sp))]
+            assert tuple(s) == sp.names_of(a)
+            assert len(s) == a.bit_count()
+            assert bool(s) == (a != 0)
+            assert s.complement() == PointSet(sp, full & ~a)
+            assert repr(s) == format_names(sp.names_of(a))
+    s, foreign = SIERPINSKI.all, FinSpace(("x",), (1,)).all
+    for op in (operator.or_, operator.and_, operator.sub, operator.le, operator.ge):
+        with pytest.raises(ForeignSet):
+            op(s, foreign)
+        with pytest.raises(TypeError):
+            op(s, 0b11)
+    with pytest.raises(UnknownPoint):
+        "q" in s
+
+
 def test_subspace_traces():
     for sp in all_labeled(3):
         full = sp.full_mask
@@ -408,6 +481,22 @@ def test_opens_form_rejects_non_topology():
     missing_whole = {"points": ["a", "b"], "opens": [[], ["a"]]}
     with pytest.raises(InvalidOpenFamily):
         space_from_obj(missing_whole)
+
+
+def test_opens_form_cap_and_intersection():
+    names = [str(i) for i in range(5)]
+    with pytest.raises(CapExceeded, match="^5 points exceeds the cap of 4$"):
+        space_from_obj({"points": names, "opens": [[], names]}, max_points=4)
+    # Closed under union, but {a,b} & {b,c} = {b} is not listed.
+    family = {"points": ["a", "b", "c"], "opens": [[], ["a", "b"], ["b", "c"], ["a", "b", "c"]]}
+    with pytest.raises(InvalidOpenFamily, match="not closed under intersection"):
+        space_from_obj(family)
+
+
+def test_space_from_json_rejects_invalid_json():
+    for text in ("", "{not json", '{"points": ['):
+        with pytest.raises(SpaceFormatError, match="^not valid JSON"):
+            space_from_json(text)
 
 
 def test_format_errors():

@@ -21,7 +21,7 @@ from thetatopo.regularity import (
     REPORT_PROPERTIES,
     property_verdicts,
 )
-from thetatopo.space import CapExceeded, space_from_obj
+from thetatopo.space import CapExceeded, TopologyError, space_from_obj
 from thetatopo.survey import (
     COMPOSITION_SIZE_CAP,
     DiagramReport,
@@ -82,6 +82,11 @@ def test_parse_shapes():
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_predicate(text)
+
+
+def test_parse_reports_the_missing_close_paren():
+    with pytest.raises(ParseError, match="^expected '\\)', got 't1'$"):
+        parse_predicate("(regular t1)")
 
 
 def test_eval_predicate():
@@ -552,6 +557,45 @@ def test_composition_randomized_deterministic():
 def test_composition_cap():
     with pytest.raises(CapExceeded):
         check_composition_laws((COMPOSITION_SIZE_CAP + 1, 2, 2))
+
+
+DISCRETE2 = space_from_rows((0b01, 0b10))
+
+
+@pytest.mark.parametrize(
+    "call, args, kwargs",
+    [
+        pytest.param(verify_diagram, (0,), {}, id="diagram-n_max-0"),
+        pytest.param(verify_diagram, (3, 0, 3), {}, id="diagram-sw_bound-0"),
+        pytest.param(verify_diagram, (3, 3, 0), {}, id="diagram-transfer_max-0"),
+        pytest.param(verify_diagram, (-1, 3, 3), {}, id="diagram-n_max-negative"),
+        pytest.param(check_composition_laws, ((3, 3, 3),), {"samples": 0}, id="laws-samples-0"),
+        pytest.param(check_composition_laws, ((2, 2, 2),), {"samples": 0}, id="laws-exhaustive-samples-0"),
+        pytest.param(check_composition_laws, ((0, 2, 2),), {}, id="laws-size-0"),
+        pytest.param(check_composition_laws, ((3, 0, 3),), {"samples": 5}, id="laws-middle-size-0"),
+        pytest.param(regularity.classify_report, (DISCRETE2,), {"sw_bound": 0}, id="report-sw_bound-0"),
+        pytest.param(regularity.sw_witness_search, (DISCRETE2, 0), {}, id="sw-search-bound-0"),
+    ],
+)
+def test_bounds_below_one_refused_before_any_work(monkeypatch, call, args, kwargs):
+    # A bound below 1 would sweep nothing and pass vacuously (or, for a
+    # middle size of 0, crash in the random draw), so it is refused first.
+    def refuse(*a, **kw):
+        raise AssertionError("work started before the bounds were checked")
+
+    for module, name in (
+        (survey, "has_property"),
+        (survey, "homeo_classes"),
+        (survey, "labeled_rows"),
+        (survey, "random_space"),
+        (survey, "classify_map"),
+        (regularity, "property_verdicts"),
+        (regularity, "_sw_shape_search"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(TopologyError, match="must be at least 1") as info:
+        call(*args, **kwargs)
+    assert not isinstance(info.value, CapExceeded)
 
 
 def test_report_objects():
