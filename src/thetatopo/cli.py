@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from .decomposition import (
     theta_decomposition,
     weak_homeo_witness,
 )
-from .generate import count_spaces, enumerate_rows, enumerate_spaces, space_from_rows
+from .generate import count_spaces, enumerate_rows, space_from_rows
 from .hedgehog import (
     DEPTH_CAP,
     EMBED_DEPTH_CAP,
@@ -52,6 +53,8 @@ from .space import (
     TopologyError,
     format_space,
     read_json,
+    row_formatter,
+    row_json_formatter,
     space_from_obj,
     space_to_obj,
 )
@@ -111,7 +114,10 @@ def _oracle_from_spec(spec: str) -> OracleSpace:
     if spec.startswith("sum:"):
         rest = spec[len("sum:") :]
         if rest.startswith("discrete") and rest[len("discrete") :].isdecimal():
-            k = int(rest[len("discrete") :])
+            digits = rest[len("discrete") :].lstrip("0") or "0"
+            if len(digits) > len(str(POINT_CAP)):  # before int(), which refuses over 4,300 digits
+                raise CapExceeded(f"a {len(digits)}-digit K exceeds the cap of {POINT_CAP} points")
+            k = int(digits)
             if k > POINT_CAP:  # before the rows are built
                 raise CapExceeded(f"{k} points exceeds the cap of {POINT_CAP}")
             return SumOracle(space_from_rows(tuple(1 << i for i in range(k))))
@@ -204,20 +210,22 @@ def cmd_enumerate(args) -> int:
         else:
             print(count)
         return 0
+    rows = enumerate_rows(n, mode)
+    write = sys.stdout.write
     if args.json:
         # _print_json's bytes, one space at a time: only the row tuples are
         # held, for the count. Never empty: every n has the discrete space.
-        rows = list(enumerate_rows(n, mode))
+        rows = list(rows)
         head = json.dumps({"n": n, "mode": mode, "count": len(rows)}, indent=2)
         print(head[: -len("\n}")] + ',\n  "spaces": [')
-        encode = json.JSONEncoder(indent=2, ensure_ascii=False, check_circular=False).encode
+        body = row_json_formatter(n, 2)
         for i, r in enumerate(rows):
-            body = encode(space_to_obj(space_from_rows(r))).replace("\n", "\n    ")
-            sys.stdout.write((",\n    " if i else "    ") + body)
+            write((",\n    " if i else "    ") + body(r))
         print("\n  ]\n}")
     else:
-        for space in enumerate_spaces(n, mode):
-            print(format_space(space))
+        line = row_formatter(n)
+        for r in rows:
+            write(line(r) + "\n")
     return 0
 
 
@@ -372,7 +380,20 @@ def main(argv=None) -> int:
         sys.stdout.reconfigure(encoding="utf-8", newline="\n")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped reading. Point stdout at the null device, so that
+        # the interpreter's last flush of what is still buffered cannot raise.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):  # no file descriptor, as in a StringIO
+            return 0
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 0
     except (
         ResidueNonEmpty,
         VerificationFailure,

@@ -30,7 +30,7 @@ from math import factorial
 from typing import Iterator
 
 from .bitset import bits
-from .space import POINT_CAP, CapExceeded, FinSpace
+from .space import POINT_CAP, CapExceeded, FinSpace, TopologyError
 
 LABELED_CAP = 6
 HOMEO_CAP = 7
@@ -44,8 +44,15 @@ def space_from_rows(rows: tuple[int, ...]) -> FinSpace:
     return FinSpace(_NAME_POOL[: len(rows)], rows)
 
 
+def _check_n(n: int) -> None:
+    """Refuse a negative point count on the call, before any work."""
+    if n < 0:
+        raise TopologyError("the point count n must be at least 0")
+
+
 def labeled_rows(n: int) -> Iterator[tuple[int, ...]]:
     """All coherent minimal-neighborhood row tuples on n points, ascending."""
+    _check_n(n)
     return _walk(n, False)
 
 
@@ -243,6 +250,7 @@ def homeo_classes(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     labeled spaces (orbit-stabilizer), each relabeling p giving the same
     labeling as p·a for every automorphism a.
     """
+    _check_n(n)
     return _walk(n, True)
 
 
@@ -264,7 +272,8 @@ def enumerate_rows(n: int, mode: str = "labeled") -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_spaces(n: int, mode: str = "labeled") -> Iterator[FinSpace]:
-    """The spaces of enumerate_rows(n, mode), caps checked on the call."""
+    """The spaces of enumerate_rows(n, mode), caps checked on the call.
+    Library API: the CLI prints enumerate_rows without building spaces."""
     return map(space_from_rows, enumerate_rows(n, mode))
 
 
@@ -285,7 +294,11 @@ def count_spaces(n: int, mode: str = "labeled") -> int:
 
 def random_rows(n: int, rng: random.Random, density: float = 0.35) -> tuple[int, ...]:
     """A random topology: random reflexive rows, then coherence closure
-    (if y ∈ N(x) then N(y) ⊆ N(x)) iterated to a fixpoint."""
+    (if y ∈ N(x) then N(y) ⊆ N(x)) iterated to a fixpoint. n is refused
+    outside 0..POINT_CAP, before any draw."""
+    _check_n(n)
+    if n > POINT_CAP:
+        raise CapExceeded(f"random spaces capped at {POINT_CAP} points")
     rows = []
     for i in range(n):
         m = 1 << i

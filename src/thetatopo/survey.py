@@ -195,8 +195,11 @@ def find_space(predicate: str | tuple, n_max: int = 5) -> FinSpace | None:
     first, canonical order within a count, so the answer is deterministic.
     Each class decides only the properties the predicate reads, in the
     order its short-circuit evaluation reads them, each at most once; no
-    witness is built.
+    witness is built. An n_max below 1 is refused before any work, so None
+    always means a search that ran.
     """
+    if n_max < 1:
+        raise TopologyError("n_max must be at least 1")
     node = parse_predicate(predicate) if isinstance(predicate, str) else predicate
     if n_max > HOMEO_CAP:
         raise CapExceeded(f"search capped at {HOMEO_CAP} points")

@@ -1,5 +1,8 @@
 import hashlib
+import io
 import json
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -7,7 +10,7 @@ import pytest
 
 from thetatopo import generate, regularity
 from thetatopo.cli import main
-from thetatopo.generate import enumerate_spaces
+from thetatopo.generate import enumerate_spaces, space_from_rows
 from thetatopo.hedgehog import (
     HedgehogOracle,
     certify_hedgehog_profile,
@@ -15,7 +18,7 @@ from thetatopo.hedgehog import (
     verify_embedding,
 )
 from thetatopo.regularity import classify_report
-from thetatopo.space import space_from_obj
+from thetatopo.space import FinSpace, space_from_obj
 from thetatopo.survey import check_composition_laws, verify_diagram
 
 SIERPINSKI_JSON = '{"points": ["a", "b"], "min_nbhds": {"a": ["a"], "b": ["a", "b"]}}'
@@ -240,6 +243,24 @@ def test_enumerate_count_runs_no_labeled_walk(monkeypatch):
     assert run_cli("enumerate", "-n", "6", "--count")[:2] == (0, "209527\n")
     # The labeled count is the orbit-size sum of the orderly walk.
     assert calls == [(6, True)]
+
+
+def test_enumerate_listings_build_no_space(monkeypatch):
+    # Both output forms print the walk's rows from per-n tables.
+    init = FinSpace.__init__
+    calls = []
+
+    def spy(self, names, nbhd):
+        calls.append(nbhd)
+        init(self, names, nbhd)
+
+    monkeypatch.setattr(FinSpace, "__init__", spy)
+    for argv in (("-n", "4"), ("-n", "4", "--json"), ("-n", "4", "--homeo", "--json")):
+        code, out, err = run_cli("enumerate", *argv)
+        assert (code, err) == (0, "") and out, argv
+    assert calls == []
+    space_from_rows((1,))  # the spy sees every space built
+    assert calls == [(1,)]
 
 
 def test_enumerate_json_round_trip():
@@ -484,6 +505,17 @@ def test_sum_discrete_over_cap_exits_two_before_building(monkeypatch):
     assert err == "error: 25 points exceeds the cap of 24\n"
 
 
+def test_sum_discrete_overlong_k_exits_two_before_int(monkeypatch):
+    # int() refuses more than 4,300 digits, so the digit count is checked first.
+    code, out, err = run_cli("hedgehog", "embed", "--space", "sum:discrete" + "9" * 5000)
+    assert (code, out) == (2, "")
+    assert err == "error: a 5000-digit K exceeds the cap of 24 points\n"
+    # Leading zeros do not count: this K is 2.
+    padded = run_cli("hedgehog", "embed", "--depth", "2", "--space", "sum:discrete" + "0" * 5000 + "2")
+    assert padded == run_cli("hedgehog", "embed", "--depth", "2", "--space", "sum:discrete2")
+    assert padded[0] == 0
+
+
 def test_transfer_bound_over_cap_exits_two_before_work(monkeypatch):
     def rows(n):
         raise AssertionError("verify-diagram started past the transfer cap")
@@ -543,6 +575,78 @@ def test_verify_diagram_transfer_four_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "df4dd366254d5f86f9d2184ef0d74e6251e62f8498d5262b4eb22233bfbbeffc"
     )
+
+
+class _Sha256Out(io.TextIOBase):
+    """A stdout that feeds sha256 instead of holding the text."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.sha.update(text.encode())
+        return len(text)
+
+
+# stdout of every enumerate listing form, recorded when each listed space
+# was built as a FinSpace and printed by format_space or the JSON encoder.
+# `-n 7 --homeo` is pinned by the test below.
+ENUMERATE_SHA256 = {
+    "-n 0": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
+    "-n 0 --json": "023c9c644853302b8c26a5504a0f1c04733f999585e0f729444137bc8ad458ac",
+    "-n 1": "b4e7d14e6cbd5a8eb2babe3bf2e767eea329bbb60626eb094f4f10f6deb7c86f",
+    "-n 1 --json": "2bb5a606a194f5cd2a2a70dc2e2aac8a0d87b40ae97b9ff04a4908d2864e38fe",
+    "-n 2": "e99c326f9384772642c7b03527d1b372c9a56bcc211351e5ab60eb6c8e92b874",
+    "-n 2 --json": "a59a991c50e3bd8413770f6a3d0c8425a1b78ec100062cb74fbf1dd5749ece13",
+    "-n 3": "be4bf3b6e5bfef0be6a90c2d411a09754beb5ff3f4a0df85314b622481b28106",
+    "-n 3 --json": "ca35dd11cb8b6ad47e84d1e9d7653c98787ade499d4b2a28a33f85d05b6ef41b",
+    "-n 4": "359bed58ae8f37909a382c5b77c2f009853f77aae8c075df50ab1975925ad784",
+    "-n 4 --json": "4f4dd3e80f7952eeb096e8a4e1951b7bb552fe58fb00725928302a5e8e4bbd2a",
+    "-n 5": "2ff555e576036f99e87a9f39f65eed0eb193f987e1eb783ef0ca7a1badd063d3",
+    "-n 5 --json": "b538ed085b2181e74db599995cb3266cc6e8ba5bd6466c0feae4228f9e7c1d97",
+    "-n 6": "8b5ce764b2af7140ad7d98748804a28473afc4861403a5238ee812585d8cd398",
+    "-n 6 --json": "fd1000094f75cfd984baaeb3af81e7fa0631b53c09b916e2f7edbf30e0cb22a8",
+    "-n 4 --homeo": "d711f44f2795dfd4524d3d89f1e5ea72f99dc8c526a09a97fa2376ab20d82580",
+    "-n 4 --homeo --json": "879fcaa42c5ca9d5eb0a8260c5f7ed8b831c9044150bb80d42ebc6540b0891c5",
+    "-n 6 --homeo": "b4077a23efcc360dd565f1cfec5039514bf26be749d116ab5c460477003af8ce",
+    "-n 6 --homeo --json": "ddbbd4caa1aaf71f578345fa1a76e26f93e96dac10f531911a668a0514648407",
+    "-n 7 --homeo --json": "e16c13a0a4130ed5918ee45582351f5a5fc41a61ea4d62411420134b694b4494",
+}
+
+
+@pytest.mark.parametrize("argv", list(ENUMERATE_SHA256))
+def test_enumerate_outputs_pinned(argv):
+    out = _Sha256Out()
+    with redirect_stdout(out):
+        assert main(["enumerate", *argv.split()]) == 0
+    assert out.sha.hexdigest() == ENUMERATE_SHA256[argv]
+
+
+def test_closed_stdout_ends_quietly():
+    # The reader takes one line and closes the pipe: the command stops at
+    # its next write, with exit 0 and nothing on stderr.
+    for argv in (("-n", "6"), ("-n", "6", "--json")):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "thetatopo", "enumerate", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (0, b""), argv
+
+
+def test_closed_stdout_without_descriptor_ends_quietly():
+    class Closed(io.TextIOBase):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    err = StringIO()
+    with redirect_stdout(Closed()), redirect_stderr(err):
+        assert main(["enumerate", "-n", "2"]) == 0
+    assert err.getvalue() == ""
 
 
 def test_enumerate_seven_point_classes_pinned():

@@ -150,7 +150,15 @@ PREDICATES = st.sampled_from(
 )
 EMBED_SPACES = st.one_of(
     st.sampled_from(
-        ["hedgehog", "sum:discrete2", "sum:discrete25", "moebius", "sum:discreteX", "sum:discrete²"]
+        [
+            "hedgehog",
+            "sum:discrete2",
+            "sum:discrete25",
+            "sum:discrete" + "9" * 5000,  # over int()'s 4,300 digits
+            "moebius",
+            "sum:discreteX",
+            "sum:discrete²",
+        ]
     ),
     st.lists(st.integers(-2, 4), max_size=4).map(lambda v: "permuted:" + ",".join(map(str, v))),
     st.just("permuted:x,1"),

@@ -4,7 +4,8 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from itertools import permutations
+from itertools import islice, permutations
+from typing import Iterator
 
 import pytest
 from hypothesis import given
@@ -23,6 +24,7 @@ from thetatopo.generate import (
     canonical_rows,
     canonicalize,
     count_spaces,
+    enumerate_rows,
     enumerate_spaces,
     homeo_classes,
     homeo_rows,
@@ -31,7 +33,8 @@ from thetatopo.generate import (
     random_space,
     space_from_rows,
 )
-from thetatopo.space import CapExceeded, FinSpace
+from thetatopo.space import CapExceeded, FinSpace, TopologyError
+from thetatopo.survey import find_space
 
 LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
 HOMEO_COUNTS = {1: 1, 2: 3, 3: 9, 4: 33, 5: 139, 6: 718}
@@ -344,3 +347,44 @@ def test_enumerate_spaces_modes():
 def test_count_spaces_modes():
     assert count_spaces(4, "labeled") == 355
     assert count_spaces(4, "homeo") == 33
+
+
+def test_point_counts_return_or_raise_topology_errors():
+    # Each entry point that takes a point count, called with every n in
+    # -3..30 and with huge ints, returns or raises a TopologyError and never
+    # another exception. An n below its floor (0, or 1 for find_space's
+    # n_max) is refused on the call, before a stream is read, and a stream
+    # that the call returned reads without error. Streams are read for their
+    # first items. The walks labeled_rows and homeo_classes check no cap, so
+    # they are called only at sizes that stay fast; count_spaces, which
+    # walks every class, is not called at 7 points.
+    rng = random.Random(0)
+    entry_points = [
+        # (call, floor, whether n stays fast)
+        (labeled_rows, 0, lambda n: n < 7),
+        (homeo_classes, 0, lambda n: n < 8),
+        (homeo_rows, 0, lambda n: n < 8),
+        (lambda n: random_rows(n, rng), 0, None),
+        (lambda n: random_space(n, rng), 0, None),
+        (lambda n: find_space("regular", n), 1, None),
+    ]
+    for mode in ("labeled", "homeo"):
+        entry_points += [
+            (lambda n, mode=mode: enumerate_rows(n, mode), 0, None),
+            (lambda n, mode=mode: enumerate_spaces(n, mode), 0, None),
+            (lambda n, mode=mode: count_spaces(n, mode), 0, lambda n: n != 7),
+        ]
+    sizes = [*range(-3, 31), 2**64, -(2**64), 10**5000, -(10**5000)]
+    for call, floor, fast in entry_points:
+        for n in sizes:
+            if fast is not None and n >= floor and not fast(n):
+                continue
+            try:
+                result = call(n)
+            except TopologyError:
+                continue
+            assert n >= floor, (call, n)
+            if isinstance(result, Iterator):
+                list(islice(result, 3))
+    assert list(labeled_rows(0)) == [()] and count_spaces(0) == 1
+    assert random_rows(0, rng) == () and len(random_space(0, rng)) == 0

@@ -49,6 +49,8 @@ from thetatopo.space import (
     is_open_mask,
     is_theta_open,
     is_theta_open_mask,
+    row_formatter,
+    row_json_formatter,
     space_from_json,
     space_from_obj,
     space_to_json,
@@ -525,3 +527,19 @@ def test_formatting_helpers():
     assert format_names(()) == "{}"
     assert format_mask(SIERPINSKI, 0b11) == "{a,b}"
     assert format_space(SIERPINSKI) == "{a:{a},b:{a,b}}"
+
+
+def test_row_formatters_match_format_space_and_encoder():
+    # Each output form has one formatter: the row tables print what
+    # format_space and the encoder print for the row-built space, on every
+    # labeled space with n <= 5, at the depth enumerate --json nests them
+    # and at the top level.
+    encode = json.JSONEncoder(indent=2, ensure_ascii=False, check_circular=False).encode
+    for n in range(6):
+        text, nested, top = row_formatter(n), row_json_formatter(n, 2), row_json_formatter(n, 0)
+        for rows in labeled_rows(n):
+            sp = space_from_rows(rows)
+            obj = space_to_obj(sp)
+            assert text(rows) == format_space(sp)
+            assert nested(rows) == encode(obj).replace("\n", "\n    ")
+            assert top(rows) == encode(obj)
