@@ -15,6 +15,7 @@ import os
 import sys
 from pathlib import Path
 
+from .bitset import bits
 from .decomposition import (
     ResidueNonEmpty,
     open_decomposition,
@@ -54,7 +55,6 @@ from .space import (
     format_space,
     read_json,
     row_formatter,
-    row_json_formatter,
     space_from_obj,
     space_to_obj,
 )
@@ -200,6 +200,31 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def _row_json_formatter(n: int):
+    """The encoder's indent=2 text of the space on points "0".."n-1" with
+    minimal neighborhoods rows, as it reads in the "spaces" list of the
+    enumerate --json document, read from a per-n table of one fragment per
+    point and mask. Every name is quoted by the encoder."""
+    names = [str(i) for i in range(n)]
+    nl = "\n    "  # a space in the "spaces" list sits two levels deep
+
+    def dumps(obj, level: int) -> str:
+        # The encoder's text of obj, nested level more levels deep.
+        return json.dumps(obj, indent=2, ensure_ascii=False).replace("\n", nl + "  " * level)
+
+    if not n:  # the encoder prints an empty object as {}
+        empty = dumps({"points": [], "min_nbhds": {}}, 0)
+        return lambda rows: empty
+    head = f'{{{nl}  "points": {dumps(names, 1)},{nl}  "min_nbhds": {{{nl}'
+    tail = f"{nl}  }}{nl}}}"
+    sep = "," + nl
+    cells = [
+        [f"    {dumps(a, 0)}: {dumps([names[j] for j in bits(m)], 2)}" for m in range(1 << n)]
+        for a in names
+    ]
+    return lambda rows: head + sep.join([c[m] for c, m in zip(cells, rows)]) + tail
+
+
 def cmd_enumerate(args) -> int:
     n = args.n
     mode = "homeo" if args.homeo else "labeled"
@@ -218,7 +243,7 @@ def cmd_enumerate(args) -> int:
         rows = list(rows)
         head = json.dumps({"n": n, "mode": mode, "count": len(rows)}, indent=2)
         print(head[: -len("\n}")] + ',\n  "spaces": [')
-        body = row_json_formatter(n, 2)
+        body = _row_json_formatter(n)
         for i, r in enumerate(rows):
             write((",\n    " if i else "    ") + body(r))
         print("\n  ]\n}")

@@ -574,39 +574,10 @@ def format_mask(space: FinSpace, mask: int) -> str:
     return format_names(space.names_of(mask))
 
 
-# ---------------------------------------------------------------------------
-# Both output forms of a row tuple on points "0".."n-1", read from per-n
-# tables of one string per point and mask, so no FinSpace is built: the rows
-# must be a valid space, as the enumerators' rows are.
-# ---------------------------------------------------------------------------
-
 def row_formatter(n: int) -> Callable[[Sequence[int]], str]:
     """format_space of the space on points "0".."n-1" with minimal
-    neighborhoods rows, for rows of length n."""
+    neighborhoods rows, for rows of length n, read from a per-n table of
+    one string per point and mask, so no FinSpace is built: the rows must
+    be a valid space, as the enumerators' rows are."""
     cells = [[f"{i}:{format_names(map(str, bits(m)))}" for m in range(1 << n)] for i in range(n)]
     return lambda rows: "{" + ",".join([c[m] for c, m in zip(cells, rows)]) + "}"
-
-
-def row_json_formatter(n: int, depth: int) -> Callable[[Sequence[int]], str]:
-    """json.dumps(space_to_obj(space), indent=2) of the same space, as it
-    reads nested depth levels deep in an indent=2 document: each newline
-    is followed by 2 * depth more spaces. Every name is quoted by the
-    encoder."""
-    names = [str(i) for i in range(n)]
-    nl = "\n" + "  " * depth
-
-    def dumps(obj, level: int) -> str:
-        # The encoder's text of obj, nested level more levels deep.
-        return json.dumps(obj, indent=2, ensure_ascii=False).replace("\n", nl + "  " * level)
-
-    if not n:  # the encoder prints an empty object as {}
-        empty = dumps({"points": [], "min_nbhds": {}}, 0)
-        return lambda rows: empty
-    head = f'{{{nl}  "points": {dumps(names, 1)},{nl}  "min_nbhds": {{{nl}'
-    tail = f"{nl}  }}{nl}}}"
-    sep = "," + nl
-    cells = [
-        [f"    {dumps(a, 0)}: {dumps([names[j] for j in bits(m)], 2)}" for m in range(1 << n)]
-        for a in names
-    ]
-    return lambda rows: head + sep.join([c[m] for c, m in zip(cells, rows)]) + tail

@@ -9,8 +9,8 @@ from io import StringIO
 import pytest
 
 from thetatopo import generate, regularity
-from thetatopo.cli import main
-from thetatopo.generate import enumerate_spaces, space_from_rows
+from thetatopo.cli import _row_json_formatter, main
+from thetatopo.generate import enumerate_spaces, labeled_rows, space_from_rows
 from thetatopo.hedgehog import (
     HedgehogOracle,
     certify_hedgehog_profile,
@@ -18,7 +18,7 @@ from thetatopo.hedgehog import (
     verify_embedding,
 )
 from thetatopo.regularity import classify_report
-from thetatopo.space import FinSpace, space_from_obj
+from thetatopo.space import FinSpace, space_from_obj, space_to_obj
 from thetatopo.survey import check_composition_laws, verify_diagram
 
 SIERPINSKI_JSON = '{"points": ["a", "b"], "min_nbhds": {"a": ["a"], "b": ["a", "b"]}}'
@@ -261,6 +261,17 @@ def test_enumerate_listings_build_no_space(monkeypatch):
     assert calls == []
     space_from_rows((1,))  # the spy sees every space built
     assert calls == [(1,)]
+
+
+def test_enumerate_json_rows_match_encoder():
+    # The --json listing's row table prints the encoder's text of the
+    # row-built space, as it nests in the "spaces" list, on every labeled
+    # space with n <= 5.
+    encode = json.JSONEncoder(indent=2, ensure_ascii=False, check_circular=False).encode
+    for n in range(6):
+        body = _row_json_formatter(n)
+        for rows in labeled_rows(n):
+            assert body(rows) == encode(space_to_obj(space_from_rows(rows))).replace("\n", "\n    ")
 
 
 def test_enumerate_json_round_trip():

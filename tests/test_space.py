@@ -50,7 +50,6 @@ from thetatopo.space import (
     is_theta_open,
     is_theta_open_mask,
     row_formatter,
-    row_json_formatter,
     space_from_json,
     space_from_obj,
     space_to_json,
@@ -529,17 +528,10 @@ def test_formatting_helpers():
     assert format_space(SIERPINSKI) == "{a:{a},b:{a,b}}"
 
 
-def test_row_formatters_match_format_space_and_encoder():
-    # Each output form has one formatter: the row tables print what
-    # format_space and the encoder print for the row-built space, on every
-    # labeled space with n <= 5, at the depth enumerate --json nests them
-    # and at the top level.
-    encode = json.JSONEncoder(indent=2, ensure_ascii=False, check_circular=False).encode
+def test_row_formatter_matches_format_space():
+    # The text listing's row table prints what format_space prints for the
+    # row-built space, on every labeled space with n <= 5.
     for n in range(6):
-        text, nested, top = row_formatter(n), row_json_formatter(n, 2), row_json_formatter(n, 0)
+        text = row_formatter(n)
         for rows in labeled_rows(n):
-            sp = space_from_rows(rows)
-            obj = space_to_obj(sp)
-            assert text(rows) == format_space(sp)
-            assert nested(rows) == encode(obj).replace("\n", "\n    ")
-            assert top(rows) == encode(obj)
+            assert text(rows) == format_space(space_from_rows(rows))
