@@ -310,7 +310,7 @@ def cmd_hh_embed(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-SW_BOUND_HELP = f"largest domain size of the sw witness search (at most {SW_BOUND_CAP})"
+SW_BOUND_HELP = f"largest domain size of the sw witness search (default 3, at most {SW_BOUND_CAP})"
 
 
 def build_parser() -> argparse.ArgumentParser:

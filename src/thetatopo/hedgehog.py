@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .space import FinSpace, TopologyError, closure_mask
+from .space import CapExceeded, FinSpace, TopologyError, closure_mask
 
 Token = tuple
 
@@ -594,7 +594,10 @@ EMBED_DEPTH_CAP = 200
 def certify_hedgehog_profile(depth: int) -> ProfileReport:
     """Check, to the given depth, the profile: first-countable via decreasing
     bases, scattered in three layers, locally regular via clopen basic sets,
-    and not regular at the root with explicit witnesses."""
+    and not regular at the root with explicit witnesses. A depth above
+    DEPTH_CAP is refused before any work."""
+    if depth > DEPTH_CAP:
+        raise CapExceeded(f"hedgehog profile capped at depth {DEPTH_CAP}")
     if depth < 1:
         raise OracleError("depth must be at least 1")
     o = HedgehogOracle()

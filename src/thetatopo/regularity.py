@@ -64,7 +64,7 @@ ARROWS: tuple[tuple[tuple[str, ...], str], ...] = (
 # discontinuous map into the space can exist", at any search bound.
 SW_SAFE_PREMISES = ("regular", "theta_weakly_regular", "locally_regular")
 
-SW_BOUND_CAP = 5
+SW_BOUND_CAP = 6
 
 
 def arrow_name(premises: tuple[str, ...], conclusion: str) -> str:
@@ -463,11 +463,12 @@ def is_sw_witness(mc: MapClass) -> bool:
 
 
 def check_sw_bound(bound: int) -> None:
-    """Refuse a bound outside 1..SW_BOUND_CAP; 0 would search nothing."""
+    """Refuse a bound outside 1..SW_BOUND_CAP; 0 would search nothing. The
+    messages leave the bound out: str() of an int over 4,300 digits raises."""
     if bound > SW_BOUND_CAP:
         raise CapExceeded(f"witness search capped at domain size {SW_BOUND_CAP}")
     if bound < 1:
-        raise TopologyError(f"witness search bound must be at least 1, got {bound}")
+        raise TopologyError("witness search bound must be at least 1")
 
 
 def sw_witness_search(
@@ -514,6 +515,18 @@ def sw_witness_search(
       itself, and a map that passes it is a witness iff the weak operator
       has a non-empty greatest fixpoint. Leaves are matched to bad-row keys
       before either test.
+    - Isolated points. Call position i isolated when shape[i] = {i} and no
+      other row holds i. Permuting isolated positions fixes shape, so it
+      keeps every ok row (ok[x] reads p[x] and whether p[y] lies in
+      shape[p[x]]), every bad row and every tier. The least tuple of such
+      an orbit in product order is the one that takes up its isolated
+      positions in ascending order, so the walk skips an isolated position
+      above the least one not yet used. A skipped subtree holds only tuples
+      whose orbit's least tuple comes earlier with the same bad rows on
+      every prefix: it would be cut where that one is, or its leaves would
+      repeat seen keys or decide as that one does. So the first witness,
+      the keys seen and the cuts are unchanged, and no property of the
+      codomain is assumed: an exhausted search still walked every orbit.
 
     No map is built or classified until a witness is found.
     """
@@ -543,6 +556,25 @@ def _sw_shape_search(
     return None
 
 
+@lru_cache(maxsize=1)
+def _sw_choices(shape: tuple[int, ...]) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """choices[u]: (position, row, isolated positions used after it) for each
+    position the walk tries once the first u isolated positions are used,
+    that is all but the isolated ones after the u-th (see sw_witness_search).
+    Position i is isolated when shape[i] is {i} and no other row holds i.
+    _sw_shape_search walks every domain into one shape in a row, so one
+    entry serves them all."""
+    held = twice = 0  # twice: the positions that two rows or more hold
+    for row in shape:
+        twice |= held & row
+        held |= row
+    iso = [p for p, row in enumerate(shape) if row == 1 << p and not twice >> p & 1]
+    return tuple(
+        tuple((p, row, u + (p in iso[u : u + 1])) for p, row in enumerate(shape) if p not in iso[u + 1 :])
+        for u in range(len(iso) + 1)
+    )
+
+
 def _sw_walk(z: FinSpace, shape: tuple[int, ...]) -> tuple[int, ...] | None:
     """The first position tuple in product order of a witness out of z, by
     the depth-first walk of sw_witness_search. Setting coordinate k adds
@@ -557,12 +589,13 @@ def _sw_walk(z: FinSpace, shape: tuple[int, ...]) -> tuple[int, ...] | None:
     weak = ops["weakly_discontinuous"]
     ups = [[x for x in range(k) if nbhd[x] >> k & 1] for k in range(n)]
     downs = [[y for y in range(k) if nbhd[k] >> y & 1] for k in range(n)]
+    choices = _sw_choices(shape)
     seen: set[tuple[int, ...]] = set()
 
-    def walk(k: int) -> tuple[int, ...] | None:
+    def walk(k: int, used: int) -> tuple[int, ...] | None:
         prefix = (2 << k) - 1
         above = bad[:k]
-        for p, row in enumerate(shape):
+        for p, row, after in choices[used]:
             pos[k] = p
             bad[:k] = above
             into = False
@@ -583,14 +616,14 @@ def _sw_walk(z: FinSpace, shape: tuple[int, ...]) -> tuple[int, ...] | None:
             if into and out and gfp(scattered, prefix):
                 continue
             if k + 1 < n:
-                hit = walk(k + 1)
+                hit = walk(k + 1, after)
                 if hit is not None:
                     return hit
             elif gfp(weak, prefix):
                 return tuple(pos)
         return None
 
-    hit = walk(0)
+    hit = walk(0, 0)
     # walk refers to itself; dropping the name frees seen and the bad rows
     # now, not at some later run of the cyclic collector.
     del walk

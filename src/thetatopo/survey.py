@@ -528,7 +528,7 @@ LAWS: tuple[tuple[str, str, str, str, bool], ...] = (
 )
 
 COMPOSITION_SIZE_CAP = 8
-# Largest --samples; the randomized sweep is linear in it.
+# Largest samples count (and --samples); the randomized sweep is linear in it.
 SAMPLES_CAP = 100_000
 
 
@@ -625,12 +625,16 @@ def check_composition_laws(
     With every size bound at most 2 the sweep is exhaustive over all labeled
     spaces and all maps up to the bounds; otherwise `samples` random triples
     are drawn with sizes between min(3, bound) and bound from the given seed.
-    Sizes and samples below 1 are refused, so that no PASS is vacuous.
+    Sizes and samples below 1 are refused, so that no PASS is vacuous, and so
+    are samples above SAMPLES_CAP. The messages leave the values out: str()
+    of an int over 4,300 digits raises.
     """
     if max(sizes) > COMPOSITION_SIZE_CAP:
         raise CapExceeded(f"composition sizes capped at {COMPOSITION_SIZE_CAP} points")
+    if samples > SAMPLES_CAP:
+        raise CapExceeded(f"composition samples capped at {SAMPLES_CAP}")
     if min(sizes) < 1 or samples < 1:
-        raise TopologyError(f"sizes and samples must be at least 1, got {sizes} and {samples}")
+        raise TopologyError("sizes and samples must be at least 1")
     results = [LawResult(name, asserted) for name, _, _, _, asserted in LAWS]
     triples = 0
 

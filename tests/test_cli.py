@@ -441,7 +441,7 @@ def test_exit_two_paths(tmp_path):
 def test_exit_two_on_caps(tmp_path):
     assert run_cli("enumerate", "-n", "7", "--count")[0] == 2
     assert run_cli("enumerate", "-n", "8", "--homeo", "--count")[0] == 2
-    assert run_cli("classify", "--sw-bound", "6", "fixtures/sierpinski.json")[0] == 2
+    assert run_cli("classify", "--sw-bound", "7", "fixtures/sierpinski.json")[0] == 2
     assert run_cli("fn", "compositions", "--sizes", "9,2,2")[0] == 2
     assert run_cli("verify-diagram", "--max-n", "8")[0] == 2
 
@@ -455,7 +455,7 @@ def test_exit_two_on_caps(tmp_path):
 
 
 SW_BOUND_OVER_CAP = [
-    ("classify", "--sw-bound", "6", f"fixtures/{name}.json")
+    ("classify", "--sw-bound", "7", f"fixtures/{name}.json")
     for name in ("discrete2", "sierpinski")
 ]
 MAX_POINTS_OVER_CAP = [
@@ -497,7 +497,7 @@ def test_numeric_flags_below_bound_exit_two(argv):
     code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
     if argv in SW_BOUND_OVER_CAP:
-        assert err.startswith("error: witness search capped at domain size 5")
+        assert err.startswith("error: witness search capped at domain size 6")
     elif argv in MAX_POINTS_OVER_CAP:
         assert "error: argument --max-points: must be at most 24, got 25" in err
     elif argv in KNOBS_OVER_CAP:
@@ -576,6 +576,31 @@ def test_verify_diagram_seven_points_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "69b1e456b23d4b6ff49a7359cac4fcf145ade933c3b61fe8e1fc7f0b050ad344"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, sha",
+    [
+        (
+            "--max-n 7 --sw-bound 5",
+            "0622b58b19dd4c4258f7810c3cbd1722ce67828d42ce6395287eb7f3774cdbe6",
+        ),
+        (
+            "--max-n 6 --sw-bound 6",
+            "2ac8594c037571199cc1bfcfb255406f2c7b0089976b6ab1c4c36f107d7d1697",
+        ),
+        (
+            "--max-n 7 --sw-bound 6",
+            "51f9b601370d8db41ed96c97374cee14aa948f3565bd527ba1333af87387319d",
+        ),
+    ],
+)
+def test_verify_diagram_wide_sw_bound_pinned(argv, sha):
+    # Recorded from the walk that tried every position tuple, before it
+    # skipped relabelings of isolated codomain points.
+    code, out, _ = run_cli("verify-diagram", *argv.split(), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 def test_verify_diagram_transfer_four_pinned():

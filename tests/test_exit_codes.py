@@ -174,7 +174,7 @@ def commands(tmp_dir: Path):
     maps = file_arg(tmp_dir, MAP_FIXTURES, MAP_DOCS)
     max_points = knob(1, 24, 25)
     return [
-        (("classify",), spaces, {"--sw-bound": knob(1, 5, 6), "--max-points": max_points, "--json": None}),
+        (("classify",), spaces, {"--sw-bound": knob(1, 6, 7), "--max-points": max_points, "--json": None}),
         (("fn", "classify"), maps, {"--json": None}),
         (("fn", "weak-homeo"), maps, {"--theta": None, "--json": None}),
         (
@@ -215,7 +215,7 @@ def commands(tmp_dir: Path):
             None,
             {
                 "--max-n": knob(1, 2, 8),
-                "--sw-bound": knob(1, 5, 6),
+                "--sw-bound": knob(1, 6, 7),
                 "--transfer-max": knob(1, 4, 5),
                 "--workers": knob(1, 2),
                 "--json": None,

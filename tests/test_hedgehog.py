@@ -37,7 +37,7 @@ from thetatopo.hedgehog import (
 )
 from test_cli import run_cli
 from thetatopo import hedgehog
-from thetatopo.space import UnknownPoint, build_space
+from thetatopo.space import CapExceeded, UnknownPoint, build_space
 
 SIERPINSKI = build_space(["a", "b"], {"a": ["a"], "b": ["a", "b"]})
 DISCRETE2 = build_space(["0", "1"], {"0": ["0"], "1": ["1"]})
@@ -401,6 +401,18 @@ def test_approach_within():
 # ---------------------------------------------------------------------------
 # Profile certification.
 # ---------------------------------------------------------------------------
+
+def test_profile_depth_cap_checked_before_any_work(monkeypatch):
+    # The library refuses a depth above DEPTH_CAP, as `hedgehog profile
+    # --depth` does, before it builds the oracle.
+    def refuse():
+        raise AssertionError("built the oracle before checking the cap")
+
+    monkeypatch.setattr(hedgehog, "HedgehogOracle", refuse)
+    for depth in (hedgehog.DEPTH_CAP + 1, 10**5000):
+        with pytest.raises(CapExceeded, match="hedgehog profile capped at depth 400"):
+            certify_hedgehog_profile(depth)
+
 
 def test_profile_depths():
     # A depth below 1 would check nothing, so it is refused, not passed.

@@ -474,6 +474,100 @@ def test_sw_walk_matches_scan_per_domain():
                     assert regularity._sw_walk(z, shape) == want, (rows, z.nbhd)
 
 
+def test_sw_walk_into_discrete_shapes_does_not_grow_with_them(monkeypatch):
+    # Every position of a discrete shape is isolated, and a coordinate takes
+    # at most one new isolated position, so out of z the walk tries the same
+    # tuples, and runs the same fixpoints, into discrete(k) for each k >= |z|.
+    # It still decides every map that matters: it runs the weak fixpoint
+    # once per bad-row key of a scatteredly continuous map out of z, as a
+    # walk over all k^|z| tuples would.
+    calls = weak_calls = 0
+    real_gfp, real_pruners = regularity.gfp, regularity._pruners
+    weak = None
+
+    def pruners(z, bad):
+        nonlocal weak
+        ops = real_pruners(z, bad)
+        weak = ops["weakly_discontinuous"]
+        return ops
+
+    def counting(prune, s):
+        nonlocal calls, weak_calls
+        calls += 1
+        weak_calls += prune is weak
+        return real_gfp(prune, s)
+
+    monkeypatch.setattr(regularity, "_pruners", pruners)
+    monkeypatch.setattr(regularity, "gfp", counting)
+    for n in range(1, 6):
+        discrete = space_from_rows(tuple(1 << i for i in range(n)))
+        for z in regularity._sw_domains(n):
+            runs = set()
+            for k in range(n, 8):
+                calls = weak_calls = 0
+                hit = regularity._sw_walk(z, tuple(1 << i for i in range(k)))
+                runs.add((hit, calls, weak_calls))
+            assert len(runs) == 1 and hit is None, (z.nbhd, runs)
+            if n <= 4:
+                keys = set()
+                for img in product(range(n), repeat=n):
+                    f = FinMap(z, discrete, img)
+                    if classify_map(f).reaches("scatteredly_continuous"):
+                        keys.add(tuple(m & ~o for m, o in zip(z.nbhd, maps.ok_masks(f))))
+                assert weak_calls == len(keys), z.nbhd
+
+
+def _relabeled(rows, perm):
+    """The rows with point i renamed perm[i]."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        out[perm[i]] = sum(1 << perm[j] for j in bits(row))
+    return tuple(out)
+
+
+def test_sw_search_with_isolated_points_matches_scan():
+    # Spaces that hold clopen singletons besides a part that is not
+    # regular: the search at bound 4 returns the scan's witness, and out of
+    # every domain with at most three points the walk returns the first
+    # witness in product order, with the isolated positions on both sides
+    # of the others.
+    def discrete(k):
+        return space_from_rows(tuple(1 << i for i in range(k)))
+
+    spaces = [
+        topological_sum([SIERPINSKI, discrete(3)]),
+        topological_sum([discrete(2), SIERPINSKI, discrete(1)]),
+    ]
+    rng = random.Random(3201)
+    while len(spaces) < 14:
+        m = rng.randint(2, 4)
+        rows = random_rows(m, rng, rng.choice((0.2, 0.35, 0.5)))
+        j = rng.randint(2, 3)
+        rows += tuple(1 << (m + i) for i in range(j))
+        x = space_from_rows(_relabeled(rows, rng.sample(range(m + j), m + j)))
+        if not is_regular(x):
+            spaces.append(x)
+    for x in spaces:
+        regularity._sw_shape_search.cache_clear()
+        assert sw_witness_search(x, 4) == sw_witness_search_scan(x, 4), x.nbhd
+        cod = x.nbhd
+        reps = [p for p, row in enumerate(cod) if row not in cod[:p]]
+        shape = tuple(sum(1 << j for j, r in enumerate(reps) if cod[p] >> r & 1) for p in reps)
+        for n in range(1, 4):
+            for z in regularity._sw_domains(n):
+                want = next(
+                    (
+                        pos
+                        for pos in product(range(len(reps)), repeat=n)
+                        if regularity.is_sw_witness(
+                            classify_map(FinMap(z, x, tuple(reps[p] for p in pos)))
+                        )
+                    ),
+                    None,
+                )
+                assert regularity._sw_walk(z, shape) == want, (x.nbhd, z.nbhd)
+
+
 def test_sw_search_maps_each_space_into_its_own_reps():
     # The Sierpinski space and the two 3-point spaces that double its open
     # or its closed point share one shape. One walk answers all three, and
@@ -575,7 +669,7 @@ def test_safe_premises_never_produce_witnesses():
 
 def test_sw_bound_cap():
     with pytest.raises(CapExceeded):
-        sw_witness_search(SIERPINSKI, 6)
+        sw_witness_search(SIERPINSKI, 7)
 
 
 # ---------------------------------------------------------------------------

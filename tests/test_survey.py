@@ -26,6 +26,7 @@ from thetatopo.survey import (
     COMPOSITION_SIZE_CAP,
     DiagramReport,
     LAWS,
+    SAMPLES_CAP,
     TRANSFER_CAP,
     ParseError,
     check_composition_laws,
@@ -440,8 +441,8 @@ def test_diagram_sw_bound_checked_before_any_work(monkeypatch):
 
     monkeypatch.setattr(survey, "has_property", refuse)
     refuse_witnesses(monkeypatch)
-    with pytest.raises(CapExceeded, match="witness search capped at domain size 5"):
-        verify_diagram(2, sw_bound=6)
+    with pytest.raises(CapExceeded, match="witness search capped at domain size 6"):
+        verify_diagram(2, sw_bound=7)
     with pytest.raises(CapExceeded):
         verify_diagram(0, sw_bound=9)
 
@@ -596,6 +597,32 @@ def test_bounds_below_one_refused_before_any_work(monkeypatch, call, args, kwarg
     with pytest.raises(TopologyError, match="must be at least 1") as info:
         call(*args, **kwargs)
     assert not isinstance(info.value, CapExceeded)
+
+
+def test_huge_bounds_refused_without_formatting_them():
+    # str() of an int over 4,300 digits raises, so no refusal message may
+    # quote the bound; each end is refused with the library's own error.
+    huge = 10**5000
+    for call in (
+        lambda b: regularity.check_sw_bound(b),
+        lambda b: verify_diagram(2, sw_bound=b),
+        lambda b: check_composition_laws((1, 1, 1), samples=b),
+    ):
+        with pytest.raises(TopologyError, match="must be at least 1") as info:
+            call(-huge)
+        assert not isinstance(info.value, CapExceeded)
+        with pytest.raises(CapExceeded, match="capped at"):
+            call(huge)
+    with pytest.raises(TopologyError, match="must be at least 1"):
+        check_composition_laws((-huge, 1, 1))
+    with pytest.raises(CapExceeded, match="composition sizes capped at 8 points"):
+        check_composition_laws((huge, 1, 1))
+
+
+def test_composition_samples_cap():
+    # The library refuses what `fn compositions --samples` refuses.
+    with pytest.raises(CapExceeded, match="composition samples capped at 100000"):
+        check_composition_laws((3, 3, 3), samples=SAMPLES_CAP + 1)
 
 
 def test_report_objects():
