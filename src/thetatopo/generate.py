@@ -8,7 +8,9 @@ an orderly generation that keeps only the least labeling of each class.
 It skips every prefix that some relabeling of its decided points makes
 smaller, so it holds no set of classes seen. At each node only the
 relabelings that can give the least possible first row, 2^s - 1 for s the
-least neighborhood size, are compared (_is_least); canonical_rows is the
+least neighborhood size, are compared (_is_least), split by the point y
+that takes label s; a whole sub-group is skipped when a lower bound on the
+row s that y can give already exceeds the prefix's. canonical_rows is the
 least tuple of the whole orbit. The relabelings that tie at a kept
 leaf are its automorphisms, so each class comes with its orbit size n!/|Aut|
 (orbit-stabilizer) at no extra cost:
@@ -140,25 +142,54 @@ def _is_least(rows: list[int], groups: dict[tuple[int, int], list]) -> int:
     N(0) and, having at least s points, N(k) = N(0); likewise p⁻¹(k) lies in
     N(x0), so p(N(p⁻¹(k))) = p(N(x0)) = 2^s - 1. So each relabeling is
     compared from row s up to its first difference, and while j < s every
-    relabeling of the decided rows reproduces them."""
+    relabeling of the decided rows reproduces them.
+
+    Row s is p(N(y)), y = p⁻¹(s), and each group is split by y. With c the
+    number of decided points of N(y) outside N(x0), every table of the
+    sub-group gives a row s of at least
+
+        lo(y) = (N(y) above j) | ((2^c - 1) << s) | (2^s - 1 if N(y) meets N(x0)).
+
+    p fixes the points above j, so their bits of N(y) stay. N(y) meets N(x0)
+    only by holding all of it: each point z of N(x0) has N(z) ⊆ N(x0) and
+    at least s points, so N(z) = N(x0), and z ∈ N(y) gives N(z) ⊆ N(y); then
+    p(N(y)) holds p(N(x0)) = {0..s-1}. The c decided points of N(y) outside
+    N(x0) are y, labeled s, and c - 1 others, whose labels are distinct and
+    lie in s+1..j, since 0..s-1 label N(x0). So p(N(y)) has the bits of
+    lo(y) above j and below s, and c bits in s..j, which as an integer are
+    at least the c lowest. When lo(y) > rows[s], every table of the
+    sub-group makes row s larger after rows 0..s-1 tie, so none ties or
+    undercuts and the sub-group is skipped: the result is the full scan's.
+    In the code d = |N(y) ∩ {0..j}|, which is c + s when N(y) meets N(x0)
+    and c otherwise, so the part of lo(y) below j + 1 is 2^d - 1 or
+    (2^d - 1) << s."""
     s = rows[0].bit_length()
     last = len(rows) - 1
     if last < s:
         return factorial(last + 1)
+    above = -2 << last
+    row_s = rows[s]
     aut = 0
     for x0, r0 in enumerate(rows):
         if r0.bit_count() != s:
             continue
-        for t, inv in groups.get((x0, r0), ()):
-            k = s
-            r = t[rows[inv[s]]]
-            while r == rows[k] and k < last:
-                k += 1
-                r = t[rows[inv[k]]]
-            if r <= rows[k]:
-                if r < rows[k]:
-                    return 0
-                aut += 1
+        for y, tables in groups.get((x0, r0), ()):
+            ny = rows[y]
+            lo = (1 << (ny & ~above).bit_count()) - 1
+            if not ny & r0:
+                lo <<= s
+            if ny & above | lo > row_s:
+                continue
+            for t, inv in tables:
+                k = s
+                r = t[ny]
+                while r == rows[k] and k < last:
+                    k += 1
+                    r = t[rows[inv[k]]]
+                if r <= rows[k]:
+                    if r < rows[k]:
+                        return 0
+                    aut += 1
     return aut
 
 
@@ -178,14 +209,17 @@ def _relabelings(n: int) -> list[tuple[list[int], list[int]]]:
 
 
 @cache
-def _first_row_groups(n: int) -> tuple[dict[tuple[int, int], list[tuple[list[int], list[int]]]], ...]:
+def _first_row_groups(n: int) -> tuple[dict[tuple[int, int], list[tuple[int, list]]], ...]:
     """Per level j < n, the relabeling tables of the permutations that fix
-    every point above j, grouped by (p⁻¹(0), p⁻¹({0..k})) for each k ≤ j:
-    those that send x0 to 0 and the mask m onto the least |m| labels. A
-    table that moves no point above t sits at every level j ≥ t, in j + 1
-    groups there, so level n - 1 holds every table. Built on first use per
-    n and kept: about 0.43 MiB beside the tables at the 7-point cap."""
-    out: tuple[dict[tuple[int, int], list], ...] = tuple({} for _ in range(n))
+    every point above j, grouped by (p⁻¹(0), p⁻¹({0..k})) for each k < j:
+    those that send x0 to 0 and the mask m onto the least |m| labels. Each
+    group is split by y = p⁻¹(|m|), the point that takes the next label,
+    into a list of (y, tables) pairs, for the bound of _is_least, which
+    asks only for |m| = s ≤ j, so y is decided. A table that moves no point
+    above t sits at every level j ≥ t, in j groups there, so level n - 1
+    holds every table. Built on first use per n and kept: about 0.71 MiB
+    beside the tables at the 7-point cap."""
+    subs: list[dict[tuple[int, int, int], list]] = [{} for _ in range(n)]
     for table in _relabelings(n):
         inv = table[1]
         top = n - 1  # the highest point the permutation moves, or 0
@@ -193,13 +227,17 @@ def _first_row_groups(n: int) -> tuple[dict[tuple[int, int], list[tuple[list[int
             top -= 1
         keys = []
         m = 0
-        for x in inv:
-            m |= 1 << x
-            keys.append((inv[0], m))
+        for k in range(n - 1):
+            m |= 1 << inv[k]
+            keys.append((inv[0], m, inv[k + 1]))
         for j in range(top, n):
-            groups = out[j]
-            for key in keys[: j + 1]:
-                groups.setdefault(key, []).append(table)
+            level = subs[j]
+            for key in keys[:j]:
+                level.setdefault(key, []).append(table)
+    out: tuple[dict[tuple[int, int], list], ...] = tuple({} for _ in range(n))
+    for groups, level in zip(out, subs):
+        for (x0, m, y), tables in level.items():
+            groups.setdefault((x0, m), []).append((y, tables))
     return out
 
 
@@ -237,16 +275,18 @@ def homeo_classes(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     rows alone. If one gives a smaller tuple, every completion of the
     prefix has a smaller relabeling and is not canonical, so the subtree is
     skipped (_is_least, which compares only the relabelings that can tie
-    the first row). At a leaf these are all relabelings, so a leaf is kept
-    iff rows == canonical_rows(rows). Pruning only drops rows from the
-    ascending labeled walk, so the stream ascends and, the least labeling of
-    each class being kept, holds one row tuple per class. Memory is the
-    relabeling tables, their first-row index per level and the current
-    path.
+    the first row, and of those skips every sub-group that a lower bound
+    shows cannot tie row s). At a leaf these are all relabelings, so a leaf
+    is kept iff rows == canonical_rows(rows). Pruning only drops rows from
+    the ascending labeled walk, so the stream ascends and, the least
+    labeling of each class being kept, holds one row tuple per class. Memory
+    is the relabeling tables, their first-row index per level and the
+    current path.
 
     Every automorphism keeps the first row, so it lies in the first-row
-    groups that a kept leaf scans in full, and the tables that reproduce the
-    rows there are exactly the automorphisms; the class holds n!/|Aut|
+    groups that a kept leaf scans, in a sub-group that the bound does not
+    skip since it ties row s, and the tables that reproduce the rows there
+    are exactly the automorphisms; the class holds n!/|Aut|
     labeled spaces (orbit-stabilizer), each relabeling p giving the same
     labeling as p·a for every automorphism a.
     """

@@ -745,7 +745,10 @@ def embed_hedgehog(
     RegularAtPoint), then, for n = 1..depth, picks x_n in cl(U_{k_n}) \\ U0,
     separates it from x to fix V_n and the next k, shrinks V_n until its
     closure avoids the earlier picks, and extracts a tip sequence inside
-    V_n and U_{k_n} converging to x_n."""
+    V_n and U_{k_n} converging to x_n. A depth above EMBED_DEPTH_CAP is
+    refused before any oracle question."""
+    if depth > EMBED_DEPTH_CAP:
+        raise CapExceeded(f"hedgehog embedding capped at depth {EMBED_DEPTH_CAP}")
     if depth < 1:
         raise OracleError("depth must be at least 1")
     x = o.validate(x)
@@ -806,7 +809,10 @@ def verify_embedding(o: OracleSpace, e: Embedding, depth: int) -> dict:
     image; (root_pattern) tips of all stalks from some index on eventually
     enter every basic neighborhood of the root image; (separation) each V_n
     holds exactly its own stalk and tips, and the tail neighborhood at the
-    next k holds all later tips while excluding the stalk image."""
+    next k holds all later tips while excluding the stalk image. A depth
+    above EMBED_DEPTH_CAP is refused before any oracle question."""
+    if depth > EMBED_DEPTH_CAP:
+        raise CapExceeded(f"hedgehog embedding capped at depth {EMBED_DEPTH_CAP}")
     if depth < 1 or depth > e.depth:
         raise OracleError(f"verify depth must be in 1..{e.depth}")
     checks = {"distinctness": 0, "stalk_convergence": 0, "root_pattern": 0, "separation": 0}

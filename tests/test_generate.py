@@ -136,6 +136,38 @@ def test_prefix_test_matches_scan():
                 assert got == prefix_least_scan(prefix), (n, prefix)
 
 
+def test_row_s_bound_holds_for_every_table():
+    # _is_least skips a sub-group (x0, N(x0), y) of its level when lo(y)
+    # exceeds rows[s]. On every coherent prefix in the first-row form, lo(y)
+    # as defined there is at most row s of every table of the sub-group, and
+    # one table reaches it; some sub-groups are skipped.
+    skipped = 0
+    for n in range(1, 6):
+        levels = generate._first_row_groups(n)
+        prefixes = {rows[: j + 1] for rows in labeled_rows(n) for j in range(n)}
+        for prefix in sorted(prefixes):
+            s = prefix[0].bit_length()
+            last = len(prefix) - 1
+            if not first_row_form(prefix) or last < s:
+                continue
+            decided = (2 << last) - 1
+            for x0, r0 in enumerate(prefix):
+                if r0.bit_count() != s:
+                    continue
+                for y, tables in levels[last].get((x0, r0), ()):
+                    ny = prefix[y]
+                    c = (ny & decided & ~r0).bit_count()
+                    lo = ny & ~decided | ((1 << c) - 1) << s
+                    if ny & r0:
+                        lo |= (1 << s) - 1
+                    for t, inv in tables:
+                        assert inv[0] == x0 and inv[s] == y, (prefix, x0, y)
+                        assert lo <= t[ny], (prefix, x0, y)
+                    assert lo == min(t[ny] for t, _ in tables), (prefix, x0, y)
+                    skipped += lo > prefix[s]
+    assert skipped
+
+
 def test_homeo_classes_pinned():
     # Representatives and orbit sizes for n <= 6, byte for byte.
     h = hashlib.sha256()

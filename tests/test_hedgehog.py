@@ -572,6 +572,28 @@ def test_embed_depth_validation():
         embed_hedgehog(HedgehogOracle(), depth=0)
 
 
+def test_embed_depth_cap_checked_before_any_work():
+    # The library refuses a depth above EMBED_DEPTH_CAP, as `hedgehog embed
+    # --depth` does, before it asks the oracle anything; verify_embedding
+    # does too, even for an embedding that claims to be deeper.
+    class OracleSpy:
+        def __init__(self):
+            self.calls = []
+
+        def __getattr__(self, name):
+            self.calls.append(name)
+            raise AssertionError(f"asked the oracle for {name} before checking the cap")
+
+    spy = OracleSpy()
+    deep = tamper(embed_hedgehog(HedgehogOracle(), depth=3), depth=10**5000)
+    for depth in (hedgehog.EMBED_DEPTH_CAP + 1, 10**5000):
+        with pytest.raises(CapExceeded, match="hedgehog embedding capped at depth 200"):
+            embed_hedgehog(spy, depth=depth)
+        with pytest.raises(CapExceeded, match="hedgehog embedding capped at depth 200"):
+            verify_embedding(spy, deep, depth)
+    assert spy.calls == []
+
+
 def test_embed_text_golden():
     assert embed_hedgehog(HedgehogOracle(), depth=3).to_text() == "\n".join(
         [
