@@ -6,21 +6,23 @@ by one backtracking generator over coherent rows (_walk), run in the calling
 process. labeled_rows keeps every leaf; homeo_classes runs the same walk as
 an orderly generation that keeps only the least labeling of each class.
 It skips every prefix that some relabeling of its decided points makes
-smaller, so it holds no set of classes seen. At each node only the
-relabelings that can give the least possible first row, 2^s - 1 for s the
-least neighborhood size, are compared (_is_least), split by the point y
-that takes label s; a whole sub-group is skipped when a lower bound on the
-row s that y can give already exceeds the prefix's. canonical_rows is the
-least tuple of the whole orbit. The relabelings that tie at a kept
-leaf are its automorphisms, so each class comes with its orbit size n!/|Aut|
-(orbit-stabilizer) at no extra cost:
-count_spaces counts labeled spaces as the sum of the orbit sizes and never
-walks or builds them, and homeo_rows is the stream of representatives
-alone. The tests cross-check the labeled stream against an independent walk
-over open-set families, the homeo stream against an orbit-marking
-reference, the orbit sizes against the orbit sets, the prefix and leaf
-test against scans over every relabeling, and the relabeling tables against
-the direct relabeling in tests/oracles.py.
+smaller, so it holds no set of classes seen. Each node carries its tie
+list, the relabelings that reproduce its prefix (_is_least): those that fix
+the new point come from the parent's list at one compare each, and those
+that move it are indexed at that level alone. Of these only the ones that
+can give the least possible first row, 2^s - 1 for s the least
+neighborhood size, are compared, split by the point y that takes label s;
+a whole sub-group is skipped when a lower bound on the row s that y can
+give already exceeds the prefix's. canonical_rows is the least tuple of
+the whole orbit. The tie list of a kept leaf is its automorphisms, so
+each class comes with its orbit size n!/|Aut| (orbit-stabilizer) at no
+extra cost: count_spaces counts labeled spaces as the sum of the orbit
+sizes and never walks or builds them, and homeo_rows is the stream of
+representatives alone. The tests cross-check the labeled stream against an
+independent walk over open-set families, the homeo stream against an
+orbit-marking reference, the orbit sizes against the orbit sets, the prefix
+and leaf test and the tie lists against scans over every relabeling, and
+the relabeling tables against the direct relabeling in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -73,17 +75,18 @@ def _walk(n: int, orderly: bool) -> Iterator[tuple]:
     2^s - 1 for s the least neighborhood size, so no row has fewer than s
     points (see _is_least). A row that breaks the form is skipped, and a
     subtree is skipped when _is_least finds a relabeling of its decided
-    points that gives a smaller prefix; at a leaf it gives |Aut|.
+    points that gives a smaller prefix. Each node hands its tie list to its
+    children; at a leaf its length is |Aut|.
     """
     if n == 0:
         yield ((), 1) if orderly else ()
         return
     full = (1 << n) - 1
-    groups = _first_row_groups(n) if orderly else ()
+    levels = _first_row_groups(n) if orderly else ()
     n_perms = factorial(n)
     rows: list[int] = []
 
-    def place(i: int, unions: list[int], s: int) -> Iterator[tuple]:
+    def place(i: int, unions: list[int], s: int, ties: list) -> Iterator[tuple]:
         own = 1 << i
         upper = full
         for r in rows:
@@ -97,36 +100,42 @@ def _walk(n: int, orderly: bool) -> Iterator[tuple]:
                 rows.append(m)
                 if not orderly:
                     if i + 1 < n:
-                        yield from place(i + 1, unions + [u | m for u in unions], 0)
+                        yield from place(i + 1, unions + [u | m for u in unions], 0, ties)
                     else:
                         yield tuple(rows)
                 # The first-row form, then no smaller relabeled prefix.
                 elif (i or not m & (m + 1)) and m.bit_count() >= s:
-                    aut = _is_least(rows, groups[i])
-                    if aut and i + 1 < n:
-                        yield from place(i + 1, unions + [u | m for u in unions], s or m.bit_count())
-                    elif aut:
-                        yield tuple(rows), n_perms // aut
+                    kept = _is_least(rows, ties, levels[i])
+                    if kept and i + 1 < n:
+                        yield from place(
+                            i + 1, unions + [u | m for u in unions], s or m.bit_count(), kept
+                        )
+                    elif kept:
+                        yield tuple(rows), n_perms // len(kept)
                 rows.pop()
             if t == free:
                 return
             t = ((t | ~free) + 1) & free
 
     try:
-        yield from place(0, [0], 0)
+        yield from place(0, [0], 0, [])
     finally:
         # place refers to itself; dropping the name frees the walk's state
         # when it ends, also when the consumer stops early.
         del place
 
 
-def _is_least(rows: list[int], groups: dict[tuple[int, int], list]) -> int:
-    """0 when some relabeling of the decided points 0..j (j = len(rows) - 1,
-    every point above j fixed) gives a smaller prefix; otherwise the number
-    of those relabelings that reproduce it, which at a leaf is |Aut(rows)|.
-    rows must have the first-row form, which the walk keeps: rows[0] is
-    2^s - 1 and no row has fewer than s points. groups is the level-j index
-    of _first_row_groups.
+def _is_least(
+    rows: list[int], ties: list[list[int]], level: tuple[dict, list[list[int]]]
+) -> list[list[int]] | None:
+    """None when some relabeling of the decided points 0..j, with j =
+    len(rows) - 1 and every point above j fixed, gives a smaller prefix;
+    otherwise the tie list, the tables of those relabelings that reproduce
+    it, whose length at a leaf is |Aut(rows)|. rows must have the
+    first-row form, which the walk keeps: rows[0] is 2^s - 1 and no row has
+    fewer than s points. ties is the parent's tie list, for rows 0..j-1
+    ([] at the root), and level is the level-j entry of _first_row_groups:
+    the relabelings whose highest moved point, top(p), is j.
 
     A relabeling p that fixes the points above j maps rows 0..j to rows
     that depend on the decided rows alone, so a smaller prefix makes every
@@ -142,7 +151,17 @@ def _is_least(rows: list[int], groups: dict[tuple[int, int], list]) -> int:
     N(0) and, having at least s points, N(k) = N(0); likewise p⁻¹(k) lies in
     N(x0), so p(N(p⁻¹(k))) = p(N(x0)) = 2^s - 1. So each relabeling is
     compared from row s up to its first difference, and while j < s every
-    relabeling of the decided rows reproduces them.
+    relabeling of the decided rows reproduces them: the tie list is every
+    table with top ≤ j, the parent's and the level's.
+
+    From j = s on, take a relabeling p of 0..j that fixes every point above
+    j. If p fixes j, it is a relabeling of 0..j-1 that fixes every point
+    above j-1, and its rows 0..j-1 are the ones the parent compared. If it
+    was larger there, it is still larger here; it cannot have been smaller,
+    because the parent was kept; if it tied, it is in ties, and its row j
+    is p(N(p⁻¹(j))) = p(N(j)) = t[rows[j]], one compare. If p moves j, then
+    top(p) = j, so p is in the level's index and is scanned as below. So
+    the result is the full scan's.
 
     Row s is p(N(y)), y = p⁻¹(s), and each group is split by y. With c the
     number of decided points of N(y) outside N(x0), every table of the
@@ -163,24 +182,32 @@ def _is_least(rows: list[int], groups: dict[tuple[int, int], list]) -> int:
     In the code d = |N(y) ∩ {0..j}|, which is c + s when N(y) meets N(x0)
     and c otherwise, so the part of lo(y) below j + 1 is 2^d - 1 or
     (2^d - 1) << s."""
+    groups, tables = level
     s = rows[0].bit_length()
     last = len(rows) - 1
     if last < s:
-        return factorial(last + 1)
+        return ties + tables
+    row = rows[last]
+    kept = []
+    for t in ties:
+        r = t[row]
+        if r <= row:
+            if r < row:
+                return None
+            kept.append(t)
     above = -2 << last
     row_s = rows[s]
-    aut = 0
     for x0, r0 in enumerate(rows):
         if r0.bit_count() != s:
             continue
-        for y, tables in groups.get((x0, r0), ()):
+        for y, subgroup in groups.get((x0, r0), ()):
             ny = rows[y]
             lo = (1 << (ny & ~above).bit_count()) - 1
             if not ny & r0:
                 lo <<= s
             if ny & above | lo > row_s:
                 continue
-            for t, inv in tables:
+            for t, inv in subgroup:
                 k = s
                 r = t[ny]
                 while r == rows[k] and k < last:
@@ -188,9 +215,9 @@ def _is_least(rows: list[int], groups: dict[tuple[int, int], list]) -> int:
                     r = t[rows[inv[k]]]
                 if r <= rows[k]:
                     if r < rows[k]:
-                        return 0
-                    aut += 1
-    return aut
+                        return None
+                    kept.append(t)
+    return kept
 
 
 @cache
@@ -209,36 +236,39 @@ def _relabelings(n: int) -> list[tuple[list[int], list[int]]]:
 
 
 @cache
-def _first_row_groups(n: int) -> tuple[dict[tuple[int, int], list[tuple[int, list]]], ...]:
-    """Per level j < n, the relabeling tables of the permutations that fix
-    every point above j, grouped by (p⁻¹(0), p⁻¹({0..k})) for each k < j:
-    those that send x0 to 0 and the mask m onto the least |m| labels. Each
-    group is split by y = p⁻¹(|m|), the point that takes the next label,
-    into a list of (y, tables) pairs, for the bound of _is_least, which
-    asks only for |m| = s ≤ j, so y is decided. A table that moves no point
-    above t sits at every level j ≥ t, in j groups there, so level n - 1
-    holds every table. Built on first use per n and kept: about 0.71 MiB
-    beside the tables at the 7-point cap."""
+def _first_row_groups(
+    n: int,
+) -> tuple[tuple[dict[tuple[int, int], list[tuple[int, list]]], list[list[int]]], ...]:
+    """Per level j < n, the permutations p whose highest moved point,
+    top(p), is j (0 for the identity), so each sits at one level only. The
+    entry is a pair: the index of their (table, inv) pairs, grouped by
+    (p⁻¹(0), p⁻¹({0..k})) for each k < j, those that send x0 to 0 and the
+    mask m onto the least |m| labels; and the list of their tables, which
+    _is_least takes whole below s. Each group is split by y = p⁻¹(|m|), the
+    point that takes the next label, into a list of (y, tables) pairs, for
+    the bound of _is_least, which asks only for |m| = s ≤ j, so y is
+    decided. Built on first use per n and kept: about 0.72 MiB beside the
+    tables at the 7-point cap."""
     subs: list[dict[tuple[int, int, int], list]] = [{} for _ in range(n)]
+    tops: list[list[list[int]]] = [[] for _ in range(n)]
     for table in _relabelings(n):
         inv = table[1]
         top = n - 1  # the highest point the permutation moves, or 0
         while top and inv[top] == top:
             top -= 1
-        keys = []
+        tops[top].append(table[0])
+        level = subs[top]
         m = 0
-        for k in range(n - 1):
+        for k in range(top):
             m |= 1 << inv[k]
-            keys.append((inv[0], m, inv[k + 1]))
-        for j in range(top, n):
-            level = subs[j]
-            for key in keys[:j]:
-                level.setdefault(key, []).append(table)
-    out: tuple[dict[tuple[int, int], list], ...] = tuple({} for _ in range(n))
-    for groups, level in zip(out, subs):
-        for (x0, m, y), tables in level.items():
-            groups.setdefault((x0, m), []).append((y, tables))
-    return out
+            level.setdefault((inv[0], m, inv[k + 1]), []).append(table)
+    out = []
+    for level, tables in zip(subs, tops):
+        groups: dict[tuple[int, int], list] = {}
+        for (x0, m, y), subgroup in level.items():
+            groups.setdefault((x0, m), []).append((y, subgroup))
+        out.append((groups, tables))
+    return tuple(out)
 
 
 def _orbit(rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -274,19 +304,18 @@ def homeo_classes(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     point above j, so rows 0..j of the relabeled tuple depend on the decided
     rows alone. If one gives a smaller tuple, every completion of the
     prefix has a smaller relabeling and is not canonical, so the subtree is
-    skipped (_is_least, which compares only the relabelings that can tie
-    the first row, and of those skips every sub-group that a lower bound
+    skipped (_is_least, which checks the parent's ties at the new row and
+    compares, of the relabelings that move the new point, only those that
+    can tie the first row, skipping every sub-group that a lower bound
     shows cannot tie row s). At a leaf these are all relabelings, so a leaf
     is kept iff rows == canonical_rows(rows). Pruning only drops rows from
     the ascending labeled walk, so the stream ascends and, the least
     labeling of each class being kept, holds one row tuple per class. Memory
     is the relabeling tables, their first-row index per level and the
-    current path.
+    current path with the tie list of each node on it.
 
-    Every automorphism keeps the first row, so it lies in the first-row
-    groups that a kept leaf scans, in a sub-group that the bound does not
-    skip since it ties row s, and the tables that reproduce the rows there
-    are exactly the automorphisms; the class holds n!/|Aut|
+    The tie list of a kept leaf holds exactly the relabelings that
+    reproduce its rows, the automorphisms; the class holds n!/|Aut|
     labeled spaces (orbit-stabilizer), each relabeling p giving the same
     labeling as p·a for every automorphism a.
     """

@@ -477,12 +477,15 @@ def space_from_obj(obj, max_points: int = POINT_CAP) -> FinSpace:
     that the listed family contains the empty set and the whole point set
     and is closed under pairwise union and intersection; minimal
     neighborhoods are then read off as intersections of members.
+    A description that holds both keys is refused.
     """
     if not isinstance(obj, dict) or "points" not in obj:
         raise SpaceFormatError('space description must be an object with a "points" list')
     points = obj["points"]
     if not isinstance(points, list) or not all(isinstance(a, str) for a in points):
         raise SpaceFormatError('"points" must be a list of strings')
+    if "min_nbhds" in obj and "opens" in obj:
+        raise SpaceFormatError('space description holds both "min_nbhds" and "opens"')
     if "min_nbhds" in obj:
         nb = obj["min_nbhds"]
         if not isinstance(nb, dict) or not all(isinstance(v, list) for v in nb.values()):

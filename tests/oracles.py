@@ -674,17 +674,18 @@ def is_least_scan(rows: tuple[int, ...]) -> int:
     return aut
 
 
-def prefix_least_scan(rows: tuple[int, ...]) -> int:
-    """0 when some relabeling of the decided points 0..j (j = len(rows) - 1,
-    every point above j fixed) gives a smaller tuple of rows 0..j, else the
-    number of those relabelings that reproduce it: every permutation of
-    0..j applied point by point. The reference for the orderly walk's
-    prefix test, generate._is_least, at every node of the walk."""
+def prefix_ties_scan(rows: tuple[int, ...]) -> list[tuple[int, ...]] | None:
+    """None when some relabeling of the decided points 0..j (j = len(rows) -
+    1, every point above j fixed) gives a smaller tuple of rows 0..j, else
+    the relabelings that reproduce it, as permutations of 0..j in
+    permutations order: every permutation applied point by point. The
+    reference for the tie lists of the orderly walk's prefix test,
+    generate._is_least, at every node of the walk."""
     from itertools import permutations
 
     k = len(rows)
     high = -1 << k
-    ties = 0
+    ties = []
     for perm in permutations(range(k)):
         out = [0] * k
         for i in range(k):
@@ -693,9 +694,17 @@ def prefix_least_scan(rows: tuple[int, ...]) -> int:
                 m |= 1 << perm[j]
             out[perm[i]] = m
         if tuple(out) < rows:
-            return 0
-        ties += tuple(out) == rows
+            return None
+        if tuple(out) == rows:
+            ties.append(perm)
     return ties
+
+
+def prefix_least_scan(rows: tuple[int, ...]) -> int:
+    """0 when prefix_ties_scan finds a smaller relabeled prefix, else the
+    number of relabelings that reproduce it."""
+    ties = prefix_ties_scan(rows)
+    return 0 if ties is None else len(ties)
 
 
 def orbit_set_homeo_rows(n: int) -> Iterator[tuple[int, ...]]:

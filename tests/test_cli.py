@@ -427,6 +427,7 @@ def test_exit_two_paths(tmp_path):
         ("classify", {"points": ["a"], "min_nbhds": {"a": "a"}}),
         ("classify", {"points": ["a"], "min_nbhds": {"a": [["a"]]}}),
         ("classify", {"points": ["a"], "opens": [[], ["a"], [["a"]]]}),
+        ("classify", {**point, "opens": []}),
         ("fn classify", {"domain": point, "codomain": point, "map": {"a": ["a"]}}),
         ("fn classify", {"domain": point, "codomain": point, "map": {"a": {"a": "a"}}}),
     ]

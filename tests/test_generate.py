@@ -18,6 +18,7 @@ from oracles import (
     orbit_set_homeo_rows,
     permute_rows,
     prefix_least_scan,
+    prefix_ties_scan,
 )
 from thetatopo import generate
 from thetatopo.generate import (
@@ -107,43 +108,111 @@ def first_row_form(rows) -> bool:
     return rows[0] == (1 << s) - 1 and min(r.bit_count() for r in rows) >= s
 
 
+def top_point(inv) -> int:
+    # The highest point a permutation moves, 0 for the identity.
+    return max((i for i, x in enumerate(inv) if x != i), default=0)
+
+
+def table_perm(t, k: int) -> tuple[int, ...]:
+    # The permutation of points 0..k-1 behind a relabeling table.
+    return tuple(t[1 << i].bit_length() - 1 for i in range(k))
+
+
+def prefix_tie_lists(n: int) -> Iterator[tuple[tuple[int, ...], list | None]]:
+    # (prefix, what _is_least returns there) for every coherent prefix in
+    # the first-row form on n points, ascending. As in the walk, each tie
+    # list is computed from its parent's; a prefix below a refused one,
+    # which the walk never reaches, gets None.
+    levels = generate._first_row_groups(n)
+    prefixes = {rows[: j + 1] for rows in labeled_rows(n) for j in range(n)}
+    ties: dict[tuple[int, ...], list | None] = {(): []}
+    for prefix in sorted(prefixes):  # each parent sorts before its children
+        if first_row_form(prefix):
+            got = ties[prefix[:-1]]
+            if got is not None:
+                got = generate._is_least(list(prefix), got, levels[len(prefix) - 1])
+            ties[prefix] = got
+            yield prefix, got
+
+
 def test_grouped_leaf_test_matches_full_scan():
-    # The leaf test scans only the first-row groups; on every labeled row
-    # tuple in the first-row form it gives what the scan over every
-    # relabeling gives, both the 0 of a non-least labeling and |Aut| of a
-    # least one. Every tuple outside the form has a smaller relabeling, so
-    # the walk may skip it without the test.
+    # The leaf test, carried down the prefix chain from the root, gives on
+    # every labeled row tuple in the first-row form what the scan over every
+    # relabeling gives: a refusal for a non-least labeling and |Aut| ties
+    # for a least one. Every tuple outside the form has a smaller
+    # relabeling, so the walk may skip it without the test.
     for n in range(1, 6):
-        groups = generate._first_row_groups(n)[n - 1]
+        leaves = {prefix: ties for prefix, ties in prefix_tie_lists(n) if len(prefix) == n}
         for rows in labeled_rows(n):
             if first_row_form(rows):
-                assert generate._is_least(list(rows), groups) == is_least_scan(rows), rows
+                ties = leaves[rows]
+                assert (0 if ties is None else len(ties)) == is_least_scan(rows), rows
             else:
                 assert is_least_scan(rows) == 0, rows
 
 
 def test_prefix_test_matches_scan():
-    # At every node, on each coherent prefix in the first-row form, the
-    # grouped test of the level's relabelings gives what the scan over every
-    # permutation of the decided points gives: 0 when one makes the prefix
-    # smaller, else the number that reproduce it.
+    # At every node, on each coherent prefix in the first-row form, the tie
+    # list carried from the parent and the level's relabelings give what
+    # the scan over every permutation of the decided points gives: a
+    # refusal when one makes the prefix smaller, else as many ties as
+    # relabelings that reproduce it.
+    for n in range(1, 6):
+        for prefix, ties in prefix_tie_lists(n):
+            assert (0 if ties is None else len(ties)) == prefix_least_scan(prefix), (n, prefix)
+
+
+def test_tie_lists_hold_exactly_the_reproducing_relabelings():
+    # Each relabeling table sits at one level only, its top (the highest
+    # point it moves), in that level's list once and in one sub-group per
+    # first-row size |m| = 1..j; and on every coherent prefix in the
+    # first-row form the tie list holds exactly the relabelings of the
+    # decided points that reproduce it, each once.
     for n in range(1, 6):
         levels = generate._first_row_groups(n)
-        prefixes = {rows[: j + 1] for rows in labeled_rows(n) for j in range(n)}
-        for prefix in sorted(prefixes):
-            if first_row_form(prefix):
-                got = generate._is_least(list(prefix), levels[len(prefix) - 1])
-                assert got == prefix_least_scan(prefix), (n, prefix)
+        placed: dict[int, int] = {}
+        for j, (groups, tables) in enumerate(levels):
+            for t in tables:
+                assert id(t) not in placed and top_point(table_perm(t, n)) == j
+                placed[id(t)] = j
+            sizes: dict[int, list[int]] = {id(t): [] for t in tables}
+            for (x0, m), subgroups in groups.items():
+                k = m.bit_count()
+                for y, subgroup in subgroups:
+                    for t, inv in subgroup:
+                        assert inv[0] == x0 and sum(1 << x for x in inv[:k]) == m and inv[k] == y
+                        sizes[id(t)].append(k)
+            assert all(sorted(ks) == list(range(1, j + 1)) for ks in sizes.values()), (n, j)
+        assert sorted(placed) == sorted(id(t) for t, _ in generate._relabelings(n))
+        for prefix, ties in prefix_tie_lists(n):
+            want = prefix_ties_scan(prefix)
+            if want is None or ties is None:
+                assert want is ties, (n, prefix)
+                continue
+            k = len(prefix)
+            assert all(top_point(table_perm(t, n)) < k for t in ties), (n, prefix)
+            assert sorted(table_perm(t, k) for t in ties) == want, (n, prefix)
 
 
 def test_row_s_bound_holds_for_every_table():
     # _is_least skips a sub-group (x0, N(x0), y) of its level when lo(y)
     # exceeds rows[s]. On every coherent prefix in the first-row form, lo(y)
-    # as defined there is at most row s of every table of the sub-group, and
-    # one table reaches it; some sub-groups are skipped.
+    # as defined there is row s of some table of the full sub-group, every
+    # table with top <= j, built here; it is at most row s of every table
+    # of the level's sub-group; and some sub-groups are skipped.
     skipped = 0
     for n in range(1, 6):
         levels = generate._first_row_groups(n)
+        relabelings = generate._relabelings(n)
+        full = []  # per level j, (x0, m) -> y -> every table with top <= j
+        for j in range(n):
+            groups: dict[tuple[int, int], dict[int, list]] = {}
+            for t, inv in relabelings:
+                if top_point(inv) <= j:
+                    for k in range(1, j + 1):
+                        group = groups.setdefault((inv[0], sum(1 << x for x in inv[:k])), {})
+                        group.setdefault(inv[k], []).append(t)
+            full.append(groups)
         prefixes = {rows[: j + 1] for rows in labeled_rows(n) for j in range(n)}
         for prefix in sorted(prefixes):
             s = prefix[0].bit_length()
@@ -154,17 +223,19 @@ def test_row_s_bound_holds_for_every_table():
             for x0, r0 in enumerate(prefix):
                 if r0.bit_count() != s:
                     continue
-                for y, tables in levels[last].get((x0, r0), ()):
+                index = dict(levels[last][0].get((x0, r0), ()))
+                for y, tables in full[last].get((x0, r0), {}).items():
                     ny = prefix[y]
                     c = (ny & decided & ~r0).bit_count()
                     lo = ny & ~decided | ((1 << c) - 1) << s
                     if ny & r0:
                         lo |= (1 << s) - 1
-                    for t, inv in tables:
+                    assert lo == min(t[ny] for t in tables), (prefix, x0, y)
+                    for t, inv in index.pop(y, ()):
                         assert inv[0] == x0 and inv[s] == y, (prefix, x0, y)
                         assert lo <= t[ny], (prefix, x0, y)
-                    assert lo == min(t[ny] for t, _ in tables), (prefix, x0, y)
                     skipped += lo > prefix[s]
+                assert not index, (prefix, x0)
     assert skipped
 
 
@@ -174,6 +245,26 @@ def test_homeo_classes_pinned():
     for n in range(7):
         h.update(repr(list(homeo_classes(n))).encode() + b"\n")
     assert h.hexdigest() == "7605ec27192e90b0784ee0900194da73bd58e9e7d6c8fb4b280913380c6624f9"
+
+
+def test_homeo_classes_pinned_through_seven_points():
+    # Representatives and orbit sizes for n <= 7: the sha256 of the
+    # concatenated repr(list(homeo_classes(n))), n = 0..7.
+    h = hashlib.sha256()
+    for n in range(8):
+        h.update(repr(list(homeo_classes(n))).encode())
+    assert h.hexdigest() == "5f62d5e7c2b002e3e2ad974160edb1cd451646ac18807b374880eb24698576a2"
+
+
+@pytest.mark.slow
+def test_homeo_classes_eight_points():
+    # The 35,979 classes on 8 points, whose orbit sizes sum to the number of
+    # labeled topologies on 8 points (OEIS A000798). About 20 s and 110 MiB.
+    classes = total = 0
+    for _, size in homeo_classes(8):
+        classes += 1
+        total += size
+    assert (classes, total) == (35979, 642779354)
 
 
 def test_homeo_walk_holds_no_orbit_set():

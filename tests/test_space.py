@@ -507,6 +507,10 @@ def test_format_errors():
         space_from_obj({"points": ["a"]})
     with pytest.raises(SpaceFormatError):
         space_from_obj({"points": [1], "min_nbhds": {}})
+    # Both forms at once are refused, whether or not either is valid.
+    for opens in ([], [[], ["a"]]):
+        with pytest.raises(SpaceFormatError, match='holds both "min_nbhds" and "opens"'):
+            space_from_obj({"points": ["a"], "min_nbhds": {"a": ["a"]}, "opens": opens})
     # A neighborhood must be a JSON list: not a number, null or a string,
     # which would otherwise be read as the list of its characters.
     for value in (5, None, "a"):
